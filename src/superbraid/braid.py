@@ -208,8 +208,15 @@ def images_via_split_casimir(
 
 
 def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
-    """Copy of the images with plain (non-Koszul) swaps; negative control."""
-    t = {i: images.config.unsigned_swap(v_position(i)) for i in range(1, images.d)}
+    """Copy of the images with plain (non-Koszul) swaps; negative control.
+
+    Dropping the sign of every +-1 entry of a signed swap leaves the plain
+    transposition of the two factors.
+    """
+    t = {}
+    for i in range(1, images.d):
+        signed = images.config.signed_swap(v_position(i))
+        t[i] = LinearOp.from_entries(signed.space, ((r, c, abs(v)) for r, c, v in signed.entries()))
     return GeneratorImages(
         images.config, images.d, t, dict(images.x), dict(images.y), dict(images.z),
         images.z0, images.shifted,

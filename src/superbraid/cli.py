@@ -54,7 +54,7 @@ def _fraction_str(v) -> str:
 
 
 def _cap_from(args) -> int:
-    if getattr(args, "cap", None):
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("SUPERBRAID_CAP")
     if env:
@@ -299,6 +299,10 @@ VERIFY_KINDS = {
 def cmd_verify(args) -> int:
     cap = _cap_from(args)
     report = VERIFY_KINDS[args.kind](args, cap)
+    if not report.checks:
+        # a report that checked nothing must not read as a pass
+        print(f"verify {args.kind}: no checks apply at these parameters", file=sys.stderr)
+        return EXIT_USAGE
     params = {
         k: getattr(args, k)
         for k in ("a", "p", "b", "q", "n", "m", "d", "max_size")
@@ -402,6 +406,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         if args.max_size is None:
             args.max_size = _DEFAULT_MAX_SIZE.get(args.kind, 4)
+        for name, value, low in (("d", args.d, 0), ("max-size", args.max_size, 0), ("cap", args.cap, 1)):
+            if value is not None and value < low:
+                print(f"verify {args.kind}: --{name} must be at least {low}, got {value}", file=sys.stderr)
+                return EXIT_USAGE
     if args.command in ("graph", "p0") and args.hook is None and (args.n is None or args.m is None):
         print(f"{args.command} requires --hook n,m or both --n and --m", file=sys.stderr)
         return EXIT_USAGE

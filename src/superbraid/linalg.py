@@ -7,7 +7,10 @@ exact operator identities, so a single rounded entry would be useless.
 Vectors are sparse dicts ``{index: Fraction}``; operators store their
 entries column-major (``cols[j][i]``), which makes products and
 matrix-vector application cheap for the very sparse operators produced by
-tensor-factor embeddings.
+tensor-factor embeddings.  The matrix of an operator restricted to a
+subspace is again a :class:`LinearOp`, on the subspace's coordinate space,
+and :class:`RowReducer` holds the one elimination loop everything else
+(coordinates, kernels, commutants) is built on.
 """
 
 from __future__ import annotations
@@ -69,21 +72,14 @@ def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
     return GradedSpace(parities, labels)
 
 
-def vec_add(a: Vector, b: Vector, coeff: Fraction = Fraction(1)) -> Vector:
-    out = dict(a)
-    for k, v in b.items():
+def _add_scaled(out: Vector, vec: Vector, coeff: Fraction) -> None:
+    """out += coeff * vec in place, dropping entries that cancel."""
+    for k, v in vec.items():
         nv = out.get(k, Fraction(0)) + coeff * v
         if nv:
             out[k] = nv
         else:
             out.pop(k, None)
-    return out
-
-
-def vec_scale(a: Vector, c: Fraction) -> Vector:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
 
 
 class LinearOp:
@@ -94,10 +90,6 @@ class LinearOp:
     def __init__(self, space: GradedSpace, cols: Optional[dict] = None):
         self.space = space
         self.cols = cols if cols is not None else {}
-
-    @classmethod
-    def zero(cls, space: GradedSpace) -> "LinearOp":
-        return cls(space)
 
     @classmethod
     def identity(cls, space: GradedSpace, scale: Fraction = Fraction(1)) -> "LinearOp":
@@ -196,9 +188,6 @@ class LinearOp:
                     del out[i]
         return out
 
-    def equals(self, other: "LinearOp") -> bool:
-        return (self - other).is_zero()
-
     def max_entry_witness(self) -> Optional[tuple]:
         """Largest-magnitude entry as (row, col, value); None when zero."""
         best = None
@@ -263,23 +252,15 @@ class RowReducer:
         self.n_added = 0
 
     def _reduce(self, vec: Vector, tr: Vector) -> tuple:
+        """Eliminate vec against the echelon rows, carrying the transform tr
+        along; returns (residual, transform)."""
         v = dict(vec)
         t = dict(tr)
         for row, piv, rt in zip(self.rows, self.pivots, self.trans):
             coeff = v.get(piv)
             if coeff:
-                for k, rv in row.items():
-                    nv = v.get(k, Fraction(0)) - coeff * rv
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
-                for k, rv in rt.items():
-                    nv = t.get(k, Fraction(0)) - coeff * rv
-                    if nv:
-                        t[k] = nv
-                    else:
-                        t.pop(k, None)
+                _add_scaled(v, row, -coeff)
+                _add_scaled(t, rt, -coeff)
         return v, t
 
     @staticmethod
@@ -290,6 +271,14 @@ class RowReducer:
 
         return min(vec.items(), key=cost)[0]
 
+    def _append(self, v: Vector, t: Vector) -> None:
+        """Normalise a nonzero residual at its pivot and make it an echelon row."""
+        piv = self._pick_pivot(v)
+        c = v[piv]
+        self.rows.append({k: val / c for k, val in v.items()})
+        self.pivots.append(piv)
+        self.trans.append({k: val / c for k, val in t.items()})
+
     def add(self, vec: Vector) -> bool:
         """Insert a vector; returns True when it enlarges the span."""
         idx = self.n_added
@@ -297,45 +286,17 @@ class RowReducer:
         v, t = self._reduce(vec, {idx: Fraction(1)})
         if not v:
             return False
-        piv = self._pick_pivot(v)
-        c = v[piv]
-        v = {k: val / c for k, val in v.items()}
-        t = {k: val / c for k, val in t.items()}
-        self.rows.append(v)
-        self.pivots.append(piv)
-        self.trans.append(t)
+        self._append(v, t)
         return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def residual(self, vec: Vector) -> Vector:
-        v, _ = self._reduce(vec, {})
-        return v
 
     def coordinates(self, vec: Vector) -> Optional[Vector]:
         """Express vec in terms of the added vectors; None if outside the span."""
-        v = dict(vec)
-        t: dict = {}
-        for row, piv, rt in zip(self.rows, self.pivots, self.trans):
-            coeff = v.get(piv)
-            if coeff:
-                for k, rv in row.items():
-                    nv = v.get(k, Fraction(0)) - coeff * rv
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
-                for k, rv in rt.items():
-                    nv = t.get(k, Fraction(0)) + coeff * rv
-                    if nv:
-                        t[k] = nv
-                    else:
-                        t.pop(k, None)
+        # _reduce returns v = vec + sum_k t[k] * input_k, so when v vanishes
+        # the coordinates of vec are -t
+        v, t = self._reduce(vec, {})
         if v:
             return None
-        return t
+        return {k: -c for k, c in t.items()}
 
 
 class Subspace:
@@ -353,10 +314,6 @@ class Subspace:
     def full(cls, space: GradedSpace) -> "Subspace":
         return cls(space, [{i: Fraction(1)} for i in range(space.dim)])
 
-    @classmethod
-    def zero(cls, space: GradedSpace) -> "Subspace":
-        return cls(space, [])
-
     @property
     def dim(self) -> int:
         return len(self.vectors)
@@ -368,13 +325,14 @@ class Subspace:
         return self.coordinates(vec) is not None
 
     def from_coefficients(self, coeffs: Vector) -> Vector:
+        """The vector sum_k coeffs[k] * vectors[k]; inverse of :meth:`coordinates`."""
         out: dict = {}
         for k, c in coeffs.items():
-            out = vec_add(out, self.vectors[k], c)
+            _add_scaled(out, self.vectors[k], c)
         return out
 
 
-def nullspace_of_columns(columns: Sequence, ncols: int) -> list:
+def nullspace_of_columns(columns: Sequence) -> list:
     """Coefficient vectors c with sum_k c_k * columns[k] = 0.
 
     Deterministic echelon computation; the returned basis is in reduced
@@ -382,19 +340,13 @@ def nullspace_of_columns(columns: Sequence, ncols: int) -> list:
     """
     red = RowReducer()
     dependent: list = []
-    for k in range(ncols):
-        vec = columns[k]
+    for k, vec in enumerate(columns):
         v, t = red._reduce(vec, {k: Fraction(1)})
-        if not v:
+        if v:
+            red._append(v, t)
+        else:
             # the transform satisfies sum_j t[j] * columns[j] = residual = 0
             dependent.append(t)
-        else:
-            piv = red._pick_pivot(v)
-            c = v[piv]
-            red.rows.append({kk: vv / c for kk, vv in v.items()})
-            red.pivots.append(piv)
-            red.trans.append({kk: vv / c for kk, vv in t.items()})
-            red.n_added += 1
     return dependent
 
 
@@ -404,48 +356,24 @@ def kernel_intersection(ops: Sequence, within: Subspace) -> Subspace:
     for op in ops:
         if current.dim == 0:
             break
-        images = [op.apply(v) for v in current.vectors]
-        rels = nullspace_of_columns(images, current.dim)
-        new_vectors = []
-        for rel in rels:
-            vec: dict = {}
-            for k, c in rel.items():
-                vec = vec_add(vec, current.vectors[k], c)
-            if vec:
-                new_vectors.append(vec)
-        current = Subspace(within.space, new_vectors)
+        rels = nullspace_of_columns([op.apply(v) for v in current.vectors])
+        current = Subspace(within.space, [current.from_coefficients(rel) for rel in rels])
     return current
 
 
-def restrict_op(op: LinearOp, sub: Subspace) -> list:
-    """Matrix of op on the subspace basis, as dense Fraction rows.
+def restrict_op(op: LinearOp, sub: Subspace) -> LinearOp:
+    """Matrix of op on the subspace basis, on the ungraded coordinate space.
 
+    Column j holds the coordinates of ``op`` applied to ``sub.vectors[j]``.
     Raises :class:`NotInvariantError` when the image leaves the subspace.
     """
-    k = sub.dim
-    mat = [[Fraction(0)] * k for _ in range(k)]
+    out = LinearOp(GradedSpace((0,) * sub.dim))
     for j, v in enumerate(sub.vectors):
         coords = sub.coordinates(op.apply(v))
         if coords is None:
             raise NotInvariantError("operator does not preserve the subspace")
-        for i, c in coords.items():
-            mat[i][j] = c
-    return mat
-
-
-def _dense_mul(a: list, b: list) -> list:
-    k = len(a)
-    out = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        ai = a[i]
-        for l in range(k):
-            c = ai[l]
-            if c:
-                bl = b[l]
-                row = out[i]
-                for j in range(k):
-                    if bl[j]:
-                        row[j] += c * bl[j]
+        if coords:
+            out.cols[j] = coords
     return out
 
 
@@ -458,19 +386,22 @@ def commutant_dimension(ops: Sequence, within: Subspace) -> int:
     k = within.dim
     if k == 0:
         return 0
-    mats = [restrict_op(op, within) for op in ops]
     red = RowReducer()
     rank = 0
-    for mat in mats:
+    for op in ops:
+        mat = restrict_op(op, within)
+        mat_rows: dict = {}
+        for l, col in mat.cols.items():
+            for r, v in col.items():
+                mat_rows.setdefault(r, {})[l] = v
         # unknowns X[i][j] indexed by i * k + j; equations (X A - A X)[r][c] = 0
         for r in range(k):
             for c in range(k):
                 row: dict = {}
-                for l in range(k):
-                    if mat[l][c]:
-                        row[r * k + l] = row.get(r * k + l, Fraction(0)) + mat[l][c]
-                    if mat[r][l]:
-                        row[l * k + c] = row.get(l * k + c, Fraction(0)) - mat[r][l]
+                for l, v in mat.cols.get(c, {}).items():
+                    row[r * k + l] = row.get(r * k + l, Fraction(0)) + v
+                for l, v in mat_rows.get(r, {}).items():
+                    row[l * k + c] = row.get(l * k + c, Fraction(0)) - v
                 row = {key: v for key, v in row.items() if v}
                 if row and red.add(row):
                     rank += 1
@@ -482,7 +413,9 @@ def simultaneous_eigenspaces(ops: Sequence, within: Subspace, candidates: Sequen
 
     ``candidates[k]`` lists the possible eigenvalues of ``ops[k]``; the
     spectrum is assumed combinatorially known so no root-finding happens.
-    Raises :class:`SpectrumError` when the candidates fail to exhaust some
+    The split runs on the operators restricted to ``within``; each piece is
+    mapped back to a subspace of the ambient space.  Raises
+    :class:`SpectrumError` when the candidates fail to exhaust some
     operator's action, and :class:`LinalgError` when the operators do not
     commute on the subspace.
     """
@@ -491,17 +424,15 @@ def simultaneous_eigenspaces(ops: Sequence, within: Subspace, candidates: Sequen
     mats = [restrict_op(op, within) for op in ops]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            ab = _dense_mul(mats[i], mats[j])
-            ba = _dense_mul(mats[j], mats[i])
-            if ab != ba:
+            if not mats[i].commutator(mats[j]).is_zero():
                 raise LinalgError(f"operators {i} and {j} do not commute on the subspace")
-    pieces = [((), within)]
-    for op, cands in zip(ops, candidates):
+    pieces = [((), Subspace.full(GradedSpace((0,) * within.dim)))]
+    for mat, cands in zip(mats, candidates):
         new_pieces = []
         for vals, sub in pieces:
             found = 0
             for c in cands:
-                eig = kernel_intersection([op.plus_scalar(-Fraction(c))], sub)
+                eig = kernel_intersection([mat.plus_scalar(-Fraction(c))], sub)
                 if eig.dim:
                     new_pieces.append((vals + (Fraction(c),), eig))
                     found += eig.dim
@@ -510,4 +441,7 @@ def simultaneous_eigenspaces(ops: Sequence, within: Subspace, candidates: Sequen
                     f"candidates {list(cands)} only account for {found} of {sub.dim} dimensions"
                 )
         pieces = new_pieces
-    return pieces
+    return [
+        (vals, Subspace(within.space, [within.from_coefficients(c) for c in sub.vectors]))
+        for vals, sub in pieces
+    ]

@@ -28,7 +28,6 @@ from .partitions import (
 from .superalgebra import (
     Factor,
     TensorConfig,
-    casimir_pairing,
     natural_factor,
     tensor_power_config,
 )
@@ -180,10 +179,6 @@ def kappa_scalar(mod: RealizedModule) -> Fraction:
     return scalar
 
 
-def kappa_matches_pairing(mod: RealizedModule) -> bool:
-    return kappa_scalar(mod) == casimir_pairing(mod.highest_weight, mod.hp)
-
-
 def pieri_summands(mu: Partition, hp: HookProfile, cap: Optional[int] = None) -> list:
     """Decompose L(mu) (x) V and read off the split-Casimir eigenvalues.
 
@@ -206,7 +201,7 @@ def pieri_summands(mu: Partition, hp: HookProfile, cap: Optional[int] = None) ->
         image = gamma.apply(vec)
         anchor = next(iter(vec))
         observed = image.get(anchor, Fraction(0)) / vec[anchor]
-        if (gamma.apply(vec) != {k: observed * v for k, v in vec.items() if observed * v}):
+        if image != {k: observed * v for k, v in vec.items() if observed * v}:
             raise ConstructionError(f"split Casimir not scalar on summand {lam}")
         records.append(
             {

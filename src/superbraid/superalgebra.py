@@ -325,23 +325,6 @@ class TensorConfig:
             out.add_entry(new_idx, idx, Fraction(sign))
         return out
 
-    def unsigned_swap(self, pos: int) -> LinearOp:
-        """Plain transposition of factors pos, pos + 1; ignores parities.
-
-        Negative control: fails to commute with the odd part of the action.
-        """
-        f1, f2 = self.factors[pos], self.factors[pos + 1]
-        if f1.dim != f2.dim:
-            raise ValueError("swap needs equal-dimension adjacent factors")
-        out = LinearOp(self.space)
-        s1, s2 = self.strides[pos], self.strides[pos + 1]
-        for idx in range(self.dim):
-            comps = self._decoded[idx]
-            a, b = comps[pos], comps[pos + 1]
-            new_idx = idx + (b - a) * s1 + (a - b) * s2
-            out.add_entry(new_idx, idx, Fraction(1))
-        return out
-
     def weight_subspace(self, w: Sequence) -> Subspace:
         target = tuple(w)
         vecs = [

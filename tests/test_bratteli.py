@@ -270,10 +270,13 @@ def test_boundary_generators_commute_on_multiplicity_spaces():
     zs = [images.z0, images.z[1], images.z[2]]
     for lam in g.level(2):
         mult = highest_weight_vectors(config, hook_to_weight(lam, hp))
-        mats = [restrict_op(z, mult) for z in zs]
+        k = mult.dim
+        mats = [
+            [[restricted.cols.get(c, {}).get(r, 0) for c in range(k)] for r in range(k)]
+            for restricted in (restrict_op(z, mult) for z in zs)
+        ]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
-                k = mult.dim
                 prod_ij = [[sum(mats[i][r][l] * mats[j][l][c] for l in range(k)) for c in range(k)] for r in range(k)]
                 prod_ji = [[sum(mats[j][r][l] * mats[i][l][c] for l in range(k)) for c in range(k)] for r in range(k)]
                 assert prod_ij == prod_ji

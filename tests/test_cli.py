@@ -169,3 +169,30 @@ def test_verify_pieri_small(capsys):
 def test_verify_centralizer_small(capsys):
     code, _, _ = run(capsys, "verify", "centralizer", "--n", "1", "--m", "1", "--d", "2")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["verify", "braid", "--n", "1", "--m", "1", "--d", "2", "--cap", "0"], EXIT_USAGE),
+        (["verify", "braid", "--n", "1", "--m", "1", "--d", "2", "--cap", "-3"], EXIT_USAGE),
+        (["verify", "braid", "--n", "1", "--m", "1", "--d", "-1"], EXIT_USAGE),
+        (["verify", "casimir", "--n", "1", "--m", "1", "--max-size", "-3"], EXIT_USAGE),
+        (["verify", "braid", "--n", "1", "--m", "1", "--d", "0"], EXIT_USAGE),
+        (["verify", "hecke", "--a", "1", "--p", "1", "--b", "1", "--q", "1",
+          "--n", "2", "--m", "1", "--d", "0"], EXIT_USAGE),
+        (["verify", "hecke", "--a", "1", "--p", "1", "--b", "1", "--q", "1",
+          "--n", "2", "--m", "1", "--d", "0", "--fmt", "json"], EXIT_USAGE),
+        (["verify", "casimir", "--n", "1", "--m", "1", "--max-size", "0"], EXIT_OK),
+        (["verify", "braid", "--n", "1", "--m", "1", "--d", "1", "--cap", "8"], EXIT_OK),
+    ],
+)
+def test_verify_exit_code_contract(capsys, argv, expected):
+    # out-of-range parameters and reports that check nothing exit 2 without
+    # printing a report; the smallest in-range values still run
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    if expected == EXIT_USAGE:
+        assert not out and err
+    else:
+        assert "OK" in out

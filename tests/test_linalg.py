@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superbraid.bratteli import build_graph, predicted_tuples
+from superbraid.braid import rho_prime_images
 from superbraid.linalg import (
     GradedSpace,
+    LinalgError,
     LinearOp,
     NotHomogeneousError,
     NotInvariantError,
@@ -17,6 +20,8 @@ from superbraid.linalg import (
     simultaneous_eigenspaces,
     tensor_space,
 )
+from superbraid.modules import highest_weight_vectors, module_tensor_config
+from superbraid.partitions import HookProfile, hook_to_weight
 
 V11 = GradedSpace((0, 1), ("e1", "e2"))
 
@@ -187,3 +192,73 @@ def test_operator_arithmetic_exactness():
     assert c.cols[0][0] == 3
     assert (a - a).is_zero()
     assert a.plus_scalar(Fraction(-1, 3)).cols[0].get(0) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 5), st.integers())
+def test_coordinates_invert_from_coefficients(rank, extra, seed):
+    # vector t has a nonzero entry at order[t] and others only at later
+    # positions of order, so the basis is independent by construction
+    rng = random.Random(seed)
+    dim = rank + extra
+    order = rng.sample(range(dim), dim)
+    vectors = []
+    for t in range(rank):
+        vec = {order[t]: Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))}
+        for s in range(t + 1, dim):
+            if rng.random() < 0.5:
+                vec[order[s]] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        vectors.append(vec)
+    sub = Subspace(GradedSpace((0,) * dim), vectors)
+    coeffs = {k: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+              for k in range(rank) if rng.random() < 0.7}
+    assert sub.coordinates(sub.from_coefficients(coeffs)) == coeffs
+
+
+def test_dependent_basis_rejected():
+    with pytest.raises(LinalgError):
+        Subspace(V11, [{0: Fraction(1)}, {0: Fraction(-2)}])
+
+
+@pytest.fixture(scope="module")
+def multiplicity_spaces():
+    """Highest-weight spaces of (1) (x) (1) (x) V^2 at gl(2|1): proper
+    subspaces of the 81-dim tensor space, with the joint spectra of
+    (z_0, z_1, z_2) the Bratteli graph predicts for them."""
+    hp = HookProfile(2, 1)
+    g = build_graph(1, 1, 1, 1, hp, 2)
+    images = rho_prime_images(module_tensor_config((1,), (1,), 2, hp))
+    ops = [images.z0, images.z[1], images.z[2]]
+    spaces = []
+    for lam in g.level(2):
+        mult = highest_weight_vectors(images.config, hook_to_weight(lam, hp))
+        spaces.append((mult, list(predicted_tuples(g, lam).values())))
+    assert any(mult.dim > 1 for mult, _ in spaces)
+    return ops, spaces
+
+
+def test_eigenspaces_on_proper_subspace_map_back_to_ambient(multiplicity_spaces):
+    ops, spaces = multiplicity_spaces
+    for mult, tuples in spaces:
+        candidates = [sorted({t[k] for t in tuples}) for k in range(len(ops))]
+        pieces = simultaneous_eigenspaces(ops, mult, candidates)
+        assert sum(sub.dim for _, sub in pieces) == mult.dim
+        for vals, sub in pieces:
+            assert sub.space is mult.space
+            for v in sub.vectors:
+                assert mult.contains(v)
+                for op, c in zip(ops, vals):
+                    assert op.apply(v) == {i: c * x for i, x in v.items() if c}
+
+
+def test_kernel_on_proper_subspace_maps_back_to_ambient(multiplicity_spaces):
+    ops, spaces = multiplicity_spaces
+    for mult, tuples in spaces:
+        for c0, c1 in sorted({t[:2] for t in tuples}):
+            shifted = [ops[0].plus_scalar(-c0), ops[1].plus_scalar(-c1)]
+            ker = kernel_intersection(shifted, mult)
+            assert ker.dim == sum(1 for t in tuples if t[:2] == (c0, c1))
+            for v in ker.vectors:
+                assert mult.contains(v)
+                for op in shifted:
+                    assert op.apply(v) == {}

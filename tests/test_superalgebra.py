@@ -1,8 +1,9 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from superbraid.linalg import LinearOp
+from superbraid.linalg import LinearOp, koszul_tensor_op
 from superbraid.partitions import HookProfile
 from superbraid.superalgebra import (
     TensorConfig,
@@ -261,7 +262,9 @@ def test_signed_swap_properties():
 def test_unsigned_swap_breaks_centralizing():
     hp = HookProfile(1, 1)
     config = tensor_power_config(hp, 2)
-    plain = config.unsigned_swap(0)
+    plain = LinearOp.from_entries(
+        config.space, [(i, j, abs(v)) for i, j, v in config.signed_swap(0).entries()]
+    )
     broken = [
         (i, j)
         for i in range(1, 3)
@@ -269,6 +272,23 @@ def test_unsigned_swap_breaks_centralizing():
         if not plain.commutator(config.act_unit(i, j)).is_zero()
     ]
     assert broken  # the Koszul sign is forced
+
+
+@pytest.mark.parametrize("hp", [HookProfile(1, 1), HookProfile(2, 1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_embed_unit_matches_chained_koszul_product(hp, k):
+    # id (x) .. (x) E_ij (x) .. (x) id assembled one graded tensor product at
+    # a time is the reference for the Koszul signs of embed_unit
+    config = tensor_power_config(hp, k)
+    v = natural_factor(hp)
+    ident = LinearOp.identity(v.space)
+    for pos in range(k):
+        for i in range(1, hp.rank + 1):
+            for j in range(1, hp.rank + 1):
+                factors = [v.units[(i, j)] if t == pos else ident for t in range(k)]
+                chained = reduce(koszul_tensor_op, factors)
+                assert chained.space.parities == config.space.parities
+                assert list(chained.entries()) == list(config.embed_unit(pos, i, j).entries())
 
 
 def test_weight_subspace():
