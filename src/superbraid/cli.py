@@ -1,8 +1,11 @@
 """Command-line front end: every verification and export as a subcommand.
 
 Exit codes: 0 when every check passes, 1 when a mathematical check fails,
-2 for usage, parameter or dimension-cap errors.  All numeric output is
-exact; JSON payloads carry a top-level schema field.
+2 for usage, parameter or dimension-cap errors.  An internal-consistency
+failure (a module construction or a multiplicity count that contradicts the
+theory the program relies on) also exits 1, with one ``internal error: ...``
+line on stderr and no report.  All numeric output is exact; JSON payloads
+carry a top-level schema field.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .braid import Report, Check, rho_images, rho_prime_images, verify_braid_rel
 from .linalg import LinalgError
 from .modules import (
     CapExceededError,
+    ConstructionError,
     DEFAULT_DIM_CAP,
     kappa_scalar,
     module_tensor_config,
@@ -34,7 +38,7 @@ from .partitions import (
     rectangle,
 )
 from .partitions import is_hook
-from .schur import decompose_two_rectangles, lr_coeff, partitions_of
+from .schur import MultiplicityError, decompose_two_rectangles, lr_coeff, partitions_of
 from .superalgebra import (
     bilinear_form,
     casimir_pairing,
@@ -421,6 +425,9 @@ def main(argv=None) -> int:
     except (CombinatoricsError, bratteli.GraphError, LinalgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ConstructionError, MultiplicityError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

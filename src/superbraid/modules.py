@@ -1,11 +1,19 @@
-"""Explicit polynomial irreducibles inside tensor powers of the natural module.
+"""Explicit polynomial irreducibles of gl(n|m), built one box at a time.
 
-A module L(lambda) is realized concretely: pick a highest weight vector of
-the right weight inside V^(|lambda|), then close under lowering operators
-breadth-first with exact rank checks.  The closure is the whole submodule
-(words in lowering operators span it once the start vector is killed by all
-raising operators), and sitting inside a semisimple tensor power it is
-automatically irreducible.
+A module L(lambda) is realized recursively.  Let lambda^- be lambda minus
+the last box of its last row; that box is always removable, and removing it
+keeps a hook a hook.  By the Pieri rule for hook Schur functions
+(Berele-Regev, Adv. Math. 64, 1987), L(lambda) occurs exactly once in
+L(lambda^-) (x) V.  So realize L(lambda^-) first, find the one highest
+weight vector of weight lambda in L(lambda^-) (x) V, and close it under the
+lowering operators breadth-first with exact rank checks.  The closure is
+the whole submodule (words in lowering operators span it once the start
+vector is killed by all raising operators), and sitting inside a
+semisimple product it is automatically irreducible.  The empty diagram is
+the trivial module, the empty tensor product.
+
+Finished modules are kept in a process-wide memo keyed by (lambda, (n, m)),
+so the chain of parents is built once however many callers ask for it.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from .partitions import (
     content,
     format_partition,
     hook_to_weight,
-    partition_size,
 )
 from .superalgebra import (
     Factor,
@@ -62,6 +69,11 @@ class RealizedModule:
         return Factor(self.space, self.units, self.weights, name or format_partition(self.partition))
 
 
+# (partition, hook profile) -> RealizedModule.  Only finished modules are
+# kept; the product spaces they were cut out of are dropped after use.
+_REALIZED: dict = {}
+
+
 def raising_units(hp: HookProfile) -> list:
     """Simple raising pairs (i, i+1); they generate the whole upper part."""
     return [(i, i + 1) for i in range(1, hp.rank)]
@@ -84,17 +96,63 @@ def check_cap(dim: int, cap: Optional[int]) -> None:
         raise CapExceededError(f"ambient dimension {dim} exceeds cap {limit}")
 
 
-def realize_module(p: Partition, hp: HookProfile, cap: Optional[int] = None) -> RealizedModule:
-    """Realize L(lambda) for a hook diagram lambda inside V^(|lambda|)."""
-    w = hook_to_weight(p, hp)
-    k = partition_size(p)
-    check_cap(hp.rank ** k, cap)
-    ambient = tensor_power_config(hp, k)
-    hwv = highest_weight_vectors(ambient, w)
-    if hwv.dim == 0:
-        raise ConstructionError(f"no highest weight vector of weight {w} in V^{k}")
+def _remove_last_box(p: Partition) -> Partition:
+    """lambda^-: lambda without the last box of its last row."""
+    return p[:-1] + ((p[-1] - 1,) if p[-1] > 1 else ())
 
-    start = hwv.vectors[0]
+
+def _times_natural(mod: RealizedModule) -> TensorConfig:
+    """L(mu) (x) V, the space of one Pieri step."""
+    return TensorConfig([mod.as_factor("M"), natural_factor(mod.hp)], mod.hp)
+
+
+def _pieri_vector(config: TensorConfig, lam: Partition, mu: Partition) -> dict:
+    """The highest weight vector of L(lam) inside L(mu) (x) V.
+
+    The Pieri rule makes it unique up to scale; any other count of highest
+    weight vectors is a construction fault.
+    """
+    hwv = highest_weight_vectors(config, hook_to_weight(lam, config.hp))
+    if hwv.dim != 1:
+        raise ConstructionError(
+            f"summand {lam} of {mu} (x) V has multiplicity {hwv.dim}, expected 1"
+        )
+    return hwv.vectors[0]
+
+
+def realize_module(p: Partition, hp: HookProfile, cap: Optional[int] = None) -> RealizedModule:
+    """Realize L(lambda) for a hook diagram lambda inside L(lambda^-) (x) V.
+
+    Walks the chain () = lambda_0, lambda_1, .., lambda_k = lambda, each
+    lambda_t being lambda_(t+1)^-, and builds whatever the memo lacks.
+    ``cap`` bounds every step L(lambda_t) (x) V, memoized or not, so a
+    module is refused exactly when building it afresh would be.
+    """
+    chain = [tuple(p)]
+    while chain[-1]:
+        chain.append(_remove_last_box(chain[-1]))
+    mod = None
+    for lam in reversed(chain):
+        parent = mod
+        if parent is not None:
+            check_cap(parent.dim * hp.rank, cap)
+        mod = _REALIZED.get((lam, hp))
+        if mod is None:
+            if parent is None:
+                ambient = tensor_power_config(hp, 0)
+                start = {0: Fraction(1)}
+            else:
+                ambient = _times_natural(parent)
+                start = _pieri_vector(ambient, lam, parent.partition)
+            mod = _REALIZED[(lam, hp)] = lowering_closure(lam, ambient, start)
+    return mod
+
+
+def lowering_closure(p: Partition, ambient: TensorConfig, start: dict) -> RealizedModule:
+    """The submodule generated by the highest weight vector ``start`` of L(p),
+    with its generator matrices on the closure basis."""
+    hp = ambient.hp
+    w = hook_to_weight(p, hp)
     reducer = RowReducer()
     reducer.add(start)
     basis = [start]
@@ -187,17 +245,12 @@ def pieri_summands(mu: Partition, hp: HookProfile, cap: Optional[int] = None) ->
     highest weight vector.
     """
     m_mod = realize_module(mu, hp, cap)
-    config = TensorConfig([m_mod.as_factor("M"), natural_factor(hp)], hp)
+    check_cap(m_mod.dim * hp.rank, cap)
+    config = _times_natural(m_mod)
     gamma = config.split_casimir_op(0, 1)
     records = []
     for lam, box in addable_hook_positions(mu, hp):
-        wv = hook_to_weight(lam, hp)
-        hwv = highest_weight_vectors(config, wv)
-        if hwv.dim != 1:
-            raise ConstructionError(
-                f"summand {lam} of {mu} (x) V has multiplicity {hwv.dim}, expected 1"
-            )
-        vec = hwv.vectors[0]
+        vec = _pieri_vector(config, lam, mu)
         image = gamma.apply(vec)
         anchor = next(iter(vec))
         observed = image.get(anchor, Fraction(0)) / vec[anchor]

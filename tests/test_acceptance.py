@@ -45,6 +45,7 @@ from superbraid.partitions import (
     box_sum_identity,
     hook_to_weight,
     is_hook,
+    rectangle,
     weight_to_hook,
 )
 from superbraid.schur import (
@@ -281,3 +282,26 @@ def test_criterion_12_negative_controls():
     failed = [c for c in rep.checks if not c.ok]
     assert failed and failed[0].id.startswith("hecke:(x1-2)") and failed[0].witness
     report(12, "all three sabotage modes detected with witnesses", t0)
+
+
+def test_criterion_13_paper_example_operators():
+    # the illustrative example (a,p,b,q) = (4,3,2,2) at gl(3|1), checked on
+    # operators: M = L(4^3) and N = L(2^2) have dimensions 8 and 17
+    t0 = time.perf_counter()
+    a, p, b, q, hp = 4, 3, 2, 2, HookProfile(3, 1)
+    for d in (1, 2):
+        g = build_graph(a, p, b, q, hp, d)
+        config = module_tensor_config(rectangle(a, p), rectangle(b, q), d, hp)
+        assert config.dim == 8 * 17 * 4 ** d
+        images = rho_prime_images(config)
+        rep = verify_hecke_relations(images, a, p, b, q)
+        assert rep.checks and rep.ok, [c.id for c in rep.checks if not c.ok]
+        records = spectral_match(g, config, images)
+        assert [rec["partition"] for rec in records] == [list(lam) for lam in g.level(d)]
+        for rec in records:
+            assert rec["ok"], rec
+            assert rec["multiplicity_dim"] == rec["paths"]
+        for lam in g.level(d):
+            rec = irreducibility_check(g, config, images, lam)
+            assert rec["ok"], rec
+    report(13, "paper example at d <= 2: quotient relations, spectra, irreducibility", t0, budget=60.0)

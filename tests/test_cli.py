@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from superbraid import modules
+from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, main
+from superbraid.modules import ConstructionError
+from superbraid.schur import MultiplicityError
 
 
 def run(capsys, *argv):
@@ -196,3 +202,49 @@ def test_verify_exit_code_contract(capsys, argv, expected):
         assert not out and err
     else:
         assert "OK" in out
+
+
+def test_verify_paper_example_at_operator_level(capsys):
+    # (4,3,2,2) at gl(3|1) needs the boundary rectangle (4^3), which the
+    # default cap refused while modules were built inside V^12
+    code, out, err = run(capsys, "verify", "spectra", "--a", "4", "--p", "3", "--b", "2",
+                         "--q", "2", "--n", "3", "--m", "1", "--d", "1")
+    assert code == EXIT_OK, err
+    assert out.splitlines()[-1] == "OK  verify spectra  (8 checks)"
+
+
+@pytest.mark.parametrize("error", [ConstructionError, MultiplicityError])
+def test_internal_error_exit_path(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("injected fault")
+
+    monkeypatch.setattr(modules, "realize_module", broken)
+    code, out, err = run(capsys, "verify", "braid", "--n", "1", "--m", "1", "--d", "1")
+    assert code == EXIT_CHECK_FAILED
+    assert not out
+    assert err == "internal error: injected fault\n"
+    assert "Traceback" not in err
+
+
+_small = st.integers(0, 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(sorted(VERIFY_KINDS)),
+    n=st.integers(1, 2),
+    m=st.integers(1, 2),
+    d=st.integers(-1, 2),
+    rect=st.tuples(_small, _small, _small, _small),
+    cap=st.sampled_from([None, 0, 50]),
+)
+def test_verify_fuzz_exit_contract(kind, n, m, d, rect, cap):
+    argv = ["verify", kind, "--n", str(n), "--m", str(m), "--d", str(d)]
+    argv += [arg for name, v in zip("apbq", rect) for arg in (f"--{name}", str(v))]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from superbraid.modules import (
     CapExceededError,
     highest_weight_vectors,
     kappa_scalar,
+    lowering_closure,
     module_tensor_config,
     module_to_json,
     pieri_summands,
@@ -15,12 +18,25 @@ from superbraid.modules import (
 )
 from superbraid.superalgebra import tensor_power_config
 from superbraid.partitions import HookProfile, hook_to_weight, is_hook
-from superbraid.schur import hook_dimension, partitions_of
-from superbraid.superalgebra import casimir_pairing, natural_casimir_scalar
+from superbraid.schur import hook_dimension, hook_tableau_weights, partitions_of
+from superbraid.superalgebra import casimir_pairing, natural_casimir_scalar, unit_parity
 
 HP11 = HookProfile(1, 1)
 HP21 = HookProfile(2, 1)
 HP22 = HookProfile(2, 2)
+HP31 = HookProfile(3, 1)
+
+
+def realize_in_tensor_power(p, hp):
+    """The direct route, kept as an oracle: L(p) as the lowering closure of
+    a highest weight vector inside V^(|p|)."""
+    ambient = tensor_power_config(hp, sum(p))
+    hwv = highest_weight_vectors(ambient, hook_to_weight(p, hp))
+    return lowering_closure(p, ambient, hwv.vectors[0])
+
+
+def hooks_up_to(size, hp):
+    return [lam for total in range(size + 1) for lam in partitions_of(total) if is_hook(lam, hp)]
 
 
 def test_highest_weight_vectors_on_natural():
@@ -94,6 +110,66 @@ def test_module_closed_under_all_units():
 def test_cap_enforced():
     with pytest.raises(CapExceededError):
         realize_module((3, 2), HP22, cap=100)
+
+
+def test_cap_enforced_on_memoized_module():
+    # building (3,2) needs a step L(3,1) (x) V above 100; a module realized
+    # earlier without a cap must not slip past that bound
+    realize_module((3, 2), HP22)
+    with pytest.raises(CapExceededError):
+        realize_module((3, 2), HP22, cap=100)
+    # the step bound is the product dimension, not |V|^|lambda| = 1024
+    step = realize_module((3, 1), HP22).dim * HP22.rank
+    assert realize_module((3, 2), HP22, cap=step).dim == hook_dimension((3, 2), HP22)
+    with pytest.raises(CapExceededError):
+        realize_module((3, 2), HP22, cap=step - 1)
+
+
+def test_chain_longer_than_recursion_limit():
+    # one step per box: a long row at gl(1|1) stays 2-dimensional
+    k = sys.getrecursionlimit() + 100
+    mod = realize_module((k,), HP11)
+    assert mod.dim == 2
+    assert kappa_scalar(mod) == casimir_pairing(mod.highest_weight, HP11)
+
+
+ORACLE_CASES = [(lam, HP22) for lam in hooks_up_to(6, HP22)] + [((4, 4, 4), HP31), ((2, 2), HP31)]
+
+
+@pytest.mark.parametrize(
+    "lam, hp", ORACLE_CASES, ids=[f"{list(lam)}-gl({hp.n}|{hp.m})" for lam, hp in ORACLE_CASES]
+)
+def test_module_matches_tableau_oracles(lam, hp):
+    mod = realize_module(lam, hp)
+    assert mod.dim == hook_dimension(lam, hp)
+    assert Counter(mod.weights) == Counter(hook_tableau_weights(lam, hp))
+    assert kappa_scalar(mod) == casimir_pairing(mod.highest_weight, hp)
+
+
+@pytest.mark.parametrize("hp", [HP11, HP21, HP22])
+def test_module_matches_tensor_power_route(hp):
+    for lam in hooks_up_to(4, hp):
+        mod = realize_module(lam, hp)
+        direct = realize_in_tensor_power(lam, hp)
+        assert mod.dim == direct.dim, lam
+        assert Counter(mod.weights) == Counter(direct.weights), lam
+        assert kappa_scalar(mod) == kappa_scalar(direct), lam
+
+
+@pytest.mark.parametrize("lam, hp", [((3, 2, 1), HP22), ((4, 4, 4), HP31)])
+def test_realized_units_satisfy_supercommutators(lam, hp):
+    # [E_ij, E_kl] = delta_jk E_il - (-1)^(|ij| |kl|) delta_li E_kj
+    units = realize_module(lam, hp).units
+    for (i, j), a in units.items():
+        for (k, l), b in units.items():
+            sign = -1 if unit_parity(i, j, hp) and unit_parity(k, l, hp) else 1
+            lhs = a @ b - (b @ a).scaled(Fraction(sign))
+            rhs = LinearOp(a.space)
+            if j == k:
+                rhs = rhs + units[(i, l)]
+            if l == i:
+                rhs = rhs - units[(k, j)].scaled(Fraction(sign))
+            assert (lhs - rhs).is_zero(), ((i, j), (k, l))
 
 
 def test_module_tensor_config_dims():
