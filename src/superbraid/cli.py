@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 from . import bratteli
 from .braid import Report, Check, rho_images, rho_prime_images, verify_braid_relations, verify_centralizer, verify_hecke_relations
@@ -34,10 +34,10 @@ from .partitions import (
     box_sum_identity,
     format_partition,
     hook_to_weight,
+    is_hook,
     parse_partition,
     rectangle,
 )
-from .partitions import is_hook
 from .schur import MultiplicityError, decompose_two_rectangles, lr_coeff, partitions_of
 from .superalgebra import (
     bilinear_form,
@@ -52,11 +52,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _fraction_str(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _cap_from(args) -> int:
     if args.cap is not None:
         return args.cap
@@ -67,13 +62,6 @@ def _cap_from(args) -> int:
         except ValueError:
             raise CombinatoricsError(f"SUPERBRAID_CAP must be an integer, got {env!r}")
     return DEFAULT_DIM_CAP
-
-
-def _hp_from(args) -> HookProfile:
-    if getattr(args, "hook", None):
-        n, m = (int(x) for x in args.hook.split(","))
-        return HookProfile(n, m)
-    return HookProfile(args.n, args.m)
 
 
 def _print_report(report: Report, fmt: str, command: str, params: dict) -> int:
@@ -93,12 +81,32 @@ def _print_report(report: Report, fmt: str, command: str, params: dict) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _records_to_report(title: str, records, id_of) -> Report:
-    rep = Report(title)
-    for rec in records:
-        detail = None if rec["ok"] else {k: str(v) for k, v in rec.items() if k != "ok"}
-        rep.add(Check(id_of(rec), bool(rec["ok"]), detail))
-    return rep
+def _check(check_id: str, ok: bool, detail: dict) -> Check:
+    """One report line; on failure only, ``detail`` is its witness.
+
+    Every value of the witness is a string, and an ``"ok"`` entry of a
+    record passed as ``detail`` is left out.
+    """
+    witness = None if ok else {k: str(v) for k, v in detail.items() if k != "ok"}
+    return Check(check_id, bool(ok), witness)
+
+
+def _graph(args, d: int) -> bratteli.BratteliGraph:
+    hp = HookProfile(args.n, args.m)
+    return bratteli.build_graph(args.a, args.p, args.b, args.q, hp, d, strict=args.strict_params)
+
+
+def _config(args, cap: int, alpha=(1,), beta=(1,)):
+    """``L(alpha) (x) L(beta) (x) V^d`` at gl(n|m); both boundaries default to ``V``."""
+    return module_tensor_config(alpha, beta, args.d, HookProfile(args.n, args.m), cap)
+
+
+def _hooks_up_to(args, hp: HookProfile):
+    """Hook diagrams of gl(n|m) by size, up to ``--max-size``."""
+    for total in range(args.max_size + 1):
+        for lam in partitions_of(total):
+            if is_hook(lam, hp):
+                yield lam
 
 
 def cmd_bar(args) -> int:
@@ -110,8 +118,7 @@ def cmd_bar(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    hp = _hp_from(args)
-    g = bratteli.build_graph(args.a, args.p, args.b, args.q, hp, args.d, strict=args.strict_params)
+    g = _graph(args, args.d)
     if args.fmt == "dot":
         sys.stdout.write(bratteli.to_dot(g))
     else:
@@ -131,34 +138,27 @@ def cmd_lr(args) -> int:
 
 
 def cmd_p0(args) -> int:
-    hp = _hp_from(args)
+    hp = HookProfile(args.n, args.m)
     for lam in decompose_two_rectangles(args.a, args.p, args.b, args.q, hp, strict=args.strict_params):
         print(format_partition(lam))
     return EXIT_OK
 
 
 def _verify_braid(args, cap: int) -> Report:
-    hp = HookProfile(args.n, args.m)
-    config = module_tensor_config((1,), (1,), args.d, hp, cap)
+    config = _config(args, cap)
     rep = Report(f"braid n={args.n} m={args.m} d={args.d}")
     for images, tag in ((rho_images(config), "plain"), (rho_prime_images(config), "shifted")):
-        sub = verify_braid_relations(images)
-        for check in sub.checks:
-            rep.add(Check(f"{tag}:{check.id}", check.ok, check.witness))
+        for check in verify_braid_relations(images).checks:
+            rep.add(replace(check, id=f"{tag}:{check.id}"))
     return rep
 
 
 def _verify_centralizer(args, cap: int) -> Report:
-    hp = HookProfile(args.n, args.m)
-    config = module_tensor_config((1,), (1,), args.d, hp, cap)
-    return verify_centralizer(rho_prime_images(config))
+    return verify_centralizer(rho_prime_images(_config(args, cap)))
 
 
 def _verify_hecke(args, cap: int) -> Report:
-    hp = HookProfile(args.n, args.m)
-    alpha = rectangle(args.a, args.p)
-    beta = rectangle(args.b, args.q)
-    config = module_tensor_config(alpha, beta, args.d, hp, cap)
+    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
     rel = (args.a, args.p, args.b, args.q)
     if args.check_params:
         rel = tuple(int(x) for x in args.check_params.split(","))
@@ -173,118 +173,65 @@ def _verify_casimir(args, cap: int) -> Report:
     for i in range(1, hp.rank + 1):
         eps = tuple(1 if k == i - 1 else 0 for k in range(hp.rank))
         direct = bilinear_form(eps, tuple(e + r for e, r in zip(eps, two_rho(hp))), hp)
-        rep.add(Check(f"pairing-eps({i})", pairing_eps(i, hp) == direct, None))
+        detail = {"observed": pairing_eps(i, hp), "expected": direct}
+        rep.add(_check(f"pairing-eps({i})", detail["observed"] == direct, detail))
     for s in range(1, hp.m + 1):
         psi = psi_pairing_report(s, hp)
-        rep.add(
-            Check(
-                f"psi-pairing-form(s={s})",
-                psi["matching"] == "general",
-                {k: str(v) for k, v in psi.items()},
-            )
-        )
-    for total in range(0, args.max_size + 1):
-        for lam in partitions_of(total):
-            if not is_hook(lam, hp):
-                continue
-            mod = realize_module(lam, hp, cap)
-            scalar = kappa_scalar(mod)
-            expected = casimir_pairing(mod.highest_weight, hp)
-            ok = scalar == expected
-            rep.add(
-                Check(
-                    f"casimir{format_partition(lam)}",
-                    ok,
-                    None if ok else {"observed": _fraction_str(scalar), "expected": str(expected)},
-                )
-            )
+        rep.add(_check(f"psi-pairing-form(s={s})", psi["matching"] == "general", psi))
+    for lam in _hooks_up_to(args, hp):
+        mod = realize_module(lam, hp, cap)
+        scalar = kappa_scalar(mod)
+        expected = casimir_pairing(mod.highest_weight, hp)
+        detail = {"observed": scalar, "expected": expected}
+        rep.add(_check(f"casimir{format_partition(lam)}", scalar == expected, detail))
     return rep
 
 
 def _verify_pieri(args, cap: int) -> Report:
     hp = HookProfile(args.n, args.m)
     rep = Report(f"pieri n={args.n} m={args.m} size<={args.max_size}")
-    for total in range(0, args.max_size + 1):
-        for mu in partitions_of(total):
-            if not is_hook(mu, hp):
-                continue
-            for rec in pieri_summands(mu, hp, cap):
-                rep.add(
-                    Check(
-                        f"pieri:{format_partition(mu)}->{format_partition(rec['partition'])}",
-                        rec["ok"],
-                        None
-                        if rec["ok"]
-                        else {"observed": _fraction_str(rec["observed"]), "expected": rec["predicted"]},
-                    )
-                )
+    for mu in _hooks_up_to(args, hp):
+        for rec in pieri_summands(mu, hp, cap):
+            check_id = f"pieri:{format_partition(mu)}->{format_partition(rec['partition'])}"
+            detail = {"observed": rec["observed"], "expected": rec["predicted"]}
+            rep.add(_check(check_id, rec["ok"], detail))
     return rep
 
 
 def _verify_spectra(args, cap: int) -> Report:
-    hp = HookProfile(args.n, args.m)
-    g = bratteli.build_graph(args.a, args.p, args.b, args.q, hp, args.d, strict=args.strict_params)
-    config = module_tensor_config(rectangle(args.a, args.p), rectangle(args.b, args.q), args.d, hp, cap)
-    images = rho_prime_images(config)
-    records = bratteli.spectral_match(g, config, images)
-    return _records_to_report(
-        f"spectra a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}",
-        records,
-        lambda rec: f"spectrum:{rec['partition']}",
-    )
+    g = _graph(args, args.d)
+    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
+    rep = Report(f"spectra a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
+    for rec in bratteli.spectral_match(g, config, rho_prime_images(config)):
+        rep.add(_check(f"spectrum:{rec['partition']}", rec["ok"], rec))
+    return rep
 
 
 def _verify_irreducible(args, cap: int) -> Report:
-    hp = HookProfile(args.n, args.m)
-    g = bratteli.build_graph(args.a, args.p, args.b, args.q, hp, args.d, strict=args.strict_params)
-    config = module_tensor_config(rectangle(args.a, args.p), rectangle(args.b, args.q), args.d, hp, cap)
+    g = _graph(args, args.d)
+    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
     images = rho_prime_images(config)
-    records = [bratteli.irreducibility_check(g, config, images, lam) for lam in g.level(g.d)]
-    return _records_to_report(
-        f"irreducible a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}",
-        records,
-        lambda rec: f"commutant:{rec['partition']}",
-    )
+    rep = Report(f"irreducible a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
+    for lam in g.level(g.d):
+        rec = bratteli.irreducibility_check(g, config, images, lam)
+        rep.add(_check(f"commutant:{rec['partition']}", rec["ok"], rec))
+    return rep
 
 
 def _verify_lemmas(args, cap: int) -> Report:
     hp = HookProfile(args.n, args.m)
-    g = bratteli.build_graph(args.a, args.p, args.b, args.q, hp, 0, strict=args.strict_params)
+    g = _graph(args, 0)
     rep = Report(f"lemmas a={args.a} p={args.p} b={args.b} q={args.q}")
     for lam in g.level(0):
         lhs, rhs = box_sum_identity(lam, args.a, args.p, args.b, args.q)
-        rep.add(
-            Check(
-                f"box-sum{format_partition(lam)}",
-                lhs == rhs,
-                None if lhs == rhs else {"lhs": lhs, "rhs": rhs},
-            )
-        )
+        rep.add(_check(f"box-sum{format_partition(lam)}", lhs == rhs, {"lhs": lhs, "rhs": rhs}))
         case = bratteli.z0_case_report(lam, args.a, args.p, args.b, args.q)
-        rep.add(
-            Check(
-                f"z0-cases{format_partition(lam)}",
-                case["agree"],
-                None if case["agree"] else {k: str(v) for k, v in case.items()},
-            )
-        )
+        rep.add(_check(f"z0-cases{format_partition(lam)}", case["agree"], case))
     for rec in bratteli.p0_neighbor_check(g):
-        rep.add(
-            Check(
-                f"neighbor-contents{rec['pair']}",
-                rec["ok"],
-                None if rec["ok"] else {"sum": rec["sum"], "expected": rec["expected"]},
-            )
-        )
+        rep.add(_check(f"neighbor-contents{rec['pair']}", rec["ok"], rec))
         lam, mu = (tuple(x) for x in rec["pair"])
         t = bratteli.transfer_check(lam, mu, args.a, args.p, args.b, args.q, hp)
-        rep.add(
-            Check(
-                f"casimir-transfer{rec['pair']}",
-                t["ok"],
-                None if t["ok"] else {k: str(v) for k, v in t.items() if k != "pair"},
-            )
-        )
+        rep.add(_check(f"casimir-transfer{rec['pair']}", t["ok"], t))
     return rep
 
 
@@ -330,15 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
         if need_d:
             sp.add_argument("--d", type=int, required=True, help="number of natural-module factors")
 
-    def add_hp(sp, required=True):
-        sp.add_argument("--n", type=int, required=False, help="even rows")
-        sp.add_argument("--m", type=int, required=False, help="odd rows")
-        sp.add_argument("--hook", type=str, required=False, help="hook profile as n,m")
+    def add_hp(sp):
+        sp.add_argument("--n", type=int, required=True, help="even rows")
+        sp.add_argument("--m", type=int, required=True, help="odd rows")
 
     p_bar = sub.add_parser("bar", help="hook diagram to highest weight")
     p_bar.add_argument("--p", type=str, required=True, help="partition, e.g. 4,3,3,1")
-    p_bar.add_argument("--n", type=int, required=True)
-    p_bar.add_argument("--m", type=int, required=True)
+    add_hp(p_bar)
     p_bar.set_defaults(func=cmd_bar)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -414,9 +359,6 @@ def main(argv=None) -> int:
             if value is not None and value < low:
                 print(f"verify {args.kind}: --{name} must be at least {low}, got {value}", file=sys.stderr)
                 return EXIT_USAGE
-    if args.command in ("graph", "p0") and args.hook is None and (args.n is None or args.m is None):
-        print(f"{args.command} requires --hook n,m or both --n and --m", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -10,7 +10,12 @@ matrix-vector application cheap for the very sparse operators produced by
 tensor-factor embeddings.  The matrix of an operator restricted to a
 subspace is again a :class:`LinearOp`, on the subspace's coordinate space,
 and :class:`RowReducer` holds the one elimination loop everything else
-(coordinates, kernels, commutants) is built on.
+(coordinates, kernels, commutants, joint eigenspace dimensions) is built on.
+
+A joint spectrum is checked by counting, not by splitting: joint
+eigenvectors with pairwise distinct eigenvalue tuples are linearly
+independent, so one-dimensional joint eigenspaces for ``k`` distinct
+tuples on a ``k``-dimensional space already form a basis of it.
 """
 
 from __future__ import annotations
@@ -32,10 +37,6 @@ class NotHomogeneousError(LinalgError):
 
 class NotInvariantError(LinalgError):
     """An operator does not preserve the given subspace."""
-
-
-class SpectrumError(LinalgError):
-    """Candidate eigenvalues do not exhaust the spectrum."""
 
 
 @dataclass(frozen=True)
@@ -408,40 +409,22 @@ def commutant_dimension(ops: Sequence, within: Subspace) -> int:
     return k * k - rank
 
 
-def simultaneous_eigenspaces(ops: Sequence, within: Subspace, candidates: Sequence) -> list:
-    """Joint eigenspace decomposition for pairwise commuting operators.
+def simultaneous_eigenspaces(ops: Sequence, within: Subspace, tuples: Sequence) -> list:
+    """Dimension of the joint eigenspace of ``ops`` for each eigenvalue tuple.
 
-    ``candidates[k]`` lists the possible eigenvalues of ``ops[k]``; the
-    spectrum is assumed combinatorially known so no root-finding happens.
-    The split runs on the operators restricted to ``within``; each piece is
-    mapped back to a subspace of the ambient space.  Raises
-    :class:`SpectrumError` when the candidates fail to exhaust some
-    operator's action, and :class:`LinalgError` when the operators do not
-    commute on the subspace.
+    Entry ``j`` is the dimension of the joint kernel of ``ops[i] - tuples[j][i]``
+    inside ``within``.  Each operator is restricted to ``within`` once and
+    the kernels are taken on those small matrices, never on the ambient
+    space.  Joint eigenvectors with distinct eigenvalue tuples are linearly
+    independent, so ``k`` distinct tuples with dimension 1 each on a
+    ``k``-dimensional subspace prove that the operators act there
+    diagonalizably, commute, and have exactly that joint spectrum.
     """
-    if len(ops) != len(candidates):
-        raise LinalgError("need one candidate list per operator")
+    if any(len(t) != len(ops) for t in tuples):
+        raise LinalgError("need one eigenvalue per operator in every tuple")
     mats = [restrict_op(op, within) for op in ops]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not mats[i].commutator(mats[j]).is_zero():
-                raise LinalgError(f"operators {i} and {j} do not commute on the subspace")
-    pieces = [((), Subspace.full(GradedSpace((0,) * within.dim)))]
-    for mat, cands in zip(mats, candidates):
-        new_pieces = []
-        for vals, sub in pieces:
-            found = 0
-            for c in cands:
-                eig = kernel_intersection([mat.plus_scalar(-Fraction(c))], sub)
-                if eig.dim:
-                    new_pieces.append((vals + (Fraction(c),), eig))
-                    found += eig.dim
-            if found != sub.dim:
-                raise SpectrumError(
-                    f"candidates {list(cands)} only account for {found} of {sub.dim} dimensions"
-                )
-        pieces = new_pieces
+    coords = Subspace.full(GradedSpace((0,) * within.dim))
     return [
-        (vals, Subspace(within.space, [within.from_coefficients(c) for c in sub.vectors]))
-        for vals, sub in pieces
+        kernel_intersection([mat.plus_scalar(-Fraction(c)) for mat, c in zip(mats, t)], coords).dim
+        for t in tuples
     ]

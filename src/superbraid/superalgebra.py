@@ -36,10 +36,6 @@ def positive_roots(hp: HookProfile) -> list:
     return [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
 
 
-def root_parity(i: int, j: int, hp: HookProfile) -> int:
-    return unit_parity(i, j, hp)
-
-
 def two_rho(hp: HookProfile) -> tuple:
     """Even positive roots minus odd positive roots, summed.
 
@@ -48,7 +44,7 @@ def two_rho(hp: HookProfile) -> tuple:
     """
     coords = [0] * hp.rank
     for (i, j) in positive_roots(hp):
-        sign = -1 if root_parity(i, j, hp) else 1
+        sign = -1 if unit_parity(i, j, hp) else 1
         coords[i - 1] += sign
         coords[j - 1] -= sign
     return tuple(coords)

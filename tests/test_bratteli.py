@@ -1,4 +1,3 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,12 +16,11 @@ from superbraid.bratteli import (
     to_dot,
     to_json,
     transfer_check,
-    w_values,
     z0_case_report,
     z0_value,
     z_values,
 )
-from superbraid.braid import rho_prime_images
+from superbraid.braid import rho_images, rho_prime_images
 from superbraid.linalg import commutant_dimension
 from superbraid.modules import highest_weight_vectors, module_tensor_config
 from superbraid.partitions import Box, HookProfile, hook_to_weight
@@ -146,12 +144,6 @@ def test_z0_unit_parameters():
         assert z0_case_report(vertex, 1, 1, 1, 1)["agree"]
 
 
-def test_w_values_shift():
-    path = ((6, 6, 4), (7, 6, 4))
-    w = w_values(path, 4, 3, 2, 2)
-    assert w == [Fraction(16), Fraction(6) - Fraction(1, 2)]
-
-
 def test_p0_neighbor_check(figure_graph):
     records = p0_neighbor_check(figure_graph)
     assert len(records) == 2  # the remaining pair differs by two boxes
@@ -212,6 +204,16 @@ def test_spectral_match(hp, d):
     images = rho_prime_images(config)
     records = spectral_match(g, config, images)
     assert records and all(r["ok"] for r in records), records
+
+
+def test_spectral_match_control_unshifted_images():
+    # without the shift every z_i is off the box contents by n - m = 1, so
+    # no predicted tuple has a joint eigenvector and every vertex must fail
+    g = build_graph(1, 1, 1, 1, HP21, 2)
+    config = module_tensor_config((1,), (1,), 2, HP21)
+    records = spectral_match(g, config, rho_images(config))
+    assert records and not any(r["ok"] for r in records), records
+    assert all(set(r["eigenspace_dims"]) == {0} for r in records), records
 
 
 @pytest.mark.parametrize("hp,d", [(HP21, 1), (HP21, 2)])

@@ -60,7 +60,7 @@ def test_graph_json_figure(capsys):
 
 def test_graph_dot(capsys):
     code, out, _ = run(capsys, "graph", "--a", "1", "--p", "1", "--b", "1", "--q", "1",
-                       "--hook", "1,1", "--d", "0", "--fmt", "dot")
+                       "--n", "1", "--m", "1", "--d", "0", "--fmt", "dot")
     assert code == EXIT_OK
     assert out.startswith("digraph bratteli {")
     assert '"[1]"' in out
@@ -83,16 +83,30 @@ def test_lr_listing(capsys):
 
 def test_p0_listing(capsys):
     code, out, _ = run(capsys, "p0", "--a", "4", "--p", "3", "--b", "2", "--q", "2",
-                       "--hook", "3,1")
+                       "--n", "3", "--m", "1")
     assert code == EXIT_OK
     assert out.splitlines() == ["[5,5,4,1,1]", "[6,5,4,1]", "[6,6,4]"]
 
 
 def test_p0_strict_params_rejects_figure_case(capsys):
     code, _, err = run(capsys, "p0", "--a", "4", "--p", "3", "--b", "2", "--q", "2",
-                       "--hook", "3,1", "--strict-params")
+                       "--n", "3", "--m", "1", "--strict-params")
     assert code == EXIT_USAGE
     assert "strict" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--a", "1", "--p", "1", "--b", "1", "--q", "1", "--d", "0", "--n", "1"],
+        ["p0", "--a", "1", "--p", "1", "--b", "1", "--q", "1", "--n", "1"],
+    ],
+)
+def test_hook_profile_required(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "--m" in capsys.readouterr().err
 
 
 def test_verify_braid_passes(capsys):
@@ -135,6 +149,26 @@ def test_verify_spectra_and_irreducible(capsys):
         code, _, _ = run(capsys, "verify", kind, "--a", "1", "--p", "1", "--b", "1",
                          "--q", "1", "--n", "1", "--m", "1", "--d", "1")
         assert code == EXIT_OK, kind
+
+
+_SMALL = {
+    "braid": ["--n", "1", "--m", "1", "--d", "2"],
+    "centralizer": ["--n", "1", "--m", "1", "--d", "2"],
+    "hecke": ["--a", "1", "--p", "1", "--b", "1", "--q", "1", "--n", "2", "--m", "1", "--d", "2"],
+    "casimir": ["--n", "1", "--m", "1", "--max-size", "2"],
+    "pieri": ["--n", "1", "--m", "1", "--max-size", "2"],
+    "spectra": ["--a", "1", "--p", "1", "--b", "1", "--q", "1", "--n", "2", "--m", "1", "--d", "2"],
+    "irreducible": ["--a", "1", "--p", "1", "--b", "1", "--q", "1", "--n", "2", "--m", "1", "--d", "2"],
+    "lemmas": ["--a", "4", "--p", "3", "--b", "2", "--q", "2", "--n", "3", "--m", "1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_KINDS))
+def test_verify_witness_on_failure_only(capsys, kind):
+    code, out, _ = run(capsys, "verify", kind, *_SMALL[kind], "--fmt", "json")
+    assert code == EXIT_OK
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["status"] == "pass" and "witness" not in c for c in checks)
 
 
 def test_verify_missing_params(capsys):

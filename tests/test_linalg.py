@@ -12,7 +12,6 @@ from superbraid.linalg import (
     LinearOp,
     NotHomogeneousError,
     NotInvariantError,
-    SpectrumError,
     Subspace,
     commutant_dimension,
     kernel_intersection,
@@ -141,10 +140,7 @@ def test_simultaneous_eigenspaces_scalar():
     space = GradedSpace((0, 0))
     full = Subspace.full(space)
     c_id = LinearOp.identity(space, Fraction(7))
-    pieces = simultaneous_eigenspaces([c_id], full, [[Fraction(7)]])
-    assert len(pieces) == 1
-    vals, sub = pieces[0]
-    assert vals == (Fraction(7),) and sub.dim == 2
+    assert simultaneous_eigenspaces([c_id], full, [(Fraction(7),), (Fraction(1),)]) == [2, 0]
 
 
 def test_simultaneous_eigenspaces_refinement():
@@ -152,28 +148,40 @@ def test_simultaneous_eigenspaces_refinement():
     full = Subspace.full(space)
     d1 = op(space, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
     d2 = op(space, [(0, 0, 5), (1, 1, 3), (2, 2, 3)])
-    pieces = simultaneous_eigenspaces([d1, d2], full, [[1, 2], [3, 5]])
-    got = sorted((vals, sub.dim) for vals, sub in pieces)
-    assert got == [((Fraction(1), Fraction(3)), 1), ((Fraction(1), Fraction(5)), 1), ((Fraction(2), Fraction(3)), 1)]
-    total = sum(sub.dim for _, sub in pieces)
-    assert total == full.dim
+    tuples = [(1, 3), (1, 5), (2, 3), (2, 5)]
+    assert simultaneous_eigenspaces([d1, d2], full, tuples) == [1, 1, 1, 0]
 
 
 def test_simultaneous_eigenspaces_incomplete_candidates():
+    # a tuple list that misses part of the spectrum counts short of the dimension
     space = GradedSpace((0, 0))
     full = Subspace.full(space)
     d = op(space, [(0, 0, 1), (1, 1, 2)])
-    with pytest.raises(SpectrumError):
-        simultaneous_eigenspaces([d], full, [[1]])
+    assert simultaneous_eigenspaces([d], full, [(1,)]) == [1]
+
+
+def test_simultaneous_eigenspaces_jordan_block():
+    # not diagonalizable: the eigenvalue 1 has a single eigenvector, so the
+    # count for the two distinct tuples is short of the dimension
+    space = GradedSpace((0, 0))
+    full = Subspace.full(space)
+    jordan = op(space, [(0, 0, 1), (0, 1, 1), (1, 1, 1)])
+    assert simultaneous_eigenspaces([jordan], full, [(1,), (2,)]) == [1, 0]
 
 
 def test_simultaneous_eigenspaces_noncommuting_rejected():
+    # E12 and E21 share no eigenvector, so no tuple is counted
     s2 = GradedSpace((0, 0))
     full = Subspace.full(s2)
-    with pytest.raises(Exception):
-        simultaneous_eigenspaces(
-            [op(s2, [(0, 1, 1)]), op(s2, [(1, 0, 1)])], full, [[0], [0]]
-        )
+    ops = [op(s2, [(0, 1, 1)]), op(s2, [(1, 0, 1)])]
+    assert simultaneous_eigenspaces(ops, full, [(0, 0), (1, 1)]) == [0, 0]
+
+
+def test_simultaneous_eigenspaces_tuple_length_checked():
+    space = GradedSpace((0, 0))
+    d = op(space, [(0, 0, 1), (1, 1, 2)])
+    with pytest.raises(LinalgError):
+        simultaneous_eigenspaces([d], Subspace.full(space), [(1, 2)])
 
 
 def test_subspace_coordinates_and_membership():
@@ -237,18 +245,15 @@ def multiplicity_spaces():
     return ops, spaces
 
 
-def test_eigenspaces_on_proper_subspace_map_back_to_ambient(multiplicity_spaces):
+def test_eigenspaces_on_proper_subspace_are_one_dimensional(multiplicity_spaces):
+    # one joint eigenvector per predicted tuple, counted on the restrictions;
+    # the joint kernel of the ambient operators inside the space is the oracle
     ops, spaces = multiplicity_spaces
     for mult, tuples in spaces:
-        candidates = [sorted({t[k] for t in tuples}) for k in range(len(ops))]
-        pieces = simultaneous_eigenspaces(ops, mult, candidates)
-        assert sum(sub.dim for _, sub in pieces) == mult.dim
-        for vals, sub in pieces:
-            assert sub.space is mult.space
-            for v in sub.vectors:
-                assert mult.contains(v)
-                for op, c in zip(ops, vals):
-                    assert op.apply(v) == {i: c * x for i, x in v.items() if c}
+        assert simultaneous_eigenspaces(ops, mult, tuples) == [1] * mult.dim
+        for t in tuples:
+            shifted = [op.plus_scalar(-c) for op, c in zip(ops, t)]
+            assert kernel_intersection(shifted, mult).dim == 1
 
 
 def test_kernel_on_proper_subspace_maps_back_to_ambient(multiplicity_spaces):

@@ -17,7 +17,6 @@ from superbraid.superalgebra import (
     psi_pairing_report,
     rectangle_pairing,
     rectangle_weight,
-    root_parity,
     tensor_power_config,
     two_rho,
     unit_parity,
@@ -303,4 +302,4 @@ def test_root_count():
     hp = HookProfile(2, 2)
     roots = positive_roots(hp)
     assert len(roots) == 6
-    assert sum(root_parity(i, j, hp) for i, j in roots) == 4
+    assert sum(unit_parity(i, j, hp) for i, j in roots) == 4
