@@ -25,6 +25,7 @@ from .linalg import (
     tensor_space,
 )
 from .superalgebra import (
+    RealizedModule,
     TensorConfig,
     bilinear_form,
     casimir_pairing,
@@ -35,7 +36,6 @@ from .superalgebra import (
     two_rho,
 )
 from .modules import (
-    RealizedModule,
     highest_weight_vectors,
     kappa_scalar,
     module_tensor_config,

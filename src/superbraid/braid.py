@@ -49,7 +49,10 @@ class Report:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add_zero_check(self, check_id: str, residual: LinearOp) -> None:
+    def add_zero_check(self, check_id: str, residual: LinearOp, config: TensorConfig) -> None:
+        """Pass when ``residual`` vanishes; otherwise its largest entry is the
+        witness, with row and column decoded to one basis index per factor
+        of ``config``, the space the residual acts on."""
         wit = residual.max_entry_witness()
         if wit is None:
             self.checks.append(Check(check_id, True))
@@ -63,8 +66,8 @@ class Report:
                         "row": i,
                         "col": j,
                         "value": f"{v.numerator}/{v.denominator}",
-                        "row_label": residual.space.label(i),
-                        "col_label": residual.space.label(j),
+                        "row_basis": list(config.decode(i)),
+                        "col_basis": list(config.decode(j)),
                     },
                 )
             )
@@ -268,20 +271,21 @@ def m_sums(images: GeneratorImages) -> dict:
 def verify_braid_relations(images: GeneratorImages) -> Report:
     """Exhaustive exact check of the defining relations on the given space."""
     rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
+    config = images.config
     d = images.d
     t, x, y, z = images.t, images.x, images.y, images.z
 
     for i in range(1, d):
         rep.add_zero_check(
-            f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(images.config.space)
+            f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space), config
         )
     for i in range(1, d - 1):
         lhs = t[i] @ t[i + 1] @ t[i]
         rhs = t[i + 1] @ t[i] @ t[i + 1]
-        rep.add_zero_check(f"sym:braid(t{i},t{i + 1})", lhs - rhs)
+        rep.add_zero_check(f"sym:braid(t{i},t{i + 1})", lhs - rhs, config)
     for i in range(1, d):
         for j in range(i + 2, d):
-            rep.add_zero_check(f"sym:[t{i},t{j}]", t[i].commutator(t[j]))
+            rep.add_zero_check(f"sym:[t{i},t{j}]", t[i].commutator(t[j]), config)
 
     fams = {"x": x, "y": y, "z": z}
     for name, fam in fams.items():
@@ -293,40 +297,40 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             for j in range(1, d):
                 if i in (j, j + 1):
                     continue
-                rep.add_zero_check(f"R1:[{name}{i},t{j}]", op.commutator(t[j]))
+                rep.add_zero_check(f"R1:[{name}{i},t{j}]", op.commutator(t[j]), config)
 
     for j in range(1, d + 1):
         partial = images.z0
         for i in range(1, d + 1):
             partial = partial + z[i]
             if i >= j:
-                rep.add_zero_check(f"R2:[z0+..+z{i},x{j}]", partial.commutator(x[j]))
-                rep.add_zero_check(f"R2:[z0+..+z{i},y{j}]", partial.commutator(y[j]))
+                rep.add_zero_check(f"R2:[z0+..+z{i},x{j}]", partial.commutator(x[j]), config)
+                rep.add_zero_check(f"R2:[z0+..+z{i},y{j}]", partial.commutator(y[j]), config)
 
     for i in range(1, d):
-        rep.add_zero_check(f"R3:[t{i},x{i}+x{i + 1}]", t[i].commutator(x[i] + x[i + 1]))
-        rep.add_zero_check(f"R3:[t{i},y{i}+y{i + 1}]", t[i].commutator(y[i] + y[i + 1]))
+        rep.add_zero_check(f"R3:[t{i},x{i}+x{i + 1}]", t[i].commutator(x[i] + x[i + 1]), config)
+        rep.add_zero_check(f"R3:[t{i},y{i}+y{i + 1}]", t[i].commutator(y[i] + y[i + 1]), config)
 
     for name, fam in (("x", x), ("y", y)):
         for i in range(1, d - 1):
             inner = fam[i + 1] - t[i] @ fam[i] @ t[i]
             lhs = t[i] @ t[i + 1] @ inner @ t[i + 1] @ t[i]
             rhs = fam[i + 2] - t[i + 1] @ fam[i + 1] @ t[i + 1]
-            rep.add_zero_check(f"R4:{name},i={i}", lhs - rhs)
+            rep.add_zero_check(f"R4:{name},i={i}", lhs - rhs, config)
 
     for i in range(1, d):
         lhs = x[i + 1] - t[i] @ x[i] @ t[i]
         rhs = y[i + 1] - t[i] @ y[i] @ t[i]
-        rep.add_zero_check(f"R5:i={i}", lhs - rhs)
+        rep.add_zero_check(f"R5:i={i}", lhs - rhs, config)
 
     msum = m_sums(images)
     for j in range(1, d + 1):
-        rep.add_zero_check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - msum[j]))
+        rep.add_zero_check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - msum[j]), config)
 
     pair = m_ops(images)
     for (i, j), op in sorted(pair.items()):
-        gamma = images.config.split_casimir_op(v_position(i), v_position(j))
-        rep.add_zero_check(f"m({i},{j})=split-casimir", op - gamma)
+        gamma = config.split_casimir_op(v_position(i), v_position(j))
+        rep.add_zero_check(f"m({i},{j})=split-casimir", op - gamma, config)
     return rep
 
 
@@ -337,6 +341,7 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
     the boundary eigenvalues are the two possible added-box contents.
     """
     rep = Report(f"hecke relations a={a} p={p} b={b} q={q}")
+    config = images.config
     d = images.d
     if d < 1:
         return rep
@@ -344,32 +349,37 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
     rep.add_zero_check(
         f"hecke:(x1-{a})(x1+{p})=0",
         (x1.plus_scalar(Fraction(-a))) @ (x1.plus_scalar(Fraction(p))),
+        config,
     )
     rep.add_zero_check(
         f"hecke:(y1-{b})(y1+{q})=0",
         (y1.plus_scalar(Fraction(-b))) @ (y1.plus_scalar(Fraction(q))),
+        config,
     )
     for i in range(1, d):
         rep.add_zero_check(
             f"hecke:x{i + 1}=t{i}x{i}t{i}+t{i}",
             images.x[i + 1] - (images.t[i] @ images.x[i] @ images.t[i] + images.t[i]),
+            config,
         )
         rep.add_zero_check(
             f"hecke:y{i + 1}=t{i}y{i}t{i}+t{i}",
             images.y[i + 1] - (images.t[i] @ images.y[i] @ images.t[i] + images.t[i]),
+            config,
         )
-        gamma = images.config.split_casimir_op(v_position(i), v_position(i + 1))
-        rep.add_zero_check(f"hecke:t{i}=split-casimir({i},{i + 1})", images.t[i] - gamma)
+        gamma = config.split_casimir_op(v_position(i), v_position(i + 1))
+        rep.add_zero_check(f"hecke:t{i}=split-casimir({i},{i + 1})", images.t[i] - gamma, config)
     return rep
 
 
 def verify_centralizer(images: GeneratorImages) -> Report:
     """Every generator image commutes exactly with the full diagonal action."""
     rep = Report("centralizer")
-    r = images.config.hp.rank
+    config = images.config
+    r = config.hp.rank
     for name, op in images.named_ops():
         for i in range(1, r + 1):
             for j in range(1, r + 1):
-                unit = images.config.act_unit(i, j)
-                rep.add_zero_check(f"[{name},E({i},{j})]", op.commutator(unit))
+                unit = config.act_unit(i, j)
+                rep.add_zero_check(f"[{name},E({i},{j})]", op.commutator(unit), config)
     return rep

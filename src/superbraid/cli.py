@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -32,6 +31,7 @@ from .partitions import (
     CombinatoricsError,
     HookProfile,
     box_sum_identity,
+    check_rectangle_params,
     format_partition,
     hook_to_weight,
     is_hook,
@@ -50,18 +50,6 @@ from .superalgebra import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _cap_from(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("SUPERBRAID_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise CombinatoricsError(f"SUPERBRAID_CAP must be an integer, got {env!r}")
-    return DEFAULT_DIM_CAP
 
 
 def _print_report(report: Report, fmt: str, command: str, params: dict) -> int:
@@ -158,6 +146,8 @@ def _verify_centralizer(args, cap: int) -> Report:
 
 
 def _verify_hecke(args, cap: int) -> Report:
+    hp = HookProfile(args.n, args.m)
+    check_rectangle_params(args.a, args.p, args.b, args.q, hp, strict=args.strict_params)
     config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
     rel = (args.a, args.p, args.b, args.q)
     if args.check_params:
@@ -248,8 +238,7 @@ VERIFY_KINDS = {
 
 
 def cmd_verify(args) -> int:
-    cap = _cap_from(args)
-    report = VERIFY_KINDS[args.kind](args, cap)
+    report = VERIFY_KINDS[args.kind](args, args.cap)
     if not report.checks:
         # a report that checked nothing must not read as a pass
         print(f"verify {args.kind}: no checks apply at these parameters", file=sys.stderr)
@@ -303,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hecke only: check the quotient relations at a,p,b,q different from the build parameters",
     )
     p_verify.add_argument("--fmt", choices=["text", "json"], default="text")
-    p_verify.add_argument("--cap", type=int, default=None)
+    p_verify.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP)
     p_verify.add_argument("--strict-params", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -44,20 +44,10 @@ class GradedSpace:
     """Ordered basis with a Z2 parity per basis vector."""
 
     parities: tuple
-    labels: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.labels is not None and len(self.labels) != len(self.parities):
-            raise LinalgError("labels/parities length mismatch")
 
     @property
     def dim(self) -> int:
         return len(self.parities)
-
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return str(self.labels[i])
-        return str(i)
 
 
 def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
@@ -65,12 +55,7 @@ def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
     parities = tuple(
         (pu + pw) % 2 for pu in u.parities for pw in w.parities
     )
-    labels = None
-    if u.labels is not None or w.labels is not None:
-        labels = tuple(
-            f"{u.label(i)}*{w.label(j)}" for i in range(u.dim) for j in range(w.dim)
-        )
-    return GradedSpace(parities, labels)
+    return GradedSpace(parities)
 
 
 def _add_scaled(out: Vector, vec: Vector, coeff: Fraction) -> None:
@@ -122,9 +107,6 @@ class LinearOp:
             col = self.cols[j]
             for i in sorted(col):
                 yield i, j, col[i]
-
-    def is_zero(self) -> bool:
-        return not any(self.cols.values())
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
         out = LinearOp(self.space, {j: dict(col) for j, col in self.cols.items()})
@@ -321,9 +303,6 @@ class Subspace:
 
     def coordinates(self, vec: Vector) -> Optional[Vector]:
         return self._solver.coordinates(vec)
-
-    def contains(self, vec: Vector) -> bool:
-        return self.coordinates(vec) is not None
 
     def from_coefficients(self, coeffs: Vector) -> Vector:
         """The vector sum_k coeffs[k] * vectors[k]; inverse of :meth:`coordinates`."""

@@ -14,12 +14,13 @@ the trivial module, the empty tensor product.
 
 Finished modules are kept in a process-wide memo keyed by (lambda, (n, m)),
 so the chain of parents is built once however many callers ask for it.
+Each is a :class:`superbraid.superalgebra.RealizedModule`, the same type
+as the natural module V = L(1), so it enters a tensor product as it is.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,11 +30,10 @@ from .partitions import (
     Partition,
     addable_hook_positions,
     content,
-    format_partition,
     hook_to_weight,
 )
 from .superalgebra import (
-    Factor,
+    RealizedModule,
     TensorConfig,
     natural_factor,
     tensor_power_config,
@@ -48,25 +48,6 @@ class CapExceededError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """Module realization failed an internal exactness check."""
-
-
-@dataclass
-class RealizedModule:
-    """A concrete irreducible with generator matrices on its own basis."""
-
-    partition: Partition
-    hp: HookProfile
-    highest_weight: tuple
-    space: GradedSpace
-    weights: tuple  # weight per basis vector
-    units: dict  # (i, j) -> LinearOp on space
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def as_factor(self, name: Optional[str] = None) -> Factor:
-        return Factor(self.space, self.units, self.weights, name or format_partition(self.partition))
 
 
 # (partition, hook profile) -> RealizedModule.  Only finished modules are
@@ -103,7 +84,7 @@ def _remove_last_box(p: Partition) -> Partition:
 
 def _times_natural(mod: RealizedModule) -> TensorConfig:
     """L(mu) (x) V, the space of one Pieri step."""
-    return TensorConfig([mod.as_factor("M"), natural_factor(mod.hp)], mod.hp)
+    return TensorConfig([mod, natural_factor(mod.hp)], mod.hp)
 
 
 def _pieri_vector(config: TensorConfig, lam: Partition, mu: Partition) -> dict:
@@ -179,8 +160,7 @@ def lowering_closure(p: Partition, ambient: TensorConfig, start: dict) -> Realiz
     parities = tuple(
         sum(wt[hp.n :]) % 2 for wt in basis_weights
     )
-    labels = tuple(f"{format_partition(p)}#{t}" for t in range(len(basis)))
-    own_space = GradedSpace(parities, labels)
+    own_space = GradedSpace(parities)
     units = {}
     for i in range(1, hp.rank + 1):
         for j in range(1, hp.rank + 1):
@@ -208,8 +188,7 @@ def module_tensor_config(
     n_mod = realize_module(beta, hp, cap)
     check_cap(m_mod.dim * n_mod.dim * hp.rank ** d, cap)
     v = natural_factor(hp)
-    factors = [m_mod.as_factor("M"), n_mod.as_factor("N")] + [v] * d
-    return TensorConfig(factors, hp)
+    return TensorConfig([m_mod, n_mod] + [v] * d, hp)
 
 
 def kappa_scalar(mod: RealizedModule) -> Fraction:
@@ -221,7 +200,7 @@ def kappa_scalar(mod: RealizedModule) -> Fraction:
     """
     if mod.dim == 0:
         raise ConstructionError("zero module has no Casimir scalar")
-    own = TensorConfig([mod.as_factor()], mod.hp)
+    own = TensorConfig([mod], mod.hp)
     op = own.casimir_op()
     scalar = None
     for j in range(mod.dim):

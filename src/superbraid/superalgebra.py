@@ -6,6 +6,13 @@ bookkeeping: an element acting on factor t picks up the sign
 (-1)^(parity of element * parity of everything left of t).  This makes the
 sign conventions locally testable instead of hiding them in Hopf-algebra
 plumbing.
+
+Every factor is a :class:`RealizedModule`, a module given by its unit
+matrices and basis weights on its own basis.  The natural module V is the
+irreducible L(1) (Berele-Regev 1987) and is written down here directly;
+every other irreducible is realized in :mod:`superbraid.modules`.  Basis
+vectors carry no names: a basis index of a product decodes to one index
+per factor (:meth:`TensorConfig.decode`).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import GradedSpace, LinearOp, Subspace
-from .partitions import HookProfile
+from .partitions import HookProfile, Partition
 
 
 def index_parity(i: int, hp: HookProfile) -> int:
@@ -131,25 +138,27 @@ def psi_pairing_report(s: int, hp: HookProfile) -> dict:
 
 
 @dataclass
-class Factor:
-    """One tensor factor: its graded basis, unit actions and basis weights."""
+class RealizedModule:
+    """The irreducible L(partition) on its own basis: its unit actions and
+    basis weights.  The one module type: boundary modules and V alike."""
 
+    partition: Partition
+    hp: HookProfile
+    highest_weight: tuple
     space: GradedSpace
+    weights: tuple  # weight per basis vector
     units: dict  # (i, j) -> LinearOp on space
-    weights: tuple  # weight tuple per basis vector
-    name: str = "V"
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
 
-def natural_factor(hp: HookProfile) -> Factor:
-    """The natural module V with E_ij e_j = e_i."""
+def natural_factor(hp: HookProfile) -> RealizedModule:
+    """The natural module V = L(1), highest weight eps_1, with E_ij e_j = e_i."""
     r = hp.rank
     parities = tuple(index_parity(k + 1, hp) for k in range(r))
-    labels = tuple(f"e{k + 1}" for k in range(r))
-    space = GradedSpace(parities, labels)
+    space = GradedSpace(parities)
     units = {}
     for i in range(1, r + 1):
         for j in range(1, r + 1):
@@ -157,13 +166,14 @@ def natural_factor(hp: HookProfile) -> Factor:
     weights = tuple(
         tuple(1 if k == t else 0 for k in range(r)) for t in range(r)
     )
-    return Factor(space, units, weights, name="V")
+    return RealizedModule((1,), hp, weights[0], space, weights, units)
 
 
 class TensorConfig:
     """A product of module factors carrying the diagonal gl(n|m) action.
 
-    Factor positions are 0-based indices into ``factors``.  Basis indices of
+    Factor positions are 0-based indices into ``factors``, each a
+    :class:`RealizedModule` on the same ``hp``.  Basis indices of
     the product are mixed-radix with the first factor slowest, matching the
     row-major convention of :func:`superbraid.linalg.tensor_space`.
     """
@@ -188,16 +198,12 @@ class TensorConfig:
             decoded.append(tuple(comps))
         self._decoded = decoded
         parities = []
-        labels = []
         for comps in decoded:
             par = 0
-            lbl = []
             for t, f in enumerate(self.factors):
                 par += f.space.parities[comps[t]]
-                lbl.append(f.space.label(comps[t]))
             parities.append(par % 2)
-            labels.append("*".join(lbl) if lbl else "1")
-        self.space = GradedSpace(tuple(parities), tuple(labels))
+        self.space = GradedSpace(tuple(parities))
         self._unit_cache: dict = {}
         self._embed_cache: dict = {}
         self._casimir_cache: dict = {}

@@ -41,29 +41,30 @@ def test_x1_is_half_kv_plus_boundary_split_casimir(cfg11_d3):
     kv = Fraction(natural_casimir_scalar(HP11))
     gamma = cfg11_d3.split_casimir_op(POS_M, v_position(1))
     expected = gamma.plus_scalar(kv / 2)
-    assert (imgs.x[1] - expected).is_zero()
+    assert (imgs.x[1] - expected).max_entry_witness() is None
 
 
 def test_shifted_x1_is_exactly_boundary_split_casimir(cfg21_d2):
     imgs = rho_prime_images(cfg21_d2)
     gamma = cfg21_d2.split_casimir_op(POS_M, v_position(1))
-    assert (imgs.x[1] - gamma).is_zero()
+    assert (imgs.x[1] - gamma).max_entry_witness() is None
 
 
 def test_z0_is_boundary_pair_split_casimir(cfg21_d2):
     for images in (rho_images(cfg21_d2), rho_prime_images(cfg21_d2)):
         gamma = cfg21_d2.split_casimir_op(POS_M, POS_N)
-        assert (images.z0 - gamma).is_zero()
+        assert (images.z0 - gamma).max_entry_witness() is None
 
 
 def test_shift_amounts(cfg21_d2):
     plain = rho_images(cfg21_d2)
     shifted = rho_prime_images(cfg21_d2)
     kv = Fraction(natural_casimir_scalar(HP21))
+    half, full = (LinearOp.identity(cfg21_d2.space, c) for c in (kv / 2, kv))
     for i in (1, 2):
-        assert (plain.x[i] - shifted.x[i] - LinearOp.identity(cfg21_d2.space, kv / 2)).is_zero()
-        assert (plain.z[i] - shifted.z[i] - LinearOp.identity(cfg21_d2.space, kv)).is_zero()
-    assert (plain.z0 - shifted.z0).is_zero()
+        assert (plain.x[i] - shifted.x[i] - half).max_entry_witness() is None
+        assert (plain.z[i] - shifted.z[i] - full).max_entry_witness() is None
+    assert (plain.z0 - shifted.z0).max_entry_witness() is None
 
 
 def test_split_casimir_assembly_agrees(cfg11_d3, cfg21_d2):
@@ -71,17 +72,17 @@ def test_split_casimir_assembly_agrees(cfg11_d3, cfg21_d2):
         direct = rho_prime_images(cfg)
         alt = images_via_split_casimir(cfg, shifted=True)
         for i in direct.x:
-            assert (direct.x[i] - alt.x[i]).is_zero()
-            assert (direct.y[i] - alt.y[i]).is_zero()
-            assert (direct.z[i] - alt.z[i]).is_zero()
-        assert (direct.z0 - alt.z0).is_zero()
+            assert (direct.x[i] - alt.x[i]).max_entry_witness() is None
+            assert (direct.y[i] - alt.y[i]).max_entry_witness() is None
+            assert (direct.z[i] - alt.z[i]).max_entry_witness() is None
+        assert (direct.z0 - alt.z0).max_entry_witness() is None
 
 
 def test_swap_involution(cfg11_d3):
     imgs = rho_images(cfg11_d3)
     ident = LinearOp.identity(cfg11_d3.space)
     for i, t in imgs.t.items():
-        assert (t @ t - ident).is_zero()
+        assert (t @ t - ident).max_entry_witness() is None
 
 
 def test_braid_relations_all_pass(cfg11_d3, cfg21_d2):
@@ -95,22 +96,22 @@ def test_m_ops_definitions(cfg11_d3):
     imgs = rho_prime_images(cfg11_d3)
     pair = m_ops(imgs)
     m12 = imgs.x[2] - imgs.t[1] @ imgs.x[1] @ imgs.t[1]
-    assert (pair[(1, 2)] - m12).is_zero()
+    assert (pair[(1, 2)] - m12).max_entry_witness() is None
     # m_{1,3} equals the split Casimir on copies 1 and 3
     gamma13 = cfg11_d3.split_casimir_op(v_position(1), v_position(3))
-    assert (pair[(1, 3)] - gamma13).is_zero()
+    assert (pair[(1, 3)] - gamma13).max_entry_witness() is None
     # empty sum
-    assert m_sums(imgs)[1].is_zero()
+    assert m_sums(imgs)[1].max_entry_witness() is None
 
 
 def test_transposition_word(cfg11_d3):
     imgs = rho_prime_images(cfg11_d3)
     ident = LinearOp.identity(cfg11_d3.space)
     t13 = transposition_op(imgs, 1, 3)
-    assert (t13 @ t13 - ident).is_zero()
+    assert (t13 @ t13 - ident).max_entry_witness() is None
     expected = imgs.t[1] @ imgs.t[2] @ imgs.t[1]
-    assert (t13 - expected).is_zero()
-    assert (transposition_op(imgs, 2, 2) - ident).is_zero()
+    assert (t13 - expected).max_entry_witness() is None
+    assert (transposition_op(imgs, 2, 2) - ident).max_entry_witness() is None
 
 
 def test_centralizer(cfg11_d3, cfg21_d2):
@@ -135,12 +136,23 @@ def test_hecke_on_actual_rectangles():
     assert rep_braid.ok
 
 
+def assert_witness_decodes(witness, config):
+    # the per-factor basis indices of a witness name the very entry it reports
+    for key in ("row", "col"):
+        basis = witness[f"{key}_basis"]
+        assert len(basis) == config.n_factors
+        assert sum(c * s for c, s in zip(basis, config.strides)) == witness[key]
+        assert all(0 <= c < f.dim for c, f in zip(basis, config.factors))
+
+
 def test_hecke_negative_control_mismatched_parameters(cfg21_d2):
     rep = verify_hecke_relations(rho_prime_images(cfg21_d2), 2, 1, 1, 1)
     failed = [c for c in rep.checks if not c.ok]
     assert failed
     assert failed[0].id == "hecke:(x1-2)(x1+1)=0"
-    assert failed[0].witness is not None
+    assert failed[0].witness["row_basis"] == [0, 0, 0, 0]
+    for check in failed:
+        assert_witness_decodes(check.witness, cfg21_d2)
 
 
 def test_unsigned_swap_negative_control(cfg11_d3):
@@ -149,6 +161,8 @@ def test_unsigned_swap_negative_control(cfg11_d3):
     bad = [c for c in rep.checks if not c.ok]
     assert bad and all(c.witness for c in bad)
     assert any(c.id.startswith("[t") for c in bad)
+    for check in bad:
+        assert_witness_decodes(check.witness, cfg11_d3)
 
 
 def test_corrupt_gamma_negative_control(cfg11_d3):
@@ -160,6 +174,8 @@ def test_corrupt_gamma_negative_control(cfg11_d3):
     assert "R4" in families and "R5" in families
     witnesses = [c.witness for c in rep.checks if not c.ok and c.id.startswith("R4")]
     assert witnesses and witnesses[0]["value"] != "0/1"
+    for witness in witnesses:
+        assert_witness_decodes(witness, cfg11_d3)
     # dropping the parity prefactor instead trips the sum relations
     broken2 = images_via_split_casimir(cfg11_d3, shifted=True, corrupt_gamma="parity")
     rep2 = verify_braid_relations(broken2)

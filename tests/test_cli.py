@@ -184,16 +184,6 @@ def test_cap_exceeded_exit_code(capsys):
     assert "cap" in err.lower()
 
 
-def test_cap_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERBRAID_CAP", "4")
-    code, _, _ = run(capsys, "verify", "braid", "--n", "1", "--m", "1", "--d", "2")
-    assert code == EXIT_USAGE
-    # explicit flag wins over the environment
-    code, _, _ = run(capsys, "verify", "braid", "--n", "1", "--m", "1", "--d", "2",
-                     "--cap", "100000")
-    assert code == EXIT_OK
-
-
 def test_verify_casimir_small(capsys):
     code, out, _ = run(capsys, "verify", "casimir", "--n", "1", "--m", "1",
                        "--max-size", "3")
@@ -225,6 +215,10 @@ def test_verify_centralizer_small(capsys):
           "--n", "2", "--m", "1", "--d", "0", "--fmt", "json"], EXIT_USAGE),
         (["verify", "casimir", "--n", "1", "--m", "1", "--max-size", "0"], EXIT_OK),
         (["verify", "braid", "--n", "1", "--m", "1", "--d", "1", "--cap", "8"], EXIT_OK),
+        (["verify", "hecke", "--a", "0", "--p", "1", "--b", "1", "--q", "1",
+          "--n", "1", "--m", "1", "--d", "1"], EXIT_USAGE),
+        (["verify", "hecke", "--a", "4", "--p", "3", "--b", "2", "--q", "2",
+          "--n", "3", "--m", "1", "--d", "1", "--strict-params"], EXIT_USAGE),
     ],
 )
 def test_verify_exit_code_contract(capsys, argv, expected):

@@ -22,7 +22,7 @@ from superbraid.linalg import (
 from superbraid.modules import highest_weight_vectors, module_tensor_config
 from superbraid.partitions import HookProfile, hook_to_weight
 
-V11 = GradedSpace((0, 1), ("e1", "e2"))
+V11 = GradedSpace((0, 1))
 
 
 def op(space, entries):
@@ -80,7 +80,7 @@ def test_koszul_composition_rule(su, sw, pa, pb, pa2, pb2, seed):
     b, b2 = homogeneous_op(sw, pb, rng), homogeneous_op(sw, pb2, rng)
     lhs = koszul_tensor_op(a, b) @ koszul_tensor_op(a2, b2)
     rhs = koszul_tensor_op(a @ a2, b @ b2).scaled(Fraction((-1) ** (pb * pa2)))
-    assert (lhs - rhs).is_zero()
+    assert (lhs - rhs).max_entry_witness() is None
 
 
 def test_kernel_intersection_trivial():
@@ -189,7 +189,7 @@ def test_subspace_coordinates_and_membership():
     sub = Subspace(space, [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}])
     coords = sub.coordinates({0: Fraction(2), 1: Fraction(2), 2: Fraction(-1)})
     assert coords == {0: Fraction(2), 1: Fraction(-1)}
-    assert not sub.contains({0: Fraction(1)})
+    assert sub.coordinates({0: Fraction(1)}) is None
 
 
 def test_operator_arithmetic_exactness():
@@ -198,7 +198,7 @@ def test_operator_arithmetic_exactness():
     b = op(s2, [(0, 0, Fraction(2, 3))])
     c = (a + b).scaled(3)
     assert c.cols[0][0] == 3
-    assert (a - a).is_zero()
+    assert (a - a).max_entry_witness() is None
     assert a.plus_scalar(Fraction(-1, 3)).cols[0].get(0) is None
 
 
@@ -264,6 +264,6 @@ def test_kernel_on_proper_subspace_maps_back_to_ambient(multiplicity_spaces):
             ker = kernel_intersection(shifted, mult)
             assert ker.dim == sum(1 for t in tuples if t[:2] == (c0, c1))
             for v in ker.vectors:
-                assert mult.contains(v)
+                assert mult.coordinates(v) is not None
                 for op in shifted:
                     assert op.apply(v) == {}
