@@ -1,11 +1,24 @@
 """Generator images of the two-boundary braid algebra and relation checks.
 
-The polynomial generators act through differences of coproduct Casimirs on
-growing factor prefixes; the symmetric-group generators act as signed
-swaps of adjacent natural-module factors.  Relations are verified as exact
-operator identities on the concrete space, never symbolically: each check
-reports a witness entry when a residual operator fails to vanish, since
-sign bugs are the dominant failure mode and a witness localizes them.
+The polynomial generators are defined as halved differences of coproduct
+Casimirs on growing factor prefixes.  By the coproduct identity
+Delta(C) = C (x) 1 + 1 (x) C + 2 Gamma, with Gamma the split Casimir, each
+difference is a sum of split Casimirs Gamma(s, t) on factor pairs plus the
+Casimir of the one factor added, which is the scalar kappa_V because that
+factor is the natural module V.  No Casimir needs to be scalar on M or N:
+their terms cancel.  So the images are built from the split Casimirs
+alone:
+
+    x_i = Gamma(M, v_i) + sum_{k<i} Gamma(v_k, v_i) + kappa_V / 2
+    y_i = Gamma(N, v_i) + sum_{k<i} Gamma(v_k, v_i) + kappa_V / 2
+    z_i = Gamma(M, v_i) + Gamma(N, v_i) + sum_{k<i} Gamma(v_k, v_i) + kappa_V
+    z_0 = Gamma(M, N)
+
+The symmetric-group generators act as signed swaps of adjacent
+natural-module factors.  Relations are verified as exact operator
+identities on the concrete space, never symbolically: each check reports a
+witness entry when a residual operator fails to vanish, since sign bugs
+are the dominant failure mode and a witness localizes them.
 """
 
 from __future__ import annotations
@@ -123,64 +136,28 @@ class GeneratorImages:
         return out
 
 
-def _d_of(config: TensorConfig) -> int:
-    return config.n_factors - 2
-
-
 def rho_images(config: TensorConfig) -> GeneratorImages:
-    """The unshifted action: Casimir differences over growing prefixes."""
-    return _assemble(config, shifted=False)
+    """The unshifted action."""
+    return images_via_split_casimir(config, shifted=False)
 
 
 def rho_prime_images(config: TensorConfig) -> GeneratorImages:
     """The shifted action, under which boundary eigenvalues are contents."""
-    return _assemble(config, shifted=True)
-
-
-def _assemble(config: TensorConfig, shifted: bool) -> GeneratorImages:
-    d = _d_of(config)
-    if d < 0:
-        raise ValueError("config must contain the two boundary factors")
-    half = Fraction(1, 2)
-    kv = Fraction(natural_casimir_scalar(config.hp))
-
-    def prefix(*heads: int, upto: int) -> tuple:
-        return tuple(heads) + tuple(v_position(k) for k in range(1, upto + 1))
-
-    k_m = {i: config.casimir_op(prefix(POS_M, upto=i)) for i in range(d + 1)}
-    k_n = {i: config.casimir_op(prefix(POS_N, upto=i)) for i in range(d + 1)}
-    k_mn = {i: config.casimir_op(prefix(POS_M, POS_N, upto=i)) for i in range(d + 1)}
-
-    x = {}
-    y = {}
-    z = {}
-    for i in range(1, d + 1):
-        xi = (k_m[i] - k_m[i - 1]).scaled(half)
-        yi = (k_n[i] - k_n[i - 1]).scaled(half)
-        zi = (k_mn[i] - k_mn[i - 1]).scaled(half).plus_scalar(kv * half)
-        if shifted:
-            xi = xi.plus_scalar(-kv * half)
-            yi = yi.plus_scalar(-kv * half)
-            zi = zi.plus_scalar(-kv)
-        x[i] = xi
-        y[i] = yi
-        z[i] = zi
-    z0 = (k_mn[0] - k_m[0] - k_n[0]).scaled(half)
-    t = {i: config.signed_swap(v_position(i)) for i in range(1, d)}
-    return GeneratorImages(config, d, t, x, y, z, z0, shifted)
+    return images_via_split_casimir(config, shifted=True)
 
 
 def images_via_split_casimir(
     config: TensorConfig, shifted: bool = True, corrupt_gamma: Optional[str] = None
 ) -> GeneratorImages:
-    """Alternative assembly from split-Casimir terms.
+    """The generator images, assembled from split Casimirs (module docstring).
 
-    Cross-check route for the Casimir-difference assembly; with
-    ``corrupt_gamma`` ('parity' or 'koszul') the split Casimir is built
-    with a wrong sign, which serves as a negative control for the relation
-    suite.
+    With ``corrupt_gamma`` ('parity' or 'koszul') every split Casimir is
+    built with a wrong sign, which serves as a negative control for the
+    relation suite.
     """
-    d = _d_of(config)
+    d = config.n_factors - 2
+    if d < 0:
+        raise ValueError("config must contain the two boundary factors")
     kv = Fraction(natural_casimir_scalar(config.hp))
     half = Fraction(1, 2)
 
@@ -195,9 +172,10 @@ def images_via_split_casimir(
         cross = LinearOp(config.space)
         for k in range(1, i):
             cross = cross + gamma(v_position(k), pos)
-        xi = gamma(POS_M, pos) + cross
-        yi = gamma(POS_N, pos) + cross
-        zi = gamma(POS_M, pos) + gamma(POS_N, pos) + cross
+        gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
+        xi = gm + cross
+        yi = gn + cross
+        zi = gm + gn + cross
         if not shifted:
             xi = xi.plus_scalar(kv * half)
             yi = yi.plus_scalar(kv * half)
@@ -216,10 +194,10 @@ def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
     Dropping the sign of every +-1 entry of a signed swap leaves the plain
     transposition of the two factors.
     """
-    t = {}
-    for i in range(1, images.d):
-        signed = images.config.signed_swap(v_position(i))
-        t[i] = LinearOp.from_entries(signed.space, ((r, c, abs(v)) for r, c, v in signed.entries()))
+    t = {
+        i: LinearOp.from_entries(op.space, ((r, c, abs(v)) for r, c, v in op.entries()))
+        for i, op in images.t.items()
+    }
     return GeneratorImages(
         images.config, images.d, t, dict(images.x), dict(images.y), dict(images.z),
         images.z0, images.shifted,

@@ -107,8 +107,12 @@ def realize_module(p: Partition, hp: HookProfile, cap: Optional[int] = None) -> 
     Walks the chain () = lambda_0, lambda_1, .., lambda_k = lambda, each
     lambda_t being lambda_(t+1)^-, and builds whatever the memo lacks.
     ``cap`` bounds every step L(lambda_t) (x) V, memoized or not, so a
-    module is refused exactly when building it afresh would be.
+    module is refused exactly when building it afresh would be.  It also
+    bounds the chain: each of its |lambda| steps is at least
+    rank-dimensional, so a chain with |lambda| * rank over the cap is
+    refused before its first step.
     """
+    check_cap(sum(p) * hp.rank, cap)
     chain = [tuple(p)]
     while chain[-1]:
         chain.append(_remove_last_box(chain[-1]))

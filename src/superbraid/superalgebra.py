@@ -206,7 +206,6 @@ class TensorConfig:
         self.space = GradedSpace(tuple(parities))
         self._unit_cache: dict = {}
         self._embed_cache: dict = {}
-        self._casimir_cache: dict = {}
 
     @property
     def n_factors(self) -> int:
@@ -254,39 +253,31 @@ class TensorConfig:
         self._embed_cache[key] = out
         return out
 
-    def act_unit(self, i: int, j: int, positions: Optional[Sequence] = None) -> LinearOp:
-        """Coproduct action of E_ij on the selected factors (default all)."""
-        pos_key = tuple(range(self.n_factors)) if positions is None else tuple(positions)
-        key = (i, j, pos_key)
-        cached = self._unit_cache.get(key)
+    def act_unit(self, i: int, j: int) -> LinearOp:
+        """Coproduct action of E_ij on all factors."""
+        cached = self._unit_cache.get((i, j))
         if cached is not None:
             return cached
         out = LinearOp(self.space)
-        for pos in pos_key:
+        for pos in range(self.n_factors):
             out = out + self.embed_unit(pos, i, j)
-        self._unit_cache[key] = out
+        self._unit_cache[(i, j)] = out
         return out
 
-    def casimir_op(self, positions: Optional[Sequence] = None) -> LinearOp:
-        """Quadratic Casimir acting through the coproduct on the selected factors.
+    def casimir_op(self) -> LinearOp:
+        """Quadratic Casimir acting through the coproduct on all factors.
 
-        This is sum (-1)^parity(j) D(E_ij) D(E_ji) with D the selected-factor
-        action, so it automatically contains all cross terms between the
-        selected factors.
+        This is sum (-1)^parity(j) D(E_ij) D(E_ji) with D the diagonal
+        action, so it contains all cross terms between the factors.
         """
-        pos_key = tuple(range(self.n_factors)) if positions is None else tuple(positions)
-        cached = self._casimir_cache.get(pos_key)
-        if cached is not None:
-            return cached
         r = self.hp.rank
         out = LinearOp(self.space)
         for i in range(1, r + 1):
             for j in range(1, r + 1):
-                term = self.act_unit(i, j, pos_key) @ self.act_unit(j, i, pos_key)
+                term = self.act_unit(i, j) @ self.act_unit(j, i)
                 if index_parity(j, self.hp):
                     term = term.scaled(Fraction(-1))
                 out = out + term
-        self._casimir_cache[pos_key] = out
         return out
 
     def split_casimir_op(self, pos1: int, pos2: int, corrupt: Optional[str] = None) -> LinearOp:

@@ -1,0 +1,46 @@
+"""The paper's definition of the polynomial generators, kept as a test oracle.
+
+The package assembles x_i, y_i, z_i and z_0 from split Casimirs; here they
+are built literally as halved differences of coproduct Casimirs on growing
+factor prefixes, from the single-factor embeddings alone.
+"""
+
+from fractions import Fraction
+
+from superbraid.braid import POS_M, POS_N, v_position
+from superbraid.linalg import LinearOp
+from superbraid.superalgebra import index_parity, natural_casimir_scalar
+
+
+def coproduct_casimir(config, positions):
+    """sum (-1)^parity(j) D(E_ij) D(E_ji), D the coproduct action on ``positions``."""
+    def act(i, j):
+        out = LinearOp(config.space)
+        for pos in positions:
+            out = out + config.embed_unit(pos, i, j)
+        return out
+
+    r = config.hp.rank
+    out = LinearOp(config.space)
+    for i in range(1, r + 1):
+        for j in range(1, r + 1):
+            term = act(i, j) @ act(j, i)
+            out = out + (term.scaled(Fraction(-1)) if index_parity(j, config.hp) else term)
+    return out
+
+
+def casimir_difference_images(config):
+    """The unshifted (x, y, z, z0): x_i = (C(M v_1..v_i) - C(M v_1..v_{i-1})) / 2,
+    y_i likewise with N, z_i = (C(M N v_1..v_i) - C(M N v_1..v_{i-1})) / 2 + kappa_V / 2
+    and z_0 = (C(M N) - C(M) - C(N)) / 2."""
+    d = config.n_factors - 2
+    half = Fraction(1, 2)
+    kv = Fraction(natural_casimir_scalar(config.hp))
+    vs = [v_position(k) for k in range(1, d + 1)]
+    k_m = [coproduct_casimir(config, [POS_M] + vs[:i]) for i in range(d + 1)]
+    k_n = [coproduct_casimir(config, [POS_N] + vs[:i]) for i in range(d + 1)]
+    k_mn = [coproduct_casimir(config, [POS_M, POS_N] + vs[:i]) for i in range(d + 1)]
+    x = {i: (k_m[i] - k_m[i - 1]).scaled(half) for i in range(1, d + 1)}
+    y = {i: (k_n[i] - k_n[i - 1]).scaled(half) for i in range(1, d + 1)}
+    z = {i: (k_mn[i] - k_mn[i - 1]).scaled(half).plus_scalar(kv * half) for i in range(1, d + 1)}
+    return x, y, z, (k_mn[0] - k_m[0] - k_n[0]).scaled(half)

@@ -20,7 +20,9 @@ from superbraid.braid import (
 from superbraid.linalg import LinearOp
 from superbraid.modules import module_tensor_config
 from superbraid.partitions import HookProfile
-from superbraid.superalgebra import natural_casimir_scalar
+from superbraid.superalgebra import TensorConfig, natural_casimir_scalar, natural_factor
+
+from casimir_oracle import casimir_difference_images
 
 HP11 = HookProfile(1, 1)
 HP21 = HookProfile(2, 1)
@@ -67,15 +69,47 @@ def test_shift_amounts(cfg21_d2):
     assert (plain.z0 - shifted.z0).max_entry_witness() is None
 
 
-def test_split_casimir_assembly_agrees(cfg11_d3, cfg21_d2):
-    for cfg in (cfg11_d3, cfg21_d2):
-        direct = rho_prime_images(cfg)
-        alt = images_via_split_casimir(cfg, shifted=True)
-        for i in direct.x:
-            assert (direct.x[i] - alt.x[i]).max_entry_witness() is None
-            assert (direct.y[i] - alt.y[i]).max_entry_witness() is None
-            assert (direct.z[i] - alt.z[i]).max_entry_witness() is None
-        assert (direct.z0 - alt.z0).max_entry_witness() is None
+# boundary partitions, d and hook profile: the two fixtures above and the
+# configs of the relations and multiplicity benchmark workloads
+ORACLE_CONFIGS = {
+    "cfg11_d3": ((1,), (1,), 3, HP11),
+    "cfg21_d2": ((1,), (1,), 2, HP21),
+    "relations": ((1,), (1,), 4, HP21),
+    "multiplicity": ((2, 2), (2,), 3, HP21),
+}
+
+
+def oracle_mismatches(images, oracle):
+    """Names of the generators on which ``images``, with any shift undone,
+    differ from the Casimir-difference ``oracle``."""
+    x, y, z, z0 = oracle
+    s = Fraction(natural_casimir_scalar(images.config.hp), 2) if images.shifted else 0
+    pairs = [("z0", images.z0, z0)]
+    for i in range(1, images.d + 1):
+        pairs += [
+            (f"x{i}", images.x[i].plus_scalar(s), x[i]),
+            (f"y{i}", images.y[i].plus_scalar(s), y[i]),
+            (f"z{i}", images.z[i].plus_scalar(2 * s), z[i]),
+        ]
+    return [name for name, op, ref in pairs if (op - ref).max_entry_witness() is not None]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_images_match_casimir_difference_oracle(name):
+    alpha, beta, d, hp = ORACLE_CONFIGS[name]
+    cfg = module_tensor_config(alpha, beta, d, hp)
+    oracle = casimir_difference_images(cfg)
+    for images in (rho_images(cfg), rho_prime_images(cfg)):
+        assert images.d == d and sorted(images.x) == list(range(1, d + 1))
+        assert oracle_mismatches(images, oracle) == []
+
+
+def test_casimir_difference_oracle_rejects_corrupt_gamma(cfg11_d3):
+    # the comparison above can fail: a split Casimir without the Koszul
+    # sign on its second leg is off the definition in every x_i
+    broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
+    missed = oracle_mismatches(broken, casimir_difference_images(cfg11_d3))
+    assert {"x1", "x2", "x3"} <= set(missed)
 
 
 def test_swap_involution(cfg11_d3):
@@ -200,3 +234,5 @@ def test_d1_and_d0_edge_cases():
     imgs0 = rho_prime_images(cfg0)
     assert verify_braid_relations(imgs0).ok
     assert imgs0.d == 0 and not imgs0.t and not imgs0.x
+    with pytest.raises(ValueError):
+        rho_images(TensorConfig([natural_factor(HP11)], HP11))

@@ -219,11 +219,14 @@ def test_verify_centralizer_small(capsys):
           "--n", "1", "--m", "1", "--d", "1"], EXIT_USAGE),
         (["verify", "hecke", "--a", "4", "--p", "3", "--b", "2", "--q", "2",
           "--n", "3", "--m", "1", "--d", "1", "--strict-params"], EXIT_USAGE),
+        (["verify", "hecke", "--a", "100000", "--p", "1", "--b", "1", "--q", "1",
+          "--n", "1", "--m", "1", "--d", "1"], EXIT_USAGE),
     ],
 )
 def test_verify_exit_code_contract(capsys, argv, expected):
-    # out-of-range parameters and reports that check nothing exit 2 without
-    # printing a report; the smallest in-range values still run
+    # out-of-range parameters, spaces over the cap and reports that check
+    # nothing exit 2 without printing a report; the smallest in-range values
+    # still run
     code, out, err = run(capsys, *argv)
     assert code == expected
     if expected == EXIT_USAGE:

@@ -148,6 +148,13 @@ def test_chain_longer_than_recursion_limit():
     assert kappa_scalar(mod) == casimir_pairing(mod.highest_weight, HP11)
 
 
+def test_chain_length_budget():
+    # each step L(k) (x) V at gl(1|1) is 4-dimensional, but a chain of 60
+    # steps of at least 2 dimensions each is refused under a cap of 100
+    with pytest.raises(CapExceededError):
+        realize_module((60,), HP11, cap=100)
+
+
 ORACLE_CASES = [(lam, HP22) for lam in hooks_up_to(6, HP22)] + [((4, 4, 4), HP31), ((2, 2), HP31)]
 
 

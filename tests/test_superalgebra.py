@@ -22,6 +22,8 @@ from superbraid.superalgebra import (
     unit_parity,
 )
 
+from casimir_oracle import coproduct_casimir
+
 HPS = [HookProfile(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
 
 
@@ -219,7 +221,9 @@ def test_coproduct_casimir_split():
     # Casimir on both factors minus the two one-factor Casimirs = 2 gamma
     for hp in (HookProfile(1, 1), HookProfile(2, 1)):
         config = tensor_power_config(hp, 2)
-        delta = config.casimir_op((0, 1)) - config.casimir_op((0,)) - config.casimir_op((1,))
+        both = coproduct_casimir(config, (0, 1))
+        assert (both - config.casimir_op()).max_entry_witness() is None
+        delta = both - coproduct_casimir(config, (0,)) - coproduct_casimir(config, (1,))
         gamma2 = config.split_casimir_op(0, 1).scaled(Fraction(2))
         assert (delta - gamma2).max_entry_witness() is None
 
