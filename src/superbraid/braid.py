@@ -234,15 +234,11 @@ def m_ops(images: GeneratorImages) -> dict:
     return out
 
 
-def m_sums(images: GeneratorImages) -> dict:
-    """m_j = sum of m_{i,j} over i < j (zero operator for j = 1)."""
-    pair = m_ops(images)
-    out = {1: LinearOp(images.config.space)}
-    for j in range(2, images.d + 1):
-        acc = LinearOp(images.config.space)
-        for i in range(1, j):
-            acc = acc + pair[(i, j)]
-        out[j] = acc
+def m_sums(pair: dict) -> dict:
+    """m_j = sum of m_{i,j} over i < j from the :func:`m_ops` dict; j >= 2 only."""
+    out: dict = {}
+    for (_, j), op in sorted(pair.items()):
+        out[j] = out[j] + op if j in out else op
     return out
 
 
@@ -301,11 +297,12 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
         rhs = y[i + 1] - t[i] @ y[i] @ t[i]
         rep.add_zero_check(f"R5:i={i}", lhs - rhs, config)
 
-    msum = m_sums(images)
-    for j in range(1, d + 1):
-        rep.add_zero_check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - msum[j]), config)
-
     pair = m_ops(images)
+    msum = m_sums(pair)
+    for j in range(1, d + 1):
+        m_j = msum.get(j, LinearOp(config.space))
+        rep.add_zero_check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - m_j), config)
+
     for (i, j), op in sorted(pair.items()):
         gamma = config.split_casimir_op(v_position(i), v_position(j))
         rep.add_zero_check(f"m({i},{j})=split-casimir", op - gamma, config)

@@ -146,14 +146,14 @@ def _verify_centralizer(args, cap: int) -> Report:
 
 
 def _verify_hecke(args, cap: int) -> Report:
-    hp = HookProfile(args.n, args.m)
-    check_rectangle_params(args.a, args.p, args.b, args.q, hp, strict=args.strict_params)
-    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
     rel = (args.a, args.p, args.b, args.q)
     if args.check_params:
         rel = tuple(int(x) for x in args.check_params.split(","))
         if len(rel) != 4:
             raise CombinatoricsError("--check-params needs four integers a,p,b,q")
+    hp = HookProfile(args.n, args.m)
+    check_rectangle_params(args.a, args.p, args.b, args.q, hp, strict=args.strict_params)
+    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
     return verify_hecke_relations(rho_prime_images(config), *rel)
 
 

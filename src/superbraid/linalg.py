@@ -8,9 +8,10 @@ Vectors are sparse dicts ``{index: Fraction}``; operators store their
 entries column-major (``cols[j][i]``), which makes products and
 matrix-vector application cheap for the very sparse operators produced by
 tensor-factor embeddings.  The matrix of an operator restricted to a
-subspace is again a :class:`LinearOp`, on the subspace's coordinate space,
-and :class:`RowReducer` holds the one elimination loop everything else
-(coordinates, kernels, commutants, joint eigenspace dimensions) is built on.
+subspace is again a :class:`LinearOp`, on the subspace's coordinate space.
+:class:`RowReducer` holds the one elimination loop; only :class:`Subspace`,
+:func:`kernel_intersection` and :func:`restrict_op` drive it, and a
+commutant is a joint kernel too, on the space of matrices.
 
 A joint spectrum is checked by counting, not by splitting: joint
 eigenvectors with pairwise distinct eigenvalue tuples are linearly
@@ -231,8 +232,7 @@ class RowReducer:
     def __init__(self):
         self.rows: list = []  # echelon rows (sparse dicts), pivot normalized to 1
         self.pivots: list = []  # pivot column per row
-        self.trans: list = []  # row i of echelon = sum trans[i][k] * input row k
-        self.n_added = 0
+        self.trans: list = []  # row i of echelon = sum trans[i][k] * accepted row k
 
     def _reduce(self, vec: Vector, tr: Vector) -> tuple:
         """Eliminate vec against the echelon rows, carrying the transform tr
@@ -263,18 +263,17 @@ class RowReducer:
         self.trans.append({k: val / c for k, val in t.items()})
 
     def add(self, vec: Vector) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
-        idx = self.n_added
-        self.n_added += 1
-        v, t = self._reduce(vec, {idx: Fraction(1)})
+        """Insert a vector; True when it enlarges the span.  Only accepted
+        vectors are numbered, so coordinates index them in order."""
+        v, t = self._reduce(vec, {len(self.rows): Fraction(1)})
         if not v:
             return False
         self._append(v, t)
         return True
 
     def coordinates(self, vec: Vector) -> Optional[Vector]:
-        """Express vec in terms of the added vectors; None if outside the span."""
-        # _reduce returns v = vec + sum_k t[k] * input_k, so when v vanishes
+        """Express vec in terms of the accepted vectors; None if outside the span."""
+        # _reduce returns v = vec + sum_k t[k] * accepted_k, so when v vanishes
         # the coordinates of vec are -t
         v, t = self._reduce(vec, {})
         if v:
@@ -287,11 +286,18 @@ class Subspace:
 
     def __init__(self, space: GradedSpace, vectors: Sequence):
         self.space = space
-        self.vectors = [dict(v) for v in vectors]
+        self.vectors: list = []
         self._solver = RowReducer()
-        for v in self.vectors:
-            if not self._solver.add(v):
+        for v in vectors:
+            if not self.add(v):
                 raise LinalgError("subspace basis vectors are linearly dependent")
+
+    def add(self, vec: Vector) -> bool:
+        """Append vec to the basis if it lies outside the span; True if it did."""
+        if not self._solver.add(vec):
+            return False
+        self.vectors.append(dict(vec))
+        return True
 
     @classmethod
     def full(cls, space: GradedSpace) -> "Subspace":
@@ -312,32 +318,26 @@ class Subspace:
         return out
 
 
-def nullspace_of_columns(columns: Sequence) -> list:
-    """Coefficient vectors c with sum_k c_k * columns[k] = 0.
+def kernel_intersection(ops: Iterable, within: Subspace) -> Subspace:
+    """Maximal subspace of ``within`` annihilated by every operator.
 
-    Deterministic echelon computation; the returned basis is in reduced
-    form with unit leading coefficients, ordered by leading index.
+    Per operator, the images of the current basis vectors are eliminated in
+    turn; an image that reduces to zero carries the coefficients of a kernel
+    vector in its transform (sum_k t[k] * image_k = 0).
     """
-    red = RowReducer()
-    dependent: list = []
-    for k, vec in enumerate(columns):
-        v, t = red._reduce(vec, {k: Fraction(1)})
-        if v:
-            red._append(v, t)
-        else:
-            # the transform satisfies sum_j t[j] * columns[j] = residual = 0
-            dependent.append(t)
-    return dependent
-
-
-def kernel_intersection(ops: Sequence, within: Subspace) -> Subspace:
-    """Maximal subspace of ``within`` annihilated by every operator."""
     current = within
     for op in ops:
         if current.dim == 0:
             break
-        rels = nullspace_of_columns([op.apply(v) for v in current.vectors])
-        current = Subspace(within.space, [current.from_coefficients(rel) for rel in rels])
+        red = RowReducer()
+        kernel: list = []
+        for k, vec in enumerate(current.vectors):
+            v, t = red._reduce(op.apply(vec), {k: Fraction(1)})
+            if v:
+                red._append(v, t)
+            else:
+                kernel.append(current.from_coefficients(t))
+        current = Subspace(within.space, kernel)
     return current
 
 
@@ -357,35 +357,37 @@ def restrict_op(op: LinearOp, sub: Subspace) -> LinearOp:
     return out
 
 
+def _ad(mat: LinearOp) -> LinearOp:
+    """X -> XA - AX on k x k matrices, X = E_ab being unknown a * k + b:
+    E_ab A = sum_c A[b][c] E_ac and A E_ab = sum_r A[r][a] E_rb."""
+    k = mat.space.dim
+    rows: dict = {}
+    for c, col in mat.cols.items():
+        for b, v in col.items():
+            rows.setdefault(b, {})[c] = v
+    out = LinearOp(GradedSpace((0,) * (k * k)))
+    for a in range(k):
+        for b in range(k):
+            for c, v in rows.get(b, {}).items():
+                out.add_entry(a * k + c, a * k + b, v)
+            for r, v in mat.cols.get(a, {}).items():
+                out.add_entry(r * k + b, a * k + b, -v)
+    return out
+
+
 def commutant_dimension(ops: Sequence, within: Subspace) -> int:
     """Dimension of the algebra of matrices commuting with every restricted op.
 
-    Dimension 1 over the rationals certifies absolute irreducibility: the
-    commutant dimension of a matrix set is invariant under field extension.
+    The commutant is the joint kernel of the maps ad_A: X -> XA - AX on the
+    k^2-dimensional space of k x k matrices, one A per restricted op, so it
+    is found by :func:`kernel_intersection` from the full matrix space; each
+    ad_A is built only when its turn comes.  Dimension 1 over the rationals
+    certifies absolute irreducibility: the commutant dimension of a matrix
+    set is invariant under field extension.
     """
     k = within.dim
-    if k == 0:
-        return 0
-    red = RowReducer()
-    rank = 0
-    for op in ops:
-        mat = restrict_op(op, within)
-        mat_rows: dict = {}
-        for l, col in mat.cols.items():
-            for r, v in col.items():
-                mat_rows.setdefault(r, {})[l] = v
-        # unknowns X[i][j] indexed by i * k + j; equations (X A - A X)[r][c] = 0
-        for r in range(k):
-            for c in range(k):
-                row: dict = {}
-                for l, v in mat.cols.get(c, {}).items():
-                    row[r * k + l] = row.get(r * k + l, Fraction(0)) + v
-                for l, v in mat_rows.get(r, {}).items():
-                    row[l * k + c] = row.get(l * k + c, Fraction(0)) - v
-                row = {key: v for key, v in row.items() if v}
-                if row and red.add(row):
-                    rank += 1
-    return k * k - rank
+    ads = (_ad(restrict_op(op, within)) for op in ops)
+    return kernel_intersection(ads, Subspace.full(GradedSpace((0,) * (k * k)))).dim
 
 
 def simultaneous_eigenspaces(ops: Sequence, within: Subspace, tuples: Sequence) -> list:

@@ -24,7 +24,14 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import GradedSpace, LinearOp, RowReducer, Subspace, kernel_intersection
+from .linalg import (
+    GradedSpace,
+    LinearOp,
+    NotInvariantError,
+    Subspace,
+    kernel_intersection,
+    restrict_op,
+)
 from .partitions import (
     HookProfile,
     Partition,
@@ -138,45 +145,33 @@ def lowering_closure(p: Partition, ambient: TensorConfig, start: dict) -> Realiz
     with its generator matrices on the closure basis."""
     hp = ambient.hp
     w = hook_to_weight(p, hp)
-    reducer = RowReducer()
-    reducer.add(start)
-    basis = [start]
+    sub = Subspace(ambient.space, [start])
     basis_weights = [tuple(w)]
     lowering = [(pair, ambient.act_unit(*pair)) for pair in lowering_units(hp)]
     frontier = [0]
     while frontier:
         next_frontier = []
         for bi in frontier:
-            vec = basis[bi]
+            vec = sub.vectors[bi]
             wt = basis_weights[bi]
             for (j, i), op in lowering:
-                img = op.apply(vec)
-                if img and reducer.add(img):
-                    basis.append(img)
+                if sub.add(op.apply(vec)):
                     new_wt = list(wt)
                     new_wt[i - 1] -= 1
                     new_wt[j - 1] += 1
                     basis_weights.append(tuple(new_wt))
-                    next_frontier.append(len(basis) - 1)
+                    next_frontier.append(sub.dim - 1)
         frontier = next_frontier
 
-    sub = Subspace(ambient.space, basis)
-    parities = tuple(
-        sum(wt[hp.n :]) % 2 for wt in basis_weights
-    )
-    own_space = GradedSpace(parities)
+    own_space = GradedSpace(tuple(sum(wt[hp.n :]) % 2 for wt in basis_weights))
     units = {}
     for i in range(1, hp.rank + 1):
         for j in range(1, hp.rank + 1):
-            full = ambient.act_unit(i, j)
-            mat = LinearOp(own_space)
-            for col, bvec in enumerate(basis):
-                coords = sub.coordinates(full.apply(bvec))
-                if coords is None:
-                    raise ConstructionError("lowering closure is not a submodule")
-                for row, val in coords.items():
-                    mat.add_entry(row, col, val)
-            units[(i, j)] = mat
+            try:
+                mat = restrict_op(ambient.act_unit(i, j), sub)
+            except NotInvariantError as exc:
+                raise ConstructionError("lowering closure is not a submodule") from exc
+            units[(i, j)] = LinearOp(own_space, mat.cols)
     return RealizedModule(p, hp, tuple(w), own_space, tuple(basis_weights), units)
 
 

@@ -134,8 +134,11 @@ def test_m_ops_definitions(cfg11_d3):
     # m_{1,3} equals the split Casimir on copies 1 and 3
     gamma13 = cfg11_d3.split_casimir_op(v_position(1), v_position(3))
     assert (pair[(1, 3)] - gamma13).max_entry_witness() is None
-    # empty sum
-    assert m_sums(imgs)[1].max_entry_witness() is None
+    # m_j sums the pairs ending at j; m_1 is the empty sum and absent
+    msum = m_sums(pair)
+    assert sorted(msum) == [2, 3]
+    assert (msum[2] - pair[(1, 2)]).max_entry_witness() is None
+    assert (msum[3] - pair[(1, 3)] - pair[(2, 3)]).max_entry_witness() is None
 
 
 def test_transposition_word(cfg11_d3):

@@ -137,6 +137,16 @@ def test_verify_hecke_pass_and_fail(capsys):
     assert "FAIL" in out
 
 
+def test_malformed_check_params_reported_before_building(capsys):
+    # the flag is parsed first, so a cap the build would exceed does not mask it
+    code, out, err = run(capsys, "verify", "hecke", "--a", "1", "--p", "1", "--b", "1",
+                         "--q", "1", "--n", "2", "--m", "1", "--d", "1",
+                         "--check-params", "1,2", "--cap", "1")
+    assert code == EXIT_USAGE
+    assert not out
+    assert "--check-params" in err and "cap" not in err
+
+
 def test_verify_lemmas(capsys):
     code, out, _ = run(capsys, "verify", "lemmas", "--a", "4", "--p", "3", "--b", "2",
                        "--q", "2", "--n", "3", "--m", "1")

@@ -12,6 +12,7 @@ from superbraid.linalg import (
     LinearOp,
     NotHomogeneousError,
     NotInvariantError,
+    RowReducer,
     Subspace,
     commutant_dimension,
     kernel_intersection,
@@ -21,6 +22,8 @@ from superbraid.linalg import (
 )
 from superbraid.modules import highest_weight_vectors, module_tensor_config
 from superbraid.partitions import HookProfile, hook_to_weight
+
+from commutant_oracle import commutant_dimension_by_equations
 
 V11 = GradedSpace((0, 1))
 
@@ -136,6 +139,41 @@ def test_commutant_requires_invariance():
         commutant_dimension([e21], sub)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.booleans(), st.integers())
+def test_commutant_matches_equation_oracle(k, n_ops, block_diagonal, seed):
+    # block-diagonal sets keep every block projection in the commutant, so
+    # dimensions above 1 occur; otherwise the entries are unconstrained
+    rng = random.Random(seed)
+    space = GradedSpace((0,) * k)
+    cuts = sorted(rng.sample(range(1, k), rng.randint(0, k - 1))) if block_diagonal else []
+    block = [sum(1 for c in cuts if c <= i) for i in range(k)]
+    ops = []
+    for _ in range(n_ops):
+        ops.append(op(space, [(i, j, rng.randint(-2, 2)) for i in range(k) for j in range(k)
+                              if block[i] == block[j] and rng.random() < 0.5]))
+    dim = commutant_dimension(ops, Subspace.full(space))
+    assert dim == commutant_dimension_by_equations(ops, Subspace.full(space))
+    assert dim >= len(cuts) + 1
+
+
+def test_commutant_matches_equation_oracle_on_desk_config():
+    # every level-2 vertex of (1) (x) (1) (x) V^2 at gl(2|1), with all the
+    # quotient generators and without x_1 (which leaves dimension above 1)
+    hp = HookProfile(2, 1)
+    g = build_graph(1, 1, 1, 1, hp, 2)
+    images = rho_prime_images(module_tensor_config((1,), (1,), 2, hp))
+    gens = [op for _, op in images.hecke_generators()]
+    seen = set()
+    for lam in g.level(2):
+        mult = highest_weight_vectors(images.config, hook_to_weight(lam, hp))
+        for ops in (gens, [o for o in gens if o is not images.x[1]]):
+            dim = commutant_dimension(ops, mult)
+            assert dim == commutant_dimension_by_equations(ops, mult), lam
+            seen.add(dim)
+    assert 1 in seen and max(seen) > 1
+
+
 def test_simultaneous_eigenspaces_scalar():
     space = GradedSpace((0, 0))
     full = Subspace.full(space)
@@ -221,6 +259,24 @@ def test_coordinates_invert_from_coefficients(rank, extra, seed):
     coeffs = {k: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
               for k in range(rank) if rng.random() < 0.7}
     assert sub.coordinates(sub.from_coefficients(coeffs)) == coeffs
+
+
+def test_row_reducer_numbers_accepted_vectors_only():
+    red = RowReducer()
+    e0, e1 = {0: Fraction(1)}, {1: Fraction(1)}
+    assert red.add(e0) and not red.add(e0) and red.add(e1)
+    assert red.coordinates(e1) == {1: Fraction(1)}
+    assert red.coordinates({0: Fraction(2), 1: Fraction(3)}) == {0: 2, 1: 3}
+
+
+def test_subspace_add_grows_on_independent_vectors_only():
+    sub = Subspace(GradedSpace((0, 0, 0)), [{0: Fraction(1), 1: Fraction(1)}])
+    assert not sub.add({0: Fraction(-2), 1: Fraction(-2)})
+    assert not sub.add({})
+    assert sub.dim == 1
+    assert sub.add({1: Fraction(1)})
+    assert sub.dim == 2 and sub.vectors[1] == {1: Fraction(1)}
+    assert sub.coordinates({0: Fraction(1)}) == {0: 1, 1: -1}
 
 
 def test_dependent_basis_rejected():
