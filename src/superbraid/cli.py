@@ -148,7 +148,10 @@ def _verify_centralizer(args, cap: int) -> Report:
 def _verify_hecke(args, cap: int) -> Report:
     rel = (args.a, args.p, args.b, args.q)
     if args.check_params:
-        rel = tuple(int(x) for x in args.check_params.split(","))
+        try:
+            rel = tuple(int(x) for x in args.check_params.split(","))
+        except ValueError:
+            rel = ()
         if len(rel) != 4:
             raise CombinatoricsError("--check-params needs four integers a,p,b,q")
     hp = HookProfile(args.n, args.m)

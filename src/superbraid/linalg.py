@@ -7,8 +7,11 @@ exact operator identities, so a single rounded entry would be useless.
 Vectors are sparse dicts ``{index: Fraction}``; operators store their
 entries column-major (``cols[j][i]``), which makes products and
 matrix-vector application cheap for the very sparse operators produced by
-tensor-factor embeddings.  The matrix of an operator restricted to a
-subspace is again a :class:`LinearOp`, on the subspace's coordinate space.
+tensor-factor embeddings.  :func:`_add_scaled` is the one loop that combines
+sparse entries: sums, differences, products, applications and elimination
+all go through it, and :meth:`LinearOp.add_entry` is the single-entry
+insert.  The matrix of an operator restricted to a subspace is again a
+:class:`LinearOp`, on the subspace's coordinate space.
 :class:`RowReducer` holds the one elimination loop; only :class:`Subspace`,
 :func:`kernel_intersection` and :func:`restrict_op` drive it, and a
 commutant is a joint kernel too, on the space of matrices.
@@ -62,7 +65,8 @@ def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
 def _add_scaled(out: Vector, vec: Vector, coeff: Fraction) -> None:
     """out += coeff * vec in place, dropping entries that cancel."""
     for k, v in vec.items():
-        nv = out.get(k, Fraction(0)) + coeff * v
+        old = out.get(k)
+        nv = coeff * v if old is None else old + coeff * v
         if nv:
             out[k] = nv
         else:
@@ -95,7 +99,8 @@ class LinearOp:
         if not v:
             return
         col = self.cols.setdefault(j, {})
-        nv = col.get(i, Fraction(0)) + v
+        old = col.get(i)
+        nv = v if old is None else old + v
         if nv:
             col[i] = nv
         else:
@@ -109,50 +114,36 @@ class LinearOp:
             for i in sorted(col):
                 yield i, j, col[i]
 
-    def __add__(self, other: "LinearOp") -> "LinearOp":
-        out = LinearOp(self.space, {j: dict(col) for j, col in self.cols.items()})
+    def _plus_scaled(self, other: "LinearOp", c: Fraction) -> "LinearOp":
+        """self + c * other, without cancelled entries or empty columns."""
+        cols = {j: dict(col) for j, col in self.cols.items()}
         for j, col in other.cols.items():
-            for i, v in col.items():
-                out.add_entry(i, j, v)
-        return out
+            acc = cols.setdefault(j, {})
+            _add_scaled(acc, col, c)
+            if not acc:
+                del cols[j]
+        return LinearOp(self.space, cols)
+
+    def __add__(self, other: "LinearOp") -> "LinearOp":
+        return self._plus_scaled(other, Fraction(1))
 
     def __sub__(self, other: "LinearOp") -> "LinearOp":
-        return self + other.scaled(Fraction(-1))
+        return self._plus_scaled(other, Fraction(-1))
 
     def scaled(self, c: Fraction) -> "LinearOp":
-        c = Fraction(c)
-        if not c:
-            return LinearOp(self.space)
-        return LinearOp(
-            self.space,
-            {j: {i: c * v for i, v in col.items()} for j, col in self.cols.items()},
-        )
+        return LinearOp(self.space)._plus_scaled(self, Fraction(c))
 
     def plus_scalar(self, c: Fraction) -> "LinearOp":
         """self + c * identity."""
-        out = LinearOp(self.space, {j: dict(col) for j, col in self.cols.items()})
-        c = Fraction(c)
-        for j in range(self.space.dim):
-            out.add_entry(j, j, c)
-        return out
+        return self + LinearOp.identity(self.space, c)
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
+        """Column j of self @ other is self applied to column j of other."""
         out = LinearOp(self.space)
-        a_cols = self.cols
         for j, bcol in other.cols.items():
-            acc: dict = {}
-            for k, bv in bcol.items():
-                acol = a_cols.get(k)
-                if not acol:
-                    continue
-                for i, av in acol.items():
-                    nv = acc.get(i, Fraction(0)) + av * bv
-                    if nv:
-                        acc[i] = nv
-                    else:
-                        del acc[i]
-            if acc:
-                out.cols[j] = acc
+            col = self.apply(bcol)
+            if col:
+                out.cols[j] = col
         return out
 
     def commutator(self, other: "LinearOp") -> "LinearOp":
@@ -162,14 +153,8 @@ class LinearOp:
         out: dict = {}
         for j, vj in vec.items():
             col = self.cols.get(j)
-            if not col:
-                continue
-            for i, a in col.items():
-                nv = out.get(i, Fraction(0)) + a * vj
-                if nv:
-                    out[i] = nv
-                else:
-                    del out[i]
+            if col:
+                _add_scaled(out, col, vj)
         return out
 
     def max_entry_witness(self) -> Optional[tuple]:
@@ -310,35 +295,33 @@ class Subspace:
     def coordinates(self, vec: Vector) -> Optional[Vector]:
         return self._solver.coordinates(vec)
 
-    def from_coefficients(self, coeffs: Vector) -> Vector:
-        """The vector sum_k coeffs[k] * vectors[k]; inverse of :meth:`coordinates`."""
-        out: dict = {}
-        for k, c in coeffs.items():
-            _add_scaled(out, self.vectors[k], c)
-        return out
-
 
 def kernel_intersection(ops: Iterable, within: Subspace) -> Subspace:
     """Maximal subspace of ``within`` annihilated by every operator.
 
     Per operator, the images of the current basis vectors are eliminated in
     turn; an image that reduces to zero carries the coefficients of a kernel
-    vector in its transform (sum_k t[k] * image_k = 0).
+    vector in its transform (sum_k t[k] * image_k = 0).  The kernels in
+    between are bases by construction and stay plain vector lists; only the
+    last one becomes a :class:`Subspace`.
     """
-    current = within
+    basis = within.vectors
     for op in ops:
-        if current.dim == 0:
+        if not basis:
             break
         red = RowReducer()
         kernel: list = []
-        for k, vec in enumerate(current.vectors):
+        for k, vec in enumerate(basis):
             v, t = red._reduce(op.apply(vec), {k: Fraction(1)})
             if v:
                 red._append(v, t)
             else:
-                kernel.append(current.from_coefficients(t))
-        current = Subspace(within.space, kernel)
-    return current
+                combo: dict = {}
+                for i, c in t.items():
+                    _add_scaled(combo, basis[i], c)
+                kernel.append(combo)
+        basis = kernel
+    return Subspace(within.space, basis)
 
 
 def restrict_op(op: LinearOp, sub: Subspace) -> LinearOp:

@@ -276,8 +276,9 @@ class TensorConfig:
             for j in range(1, r + 1):
                 term = self.act_unit(i, j) @ self.act_unit(j, i)
                 if index_parity(j, self.hp):
-                    term = term.scaled(Fraction(-1))
-                out = out + term
+                    out = out - term
+                else:
+                    out = out + term
         return out
 
     def split_casimir_op(self, pos1: int, pos2: int, corrupt: Optional[str] = None) -> LinearOp:
@@ -299,8 +300,9 @@ class TensorConfig:
                 second = self.embed_unit(pos2, j, i, koszul=(corrupt != "koszul"))
                 term = self.embed_unit(pos1, i, j) @ second
                 if index_parity(j, self.hp) and corrupt != "parity":
-                    term = term.scaled(Fraction(-1))
-                out = out + term
+                    out = out - term
+                else:
+                    out = out + term
         return out
 
     def signed_swap(self, pos: int) -> LinearOp:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from casimir_oracle import casimir_difference_images
 
 HP11 = HookProfile(1, 1)
 HP21 = HookProfile(2, 1)
+GOLDEN_KOSZUL = Path(__file__).parent / "golden" / "braid_koszul_a1b1_n1m1_d3.json"
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,13 @@ def test_casimir_difference_oracle_rejects_corrupt_gamma(cfg11_d3):
     broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
     missed = oracle_mismatches(broken, casimir_difference_images(cfg11_d3))
     assert {"x1", "x2", "x3"} <= set(missed)
+
+
+def test_corrupt_gamma_report_matches_golden(cfg11_d3):
+    # pins every witness of a failing relation report byte for byte: value,
+    # row, column and their decoding into one basis index per factor
+    broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
+    assert verify_braid_relations(broken).to_json() + "\n" == GOLDEN_KOSZUL.read_text()
 
 
 def test_swap_involution(cfg11_d3):

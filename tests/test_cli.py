@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from superbraid import modules
 from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, main
 from superbraid.modules import ConstructionError
 from superbraid.schur import MultiplicityError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -137,14 +140,25 @@ def test_verify_hecke_pass_and_fail(capsys):
     assert "FAIL" in out
 
 
+def test_failing_hecke_report_matches_golden(capsys):
+    # pins the witness of the must-fail control byte for byte: value, row,
+    # column and their decoding into one basis index per factor
+    code, out, _ = run(capsys, "verify", "hecke", "--a", "1", "--p", "1", "--b", "1",
+                       "--q", "1", "--n", "2", "--m", "1", "--d", "2",
+                       "--check-params", "2,1,1,1", "--fmt", "json")
+    assert code == EXIT_CHECK_FAILED
+    assert out == (GOLDEN / "hecke_control_a1p1b1q1_n2m1_d2_params2111.json").read_text()
+
+
 def test_malformed_check_params_reported_before_building(capsys):
     # the flag is parsed first, so a cap the build would exceed does not mask it
-    code, out, err = run(capsys, "verify", "hecke", "--a", "1", "--p", "1", "--b", "1",
-                         "--q", "1", "--n", "2", "--m", "1", "--d", "1",
-                         "--check-params", "1,2", "--cap", "1")
-    assert code == EXIT_USAGE
-    assert not out
-    assert "--check-params" in err and "cap" not in err
+    for params in ("1,2", "1,x"):
+        code, out, err = run(capsys, "verify", "hecke", "--a", "1", "--p", "1", "--b", "1",
+                             "--q", "1", "--n", "2", "--m", "1", "--d", "1",
+                             "--check-params", params, "--cap", "1")
+        assert code == EXIT_USAGE, params
+        assert not out
+        assert "--check-params" in err and "cap" not in err, params
 
 
 def test_verify_lemmas(capsys):

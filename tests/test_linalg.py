@@ -240,6 +240,62 @@ def test_operator_arithmetic_exactness():
     assert a.plus_scalar(Fraction(-1, 3)).cols[0].get(0) is None
 
 
+def dense(mat):
+    k = mat.space.dim
+    return [[mat.cols.get(j, {}).get(i, 0) for j in range(k)] for i in range(k)]
+
+
+def dense_product(x, y):
+    return [[sum(x[i][l] * y[l][j] for l in range(len(y))) for j in range(len(y))]
+            for i in range(len(x))]
+
+
+def assert_stores_no_zero(mat):
+    # a stored zero would surface as a failing witness of value 0/1
+    for col in mat.cols.values():
+        assert col and all(col.values())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers())
+def test_operator_arithmetic_matches_dense_oracle(k, seed):
+    # b repeats some entries of a with either sign, so whole entries and
+    # columns of a + b and a - b cancel; entries of a are fed twice, once
+    # with a cancelling summand, to exercise add_entry's cancellation
+    rng = random.Random(seed)
+    space = GradedSpace((0,) * k)
+    vals = [Fraction(n, q) for n in (-2, -1, 1, 2) for q in (1, 2)]
+    a_entries = [(i, j, rng.choice(vals)) for i in range(k) for j in range(k) if rng.random() < 0.5]
+    a = op(space, a_entries + [(i, j, v) for i, j, v in a_entries if rng.random() < 0.3]
+           + [(i, j, -v) for i, j, v in a_entries if rng.random() < 0.3])
+    b = op(space, [(i, j, rng.choice([v, -v, rng.choice(vals)])) for i, j, v in a.entries()
+                   if rng.random() < 0.7]
+           + [(i, j, rng.choice(vals)) for i in range(k) for j in range(k) if rng.random() < 0.2])
+    da, db = dense(a), dense(b)
+    c = rng.choice(vals + [-da[0][0]])  # -a[0][0] cancels a diagonal entry
+    ab, ba = dense_product(da, db), dense_product(db, da)
+    cases = [
+        (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]),
+        (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]),
+        (a.scaled(c), [[c * x for x in r] for r in da]),
+        (a.scaled(0), [[0] * k for _ in range(k)]),
+        (a.plus_scalar(c), [[x + (c if i == j else 0) for j, x in enumerate(r)]
+                            for i, r in enumerate(da)]),
+        (a @ b, ab),
+        (a.commutator(b), [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]),
+    ]
+    for got, want in cases:
+        assert dense(got) == want
+        assert_stores_no_zero(got)
+    # entries +-a[0][j] make row 0 of the image cancel now and then
+    vec = {j: rng.choice([v, -v]) for j, v in enumerate(da[0]) if v}
+    vec.update({j: rng.choice(vals) for j in range(k) if rng.random() < 0.3})
+    image = a.apply(vec)
+    assert [image.get(i, 0) for i in range(k)] == [
+        sum(da[i][j] * vec.get(j, 0) for j in range(k)) for i in range(k)]
+    assert all(image.values())
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 5), st.integers())
 def test_coordinates_invert_from_coefficients(rank, extra, seed):
@@ -255,10 +311,13 @@ def test_coordinates_invert_from_coefficients(rank, extra, seed):
             if rng.random() < 0.5:
                 vec[order[s]] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         vectors.append(vec)
-    sub = Subspace(GradedSpace((0,) * dim), vectors)
+    space = GradedSpace((0,) * dim)
+    sub = Subspace(space, vectors)
     coeffs = {k: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
               for k in range(rank) if rng.random() < 0.7}
-    assert sub.coordinates(sub.from_coefficients(coeffs)) == coeffs
+    # column k of basis is vectors[k], so it maps coeffs to their combination
+    basis = LinearOp(space, dict(enumerate(vectors)))
+    assert sub.coordinates(basis.apply(coeffs)) == coeffs
 
 
 def test_row_reducer_numbers_accepted_vectors_only():
