@@ -285,19 +285,18 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
         rep.add_zero_check(f"R3:[t{i},x{i}+x{i + 1}]", t[i].commutator(x[i] + x[i + 1]), config)
         rep.add_zero_check(f"R3:[t{i},y{i}+y{i + 1}]", t[i].commutator(y[i] + y[i + 1]), config)
 
-    for name, fam in (("x", x), ("y", y)):
+    # m_{i,i+1} = x_{i+1} - t_i x_i t_i from m_ops, and its y counterpart
+    pair = m_ops(images)
+    mx = {i: pair[(i, i + 1)] for i in range(1, d)}
+    my = {i: y[i + 1] - t[i] @ y[i] @ t[i] for i in range(1, d)}
+    for name, m in (("x", mx), ("y", my)):
         for i in range(1, d - 1):
-            inner = fam[i + 1] - t[i] @ fam[i] @ t[i]
-            lhs = t[i] @ t[i + 1] @ inner @ t[i + 1] @ t[i]
-            rhs = fam[i + 2] - t[i + 1] @ fam[i + 1] @ t[i + 1]
-            rep.add_zero_check(f"R4:{name},i={i}", lhs - rhs, config)
+            lhs = t[i] @ t[i + 1] @ m[i] @ t[i + 1] @ t[i]
+            rep.add_zero_check(f"R4:{name},i={i}", lhs - m[i + 1], config)
 
     for i in range(1, d):
-        lhs = x[i + 1] - t[i] @ x[i] @ t[i]
-        rhs = y[i + 1] - t[i] @ y[i] @ t[i]
-        rep.add_zero_check(f"R5:i={i}", lhs - rhs, config)
+        rep.add_zero_check(f"R5:i={i}", mx[i] - my[i], config)
 
-    pair = m_ops(images)
     msum = m_sums(pair)
     for j in range(1, d + 1):
         m_j = msum.get(j, LinearOp(config.space))

@@ -89,6 +89,13 @@ def _config(args, cap: int, alpha=(1,), beta=(1,)):
     return module_tensor_config(alpha, beta, args.d, HookProfile(args.n, args.m), cap)
 
 
+def _rectangles_config(args, cap: int):
+    """``L(a^p) (x) L(b^q) (x) V^d``, built after the rectangle check and before any graph."""
+    hp = HookProfile(args.n, args.m)
+    check_rectangle_params(args.a, args.p, args.b, args.q, hp, strict=args.strict_params)
+    return _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
+
+
 def _hooks_up_to(args, hp: HookProfile):
     """Hook diagrams of gl(n|m) by size, up to ``--max-size``."""
     for total in range(args.max_size + 1):
@@ -154,10 +161,7 @@ def _verify_hecke(args, cap: int) -> Report:
             rel = ()
         if len(rel) != 4:
             raise CombinatoricsError("--check-params needs four integers a,p,b,q")
-    hp = HookProfile(args.n, args.m)
-    check_rectangle_params(args.a, args.p, args.b, args.q, hp, strict=args.strict_params)
-    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
-    return verify_hecke_relations(rho_prime_images(config), *rel)
+    return verify_hecke_relations(rho_prime_images(_rectangles_config(args, cap)), *rel)
 
 
 def _verify_casimir(args, cap: int) -> Report:
@@ -192,8 +196,8 @@ def _verify_pieri(args, cap: int) -> Report:
 
 
 def _verify_spectra(args, cap: int) -> Report:
+    config = _rectangles_config(args, cap)
     g = _graph(args, args.d)
-    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
     rep = Report(f"spectra a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
     for rec in bratteli.spectral_match(g, config, rho_prime_images(config)):
         rep.add(_check(f"spectrum:{rec['partition']}", rec["ok"], rec))
@@ -201,8 +205,8 @@ def _verify_spectra(args, cap: int) -> Report:
 
 
 def _verify_irreducible(args, cap: int) -> Report:
+    config = _rectangles_config(args, cap)
     g = _graph(args, args.d)
-    config = _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
     images = rho_prime_images(config)
     rep = Report(f"irreducible a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
     for lam in g.level(g.d):

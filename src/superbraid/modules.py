@@ -185,7 +185,14 @@ def module_tensor_config(
     """
     m_mod = realize_module(alpha, hp, cap)
     n_mod = realize_module(beta, hp, cap)
-    check_cap(m_mod.dim * n_mod.dim * hp.rank ** d, cap)
+    limit = DEFAULT_DIM_CAP if cap is None else cap
+    dim = m_mod.dim * n_mod.dim
+    for k in range(1, d + 1):
+        # one V at a time: a space far over the cap never becomes a huge integer
+        dim *= hp.rank
+        if dim > limit and k < d:
+            raise CapExceededError(f"ambient dimension exceeds cap {limit} already with {k} of the {d} copies of V")
+    check_cap(dim, cap)
     v = natural_factor(hp)
     return TensorConfig([m_mod, n_mod] + [v] * d, hp)
 

@@ -1,8 +1,9 @@
 """The Lie superalgebra gl(n|m) and its signed action on tensor factors.
 
 Basis indices 1..n are even, n+1..n+m odd.  Operators on a product of
-module factors are assembled factor by factor with explicit Koszul sign
-bookkeeping: an element acting on factor t picks up the sign
+module factors are built entry by entry: one loop over the product basis
+reads the factors' unit matrices, with explicit Koszul sign bookkeeping: an
+element acting on factor t picks up the sign
 (-1)^(parity of element * parity of everything left of t).  This makes the
 sign conventions locally testable instead of hiding them in Hopf-algebra
 plumbing.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .linalg import GradedSpace, LinearOp, Subspace
@@ -189,23 +191,13 @@ class TensorConfig:
         for t in range(len(dims) - 2, -1, -1):
             strides[t] = strides[t + 1] * dims[t + 1]
         self.strides = strides
-        decoded = []
-        for idx in range(self.dim):
-            comps = []
-            rem = idx
-            for t, d in enumerate(dims):
-                comps.append(rem // strides[t] % d if d else 0)
-            decoded.append(tuple(comps))
-        self._decoded = decoded
-        parities = []
-        for comps in decoded:
-            par = 0
-            for t, f in enumerate(self.factors):
-                par += f.space.parities[comps[t]]
-            parities.append(par % 2)
-        self.space = GradedSpace(tuple(parities))
+        # first factor slowest, as in the mixed-radix index
+        self._decoded = list(product(*(range(d) for d in dims)))
+        self.space = GradedSpace(tuple(
+            sum(f.space.parities[c] for f, c in zip(self.factors, comps)) % 2
+            for comps in self._decoded
+        ))
         self._unit_cache: dict = {}
-        self._embed_cache: dict = {}
 
     @property
     def n_factors(self) -> int:
@@ -223,44 +215,24 @@ class TensorConfig:
                 total[k] += w[k]
         return tuple(total)
 
-    def _prefix_parity(self, comps: tuple, pos: int) -> int:
-        par = 0
-        for s in range(pos):
-            par += self.factors[s].space.parities[comps[s]]
-        return par % 2
-
-    def embed_unit(self, pos: int, i: int, j: int, koszul: bool = True) -> LinearOp:
-        """E_ij acting on factor ``pos`` alone, with the Koszul sign across
-        everything to its left.  ``koszul=False`` drops that sign and exists
-        only as a negative control for the relation tests."""
-        key = (pos, i, j, koszul)
-        cached = self._embed_cache.get(key)
-        if cached is not None:
-            return cached
-        pu = unit_parity(i, j, self.hp) if koszul else 0
-        fac = self.factors[pos]
-        emat = fac.units[(i, j)]
-        out = LinearOp(self.space)
-        stride = self.strides[pos]
-        for idx in range(self.dim):
-            comps = self._decoded[idx]
-            col = emat.cols.get(comps[pos])
-            if not col:
-                continue
-            sign = -1 if (pu and self._prefix_parity(comps, pos)) else 1
-            for row_c, val in col.items():
-                out.add_entry(idx + (row_c - comps[pos]) * stride, idx, sign * val)
-        self._embed_cache[key] = out
-        return out
-
     def act_unit(self, i: int, j: int) -> LinearOp:
-        """Coproduct action of E_ij on all factors."""
+        """Coproduct action of E_ij on all factors: on factor t, E_ij with the
+        Koszul sign (-1)^(parity of E_ij * parity of everything left of t)."""
         cached = self._unit_cache.get((i, j))
         if cached is not None:
             return cached
+        pu = unit_parity(i, j, self.hp)
         out = LinearOp(self.space)
-        for pos in range(self.n_factors):
-            out = out + self.embed_unit(pos, i, j)
+        for idx in range(self.dim):
+            comps = self._decoded[idx]
+            left = 0
+            for t, fac in enumerate(self.factors):
+                col = fac.units[(i, j)].cols.get(comps[t])
+                if col:
+                    sign = -1 if (pu and left) else 1
+                    for row_c, val in col.items():
+                        out.add_entry(idx + (row_c - comps[t]) * self.strides[t], idx, sign * val)
+                left ^= fac.space.parities[comps[t]]
         self._unit_cache[(i, j)] = out
         return out
 
@@ -285,24 +257,40 @@ class TensorConfig:
         """The mixed term of the coproduct Casimir on an ordered factor pair:
         sum (-1)^parity(j) E_ij at pos1 composed with E_ji at pos2.
 
-        ``corrupt`` is a negative-control hook: 'parity' drops the
-        (-1)^parity(j) prefactor, 'koszul' drops the Koszul sign on the
-        second leg.  Production callers leave it None.
+        E_ji acts first, so the Koszul signs of the two legs cancel across
+        the factors left of pos1 and leave (-1)^(parity of E_ij * parity of
+        factors pos1..pos2-1).  ``corrupt`` is a negative-control hook:
+        'parity' drops the (-1)^parity(j) prefactor, 'koszul' drops the
+        Koszul sign on the second leg.  Production callers leave it None.
         """
         if pos1 >= pos2:
             raise ValueError("need pos1 < pos2 in factor order")
         if corrupt not in (None, "parity", "koszul"):
             raise ValueError(f"unknown corruption mode {corrupt!r}")
+        f1, f2 = self.factors[pos1], self.factors[pos2]
+        s1, s2 = self.strides[pos1], self.strides[pos2]
+        span = range(pos1) if corrupt == "koszul" else range(pos1, pos2)
         r = self.hp.rank
+        terms = [
+            (f1.units[(i, j)], f2.units[(j, i)], unit_parity(i, j, self.hp),
+             -1 if index_parity(j, self.hp) and corrupt != "parity" else 1)
+            for i in range(1, r + 1)
+            for j in range(1, r + 1)
+        ]
         out = LinearOp(self.space)
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                second = self.embed_unit(pos2, j, i, koszul=(corrupt != "koszul"))
-                term = self.embed_unit(pos1, i, j) @ second
-                if index_parity(j, self.hp) and corrupt != "parity":
-                    out = out - term
-                else:
-                    out = out + term
+        for idx in range(self.dim):
+            comps = self._decoded[idx]
+            a, b = comps[pos1], comps[pos2]
+            across = sum(self.factors[s].space.parities[comps[s]] for s in span) % 2
+            for e1, e2, pu, sign in terms:
+                col1, col2 = e1.cols.get(a), e2.cols.get(b)
+                if not (col1 and col2):
+                    continue
+                if pu and across:
+                    sign = -sign
+                for b2, v2 in col2.items():
+                    for a2, v1 in col1.items():
+                        out.add_entry(idx + (a2 - a) * s1 + (b2 - b) * s2, idx, sign * v1 * v2)
         return out
 
     def signed_swap(self, pos: int) -> LinearOp:

@@ -2,29 +2,51 @@
 
 The package assembles x_i, y_i, z_i and z_0 from split Casimirs; here they
 are built literally as halved differences of coproduct Casimirs on growing
-factor prefixes, from the single-factor embeddings alone.
+factor prefixes, from single-factor embeddings alone.  Each embedding
+id (x) .. (x) E_ij (x) .. (x) id is chained one graded tensor product at a
+time by :func:`superbraid.linalg.koszul_tensor_op`, so the oracle shares
+no sign code with the assembly it checks.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from superbraid.braid import POS_M, POS_N, v_position
-from superbraid.linalg import LinearOp
+from superbraid.linalg import LinearOp, koszul_tensor_op
 from superbraid.superalgebra import index_parity, natural_casimir_scalar
 
 
-def coproduct_casimir(config, positions):
-    """sum (-1)^parity(j) D(E_ij) D(E_ji), D the coproduct action on ``positions``."""
-    def act(i, j):
-        out = LinearOp(config.space)
-        for pos in positions:
-            out = out + config.embed_unit(pos, i, j)
-        return out
+def unit_embeddings(config):
+    """{(pos, i, j): E_ij on factor ``pos`` and the identity on every other factor}."""
+    r = config.hp.rank
+    out = {}
+    for pos in range(config.n_factors):
+        for i in range(1, r + 1):
+            for j in range(1, r + 1):
+                legs = [
+                    f.units[(i, j)] if t == pos else LinearOp.identity(f.space)
+                    for t, f in enumerate(config.factors)
+                ]
+                out[(pos, i, j)] = reduce(koszul_tensor_op, legs)
+    return out
 
+
+def coproduct_unit(config, embeddings, positions, i, j):
+    """E_ij acting through the coproduct on the factors at ``positions``."""
+    out = LinearOp(config.space)
+    for pos in positions:
+        out = out + embeddings[(pos, i, j)]
+    return out
+
+
+def coproduct_casimir(config, embeddings, positions):
+    """sum (-1)^parity(j) D(E_ij) D(E_ji), D the coproduct action on ``positions``."""
     r = config.hp.rank
     out = LinearOp(config.space)
     for i in range(1, r + 1):
         for j in range(1, r + 1):
-            term = act(i, j) @ act(j, i)
+            d_ij = coproduct_unit(config, embeddings, positions, i, j)
+            term = d_ij @ coproduct_unit(config, embeddings, positions, j, i)
             out = out + (term.scaled(Fraction(-1)) if index_parity(j, config.hp) else term)
     return out
 
@@ -37,9 +59,10 @@ def casimir_difference_images(config):
     half = Fraction(1, 2)
     kv = Fraction(natural_casimir_scalar(config.hp))
     vs = [v_position(k) for k in range(1, d + 1)]
-    k_m = [coproduct_casimir(config, [POS_M] + vs[:i]) for i in range(d + 1)]
-    k_n = [coproduct_casimir(config, [POS_N] + vs[:i]) for i in range(d + 1)]
-    k_mn = [coproduct_casimir(config, [POS_M, POS_N] + vs[:i]) for i in range(d + 1)]
+    emb = unit_embeddings(config)
+    k_m = [coproduct_casimir(config, emb, [POS_M] + vs[:i]) for i in range(d + 1)]
+    k_n = [coproduct_casimir(config, emb, [POS_N] + vs[:i]) for i in range(d + 1)]
+    k_mn = [coproduct_casimir(config, emb, [POS_M, POS_N] + vs[:i]) for i in range(d + 1)]
     x = {i: (k_m[i] - k_m[i - 1]).scaled(half) for i in range(1, d + 1)}
     y = {i: (k_n[i] - k_n[i - 1]).scaled(half) for i in range(1, d + 1)}
     z = {i: (k_mn[i] - k_mn[i - 1]).scaled(half).plus_scalar(kv * half) for i in range(1, d + 1)}

@@ -225,6 +225,15 @@ def test_verify_centralizer_small(capsys):
     assert code == EXIT_OK
 
 
+# spaces whose dimension has thousands of digits, refused in one short line:
+# the dimension is multiplied out one V at a time and given up at the cap,
+# before any graph is built
+FAR_OVER_CAP = [
+    ["verify", kind, "--a", "1", "--p", "1", "--b", "1", "--q", "1", "--n", "1", "--m", "1", "--d", "3000"]
+    for kind in ("spectra", "irreducible")
+] + [["verify", "braid", "--n", "1", "--m", "1", "--d", "20000"]]
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -245,7 +254,7 @@ def test_verify_centralizer_small(capsys):
           "--n", "3", "--m", "1", "--d", "1", "--strict-params"], EXIT_USAGE),
         (["verify", "hecke", "--a", "100000", "--p", "1", "--b", "1", "--q", "1",
           "--n", "1", "--m", "1", "--d", "1"], EXIT_USAGE),
-    ],
+    ] + [(argv, EXIT_USAGE) for argv in FAR_OVER_CAP],
 )
 def test_verify_exit_code_contract(capsys, argv, expected):
     # out-of-range parameters, spaces over the cap and reports that check
@@ -255,6 +264,9 @@ def test_verify_exit_code_contract(capsys, argv, expected):
     assert code == expected
     if expected == EXIT_USAGE:
         assert not out and err
+        assert err.count("\n") == 1 and len(err) < 120
+        if argv in FAR_OVER_CAP:
+            assert err.startswith("dimension cap exceeded: ")
     else:
         assert "OK" in out
 

@@ -3,7 +3,8 @@ from functools import reduce
 
 import pytest
 
-from superbraid.linalg import LinearOp, koszul_tensor_op
+from superbraid.linalg import GradedSpace, LinearOp, koszul_tensor_op
+from superbraid.modules import module_tensor_config
 from superbraid.partitions import HookProfile
 from superbraid.superalgebra import (
     TensorConfig,
@@ -22,7 +23,7 @@ from superbraid.superalgebra import (
     unit_parity,
 )
 
-from casimir_oracle import coproduct_casimir
+from casimir_oracle import coproduct_casimir, coproduct_unit, unit_embeddings
 
 HPS = [HookProfile(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
 
@@ -218,12 +219,18 @@ def test_casimir_is_central_on_tensor_square():
 
 
 def test_coproduct_casimir_split():
-    # Casimir on both factors minus the two one-factor Casimirs = 2 gamma
+    # Casimir on both factors minus the two one-factor Casimirs = 2 gamma;
+    # the oracle's coproduct action from chained embeddings is act_unit
     for hp in (HookProfile(1, 1), HookProfile(2, 1)):
         config = tensor_power_config(hp, 2)
-        both = coproduct_casimir(config, (0, 1))
+        emb = unit_embeddings(config)
+        for i in range(1, hp.rank + 1):
+            for j in range(1, hp.rank + 1):
+                ref = coproduct_unit(config, emb, (0, 1), i, j)
+                assert list(ref.entries()) == list(config.act_unit(i, j).entries())
+        both = coproduct_casimir(config, emb, (0, 1))
         assert (both - config.casimir_op()).max_entry_witness() is None
-        delta = both - coproduct_casimir(config, (0,)) - coproduct_casimir(config, (1,))
+        delta = both - coproduct_casimir(config, emb, (0,)) - coproduct_casimir(config, emb, (1,))
         gamma2 = config.split_casimir_op(0, 1).scaled(Fraction(2))
         assert (delta - gamma2).max_entry_witness() is None
 
@@ -281,17 +288,57 @@ def test_unsigned_swap_breaks_centralizing():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_embed_unit_matches_chained_koszul_product(hp, k):
     # id (x) .. (x) E_ij (x) .. (x) id assembled one graded tensor product at
-    # a time is the reference for the Koszul signs of embed_unit
+    # a time is the reference for the Koszul signs; act_unit is their sum
     config = tensor_power_config(hp, k)
     v = natural_factor(hp)
     ident = LinearOp.identity(v.space)
-    for pos in range(k):
-        for i in range(1, hp.rank + 1):
-            for j in range(1, hp.rank + 1):
+    for i in range(1, hp.rank + 1):
+        for j in range(1, hp.rank + 1):
+            total = LinearOp(config.space)
+            for pos in range(k):
                 factors = [v.units[(i, j)] if t == pos else ident for t in range(k)]
                 chained = reduce(koszul_tensor_op, factors)
                 assert chained.space.parities == config.space.parities
-                assert list(chained.entries()) == list(config.embed_unit(pos, i, j).entries())
+                total = total + chained
+            assert list(total.entries()) == list(config.act_unit(i, j).entries())
+
+
+# boundary modules with odd basis vectors: (2,1) at gl(2|1) and (1,1) at gl(1|1)
+SPLIT_CONFIGS = [
+    ((2, 1), (1,), 2, HookProfile(2, 1)),
+    ((1, 1), (2,), 1, HookProfile(1, 1)),
+    ((1,), (2, 1), 2, HookProfile(1, 1)),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, d, hp", SPLIT_CONFIGS)
+def test_split_casimir_matches_product_definition(alpha, beta, d, hp):
+    # sum (-1)^parity(j) E_ij at pos1 times E_ji at pos2 from the chained
+    # embeddings, for every factor pair; 'parity' drops (-1)^parity(j), and
+    # 'koszul' chains the second leg with E_ji on an all-even copy of its
+    # factor, which drops that leg's Koszul sign
+    config = module_tensor_config(alpha, beta, d, hp)
+    emb = unit_embeddings(config)
+    r = hp.rank
+    for pos1 in range(config.n_factors):
+        for pos2 in range(pos1 + 1, config.n_factors):
+            for corrupt in (None, "parity", "koszul"):
+                ref = LinearOp(config.space)
+                for i in range(1, r + 1):
+                    for j in range(1, r + 1):
+                        second = emb[(pos2, j, i)]
+                        if corrupt == "koszul":
+                            legs = [LinearOp.identity(f.space) for f in config.factors]
+                            unit = config.factors[pos2].units[(j, i)]
+                            legs[pos2] = LinearOp(GradedSpace((0,) * unit.space.dim), unit.cols)
+                            second = reduce(koszul_tensor_op, legs)
+                        term = emb[(pos1, i, j)] @ second
+                        if index_parity(j, hp) and corrupt != "parity":
+                            ref = ref - term
+                        else:
+                            ref = ref + term
+                got = config.split_casimir_op(pos1, pos2, corrupt)
+                assert list(got.entries()) == list(ref.entries()), (pos1, pos2, corrupt)
 
 
 def test_weight_subspace():
