@@ -138,18 +138,17 @@ class GeneratorImages:
 
 def rho_images(config: TensorConfig) -> GeneratorImages:
     """The unshifted action."""
-    return images_via_split_casimir(config, shifted=False)
+    return unshifted(rho_prime_images(config))
 
 
 def rho_prime_images(config: TensorConfig) -> GeneratorImages:
     """The shifted action, under which boundary eigenvalues are contents."""
-    return images_via_split_casimir(config, shifted=True)
+    return images_via_split_casimir(config)
 
 
-def images_via_split_casimir(
-    config: TensorConfig, shifted: bool = True, corrupt_gamma: Optional[str] = None
-) -> GeneratorImages:
-    """The generator images, assembled from split Casimirs (module docstring).
+def images_via_split_casimir(config: TensorConfig, corrupt_gamma: Optional[str] = None) -> GeneratorImages:
+    """The shifted generator images, assembled from split Casimirs (module
+    docstring); :func:`unshifted` adds the constants back.
 
     With ``corrupt_gamma`` ('parity' or 'koszul') every split Casimir is
     built with a wrong sign, which serves as a negative control for the
@@ -158,8 +157,6 @@ def images_via_split_casimir(
     d = config.n_factors - 2
     if d < 0:
         raise ValueError("config must contain the two boundary factors")
-    kv = Fraction(natural_casimir_scalar(config.hp))
-    half = Fraction(1, 2)
 
     def gamma(p1: int, p2: int) -> LinearOp:
         return config.split_casimir_op(p1, p2, corrupt=corrupt_gamma)
@@ -173,19 +170,26 @@ def images_via_split_casimir(
         for k in range(1, i):
             cross = cross + gamma(v_position(k), pos)
         gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
-        xi = gm + cross
-        yi = gn + cross
-        zi = gm + gn + cross
-        if not shifted:
-            xi = xi.plus_scalar(kv * half)
-            yi = yi.plus_scalar(kv * half)
-            zi = zi.plus_scalar(kv)
-        x[i] = xi
-        y[i] = yi
-        z[i] = zi
+        x[i] = gm + cross
+        y[i] = gn + cross
+        z[i] = gm + gn + cross
     z0 = gamma(POS_M, POS_N)
     t = {i: config.signed_swap(v_position(i)) for i in range(1, d)}
-    return GeneratorImages(config, d, t, x, y, z, z0, shifted)
+    return GeneratorImages(config, d, t, x, y, z, z0, True)
+
+
+def unshifted(images: GeneratorImages) -> GeneratorImages:
+    """The plain images from the shifted ones: x_i and y_i up by kappa_V / 2,
+    z_i by kappa_V; t and z_0 are shared."""
+    kv = natural_casimir_scalar(images.config.hp)
+    half = Fraction(kv, 2)
+    return GeneratorImages(
+        images.config, images.d, dict(images.t),
+        {i: op.plus_scalar(half) for i, op in images.x.items()},
+        {i: op.plus_scalar(half) for i, op in images.y.items()},
+        {i: op.plus_scalar(kv) for i, op in images.z.items()},
+        images.z0, False,
+    )
 
 
 def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
@@ -322,12 +326,12 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
     x1, y1 = images.x[1], images.y[1]
     rep.add_zero_check(
         f"hecke:(x1-{a})(x1+{p})=0",
-        (x1.plus_scalar(Fraction(-a))) @ (x1.plus_scalar(Fraction(p))),
+        x1.plus_scalar(-a) @ x1.plus_scalar(p),
         config,
     )
     rep.add_zero_check(
         f"hecke:(y1-{b})(y1+{q})=0",
-        (y1.plus_scalar(Fraction(-b))) @ (y1.plus_scalar(Fraction(q))),
+        y1.plus_scalar(-b) @ y1.plus_scalar(q),
         config,
     )
     for i in range(1, d):

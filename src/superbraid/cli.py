@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import bratteli
-from .braid import Report, Check, rho_images, rho_prime_images, verify_braid_relations, verify_centralizer, verify_hecke_relations
+from .braid import Report, Check, rho_prime_images, unshifted, verify_braid_relations, verify_centralizer, verify_hecke_relations
 from .linalg import LinalgError
 from .modules import (
     CapExceededError,
@@ -142,7 +142,8 @@ def cmd_p0(args) -> int:
 def _verify_braid(args, cap: int) -> Report:
     config = _config(args, cap)
     rep = Report(f"braid n={args.n} m={args.m} d={args.d}")
-    for images, tag in ((rho_images(config), "plain"), (rho_prime_images(config), "shifted")):
+    shifted = rho_prime_images(config)
+    for images, tag in ((unshifted(shifted), "plain"), (shifted, "shifted")):
         for check in verify_braid_relations(images).checks:
             rep.add(replace(check, id=f"{tag}:{check.id}"))
     return rep

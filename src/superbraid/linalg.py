@@ -1,10 +1,16 @@
 """Exact rational sparse linear algebra on parity-graded spaces.
 
-Everything here is over the rationals, stored as :class:`fractions.Fraction`.
-There is deliberately no floating-point mode: all downstream checks are
-exact operator identities, so a single rounded entry would be useless.
+Everything here is over the rationals, in one canonical exact form: an
+integral value is a plain ``int`` and any other value a
+:class:`fractions.Fraction` with denominator > 1.  Almost every entry of
+the operators checked downstream is an integer, and ``int`` arithmetic
+stays ``int`` at machine speed while mixed arithmetic promotes to
+``Fraction`` exactly.  Every insert point normalises back to that form,
+and a true division goes through ``Fraction``, never ``int / int``.  There
+is deliberately no floating-point mode: all downstream checks are exact
+operator identities, so a single rounded entry would be useless.
 
-Vectors are sparse dicts ``{index: Fraction}``; operators store their
+Vectors are sparse dicts ``{index: value}``; operators store their
 entries column-major (``cols[j][i]``), which makes products and
 matrix-vector application cheap for the very sparse operators produced by
 tensor-factor embeddings.  :func:`_add_scaled` is the one loop that combines
@@ -26,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Iterator, Optional, Sequence
 
-Vector = dict  # {index: Fraction}, zero entries absent
+Vector = dict  # {index: int | Fraction}, canonical (integral values as int), zero entries absent
 
 
 class LinalgError(ValueError):
@@ -62,13 +69,19 @@ def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
     return GradedSpace(parities)
 
 
-def _add_scaled(out: Vector, vec: Vector, coeff: Fraction) -> None:
+def _canonical(v: Rational) -> Rational:
+    """v as an int when integral, else as it is (a Fraction)."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _add_scaled(out: Vector, vec: Vector, coeff: Rational) -> None:
     """out += coeff * vec in place, dropping entries that cancel."""
     for k, v in vec.items():
         old = out.get(k)
         nv = coeff * v if old is None else old + coeff * v
         if nv:
-            out[k] = nv
+            # _canonical inlined: a call per entry costs about a tenth of a product
+            out[k] = nv.numerator if nv.denominator == 1 else nv
         else:
             out.pop(k, None)
 
@@ -83,26 +96,27 @@ class LinearOp:
         self.cols = cols if cols is not None else {}
 
     @classmethod
-    def identity(cls, space: GradedSpace, scale: Fraction = Fraction(1)) -> "LinearOp":
+    def identity(cls, space: GradedSpace, scale: Rational = 1) -> "LinearOp":
         if not scale:
             return cls(space)
-        return cls(space, {j: {j: Fraction(scale)} for j in range(space.dim)})
+        scale = _canonical(scale)
+        return cls(space, {j: {j: scale} for j in range(space.dim)})
 
     @classmethod
     def from_entries(cls, space: GradedSpace, entries: Iterable) -> "LinearOp":
         op = cls(space)
         for i, j, v in entries:
-            op.add_entry(i, j, Fraction(v))
+            op.add_entry(i, j, v)
         return op
 
-    def add_entry(self, i: int, j: int, v: Fraction) -> None:
+    def add_entry(self, i: int, j: int, v: Rational) -> None:
         if not v:
             return
         col = self.cols.setdefault(j, {})
         old = col.get(i)
         nv = v if old is None else old + v
         if nv:
-            col[i] = nv
+            col[i] = nv.numerator if nv.denominator == 1 else nv
         else:
             del col[i]
             if not col:
@@ -114,7 +128,7 @@ class LinearOp:
             for i in sorted(col):
                 yield i, j, col[i]
 
-    def _plus_scaled(self, other: "LinearOp", c: Fraction) -> "LinearOp":
+    def _plus_scaled(self, other: "LinearOp", c: Rational) -> "LinearOp":
         """self + c * other, without cancelled entries or empty columns."""
         cols = {j: dict(col) for j, col in self.cols.items()}
         for j, col in other.cols.items():
@@ -125,15 +139,15 @@ class LinearOp:
         return LinearOp(self.space, cols)
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
-        return self._plus_scaled(other, Fraction(1))
+        return self._plus_scaled(other, 1)
 
     def __sub__(self, other: "LinearOp") -> "LinearOp":
-        return self._plus_scaled(other, Fraction(-1))
+        return self._plus_scaled(other, -1)
 
-    def scaled(self, c: Fraction) -> "LinearOp":
-        return LinearOp(self.space)._plus_scaled(self, Fraction(c))
+    def scaled(self, c: Rational) -> "LinearOp":
+        return LinearOp(self.space)._plus_scaled(self, c)
 
-    def plus_scalar(self, c: Fraction) -> "LinearOp":
+    def plus_scalar(self, c: Rational) -> "LinearOp":
         """self + c * identity."""
         return self + LinearOp.identity(self.space, c)
 
@@ -243,14 +257,14 @@ class RowReducer:
         """Normalise a nonzero residual at its pivot and make it an echelon row."""
         piv = self._pick_pivot(v)
         c = v[piv]
-        self.rows.append({k: val / c for k, val in v.items()})
+        self.rows.append({k: _canonical(Fraction(val, c)) for k, val in v.items()})
         self.pivots.append(piv)
-        self.trans.append({k: val / c for k, val in t.items()})
+        self.trans.append({k: _canonical(Fraction(val, c)) for k, val in t.items()})
 
     def add(self, vec: Vector) -> bool:
         """Insert a vector; True when it enlarges the span.  Only accepted
         vectors are numbered, so coordinates index them in order."""
-        v, t = self._reduce(vec, {len(self.rows): Fraction(1)})
+        v, t = self._reduce(vec, {len(self.rows): 1})
         if not v:
             return False
         self._append(v, t)
@@ -286,7 +300,7 @@ class Subspace:
 
     @classmethod
     def full(cls, space: GradedSpace) -> "Subspace":
-        return cls(space, [{i: Fraction(1)} for i in range(space.dim)])
+        return cls(space, [{i: 1} for i in range(space.dim)])
 
     @property
     def dim(self) -> int:
@@ -312,7 +326,7 @@ def kernel_intersection(ops: Iterable, within: Subspace) -> Subspace:
         red = RowReducer()
         kernel: list = []
         for k, vec in enumerate(basis):
-            v, t = red._reduce(op.apply(vec), {k: Fraction(1)})
+            v, t = red._reduce(op.apply(vec), {k: 1})
             if v:
                 red._append(v, t)
             else:
@@ -389,6 +403,6 @@ def simultaneous_eigenspaces(ops: Sequence, within: Subspace, tuples: Sequence) 
     mats = [restrict_op(op, within) for op in ops]
     coords = Subspace.full(GradedSpace((0,) * within.dim))
     return [
-        kernel_intersection([mat.plus_scalar(-Fraction(c)) for mat, c in zip(mats, t)], coords).dim
+        kernel_intersection([mat.plus_scalar(-c) for mat, c in zip(mats, t)], coords).dim
         for t in tuples
     ]

@@ -132,7 +132,7 @@ def realize_module(p: Partition, hp: HookProfile, cap: Optional[int] = None) -> 
         if mod is None:
             if parent is None:
                 ambient = tensor_power_config(hp, 0)
-                start = {0: Fraction(1)}
+                start = {0: 1}
             else:
                 ambient = _times_natural(parent)
                 start = _pieri_vector(ambient, lam, parent.partition)
@@ -197,8 +197,9 @@ def module_tensor_config(
     return TensorConfig([m_mod, n_mod] + [v] * d, hp)
 
 
-def kappa_scalar(mod: RealizedModule) -> Fraction:
-    """The (verified) scalar of the quadratic Casimir on a realized module.
+def kappa_scalar(mod: RealizedModule) -> int | Fraction:
+    """The (verified) scalar of the quadratic Casimir on a realized module,
+    in the canonical exact form of :mod:`superbraid.linalg`.
 
     Evaluates the Casimir as an operator from the generator matrices and
     insists it is scalar; never assumes the closed pairing formula, which
@@ -211,7 +212,7 @@ def kappa_scalar(mod: RealizedModule) -> Fraction:
     scalar = None
     for j in range(mod.dim):
         col = op.cols.get(j, {})
-        diag = col.get(j, Fraction(0))
+        diag = col.get(j, 0)
         off = {i: v for i, v in col.items() if i != j}
         if off:
             raise ConstructionError(f"Casimir not diagonal on {mod.partition}: column {j} has {off}")
@@ -238,7 +239,7 @@ def pieri_summands(mu: Partition, hp: HookProfile, cap: Optional[int] = None) ->
         vec = _pieri_vector(config, lam, mu)
         image = gamma.apply(vec)
         anchor = next(iter(vec))
-        observed = image.get(anchor, Fraction(0)) / vec[anchor]
+        observed = Fraction(image.get(anchor, 0), vec[anchor])
         if image != {k: observed * v for k, v in vec.items() if observed * v}:
             raise ConstructionError(f"split Casimir not scalar on summand {lam}")
         records.append(

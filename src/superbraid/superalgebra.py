@@ -19,7 +19,6 @@ per factor (:meth:`TensorConfig.decode`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
@@ -305,13 +304,13 @@ class TensorConfig:
             a, b = comps[pos], comps[pos + 1]
             sign = -1 if (f1.space.parities[a] and f2.space.parities[b]) else 1
             new_idx = idx + (b - a) * s1 + (a - b) * s2
-            out.add_entry(new_idx, idx, Fraction(sign))
+            out.add_entry(new_idx, idx, sign)
         return out
 
     def weight_subspace(self, w: Sequence) -> Subspace:
         target = tuple(w)
         vecs = [
-            {idx: Fraction(1)}
+            {idx: 1}
             for idx in range(self.dim)
             if self.weight_of(idx) == target
         ]

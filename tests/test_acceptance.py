@@ -271,7 +271,7 @@ def test_criterion_12_negative_controls():
     bad = [c for c in rep.checks if not c.ok]
     assert bad and all(c.witness is not None for c in bad)
     # a corrupted split-Casimir sign must break the transport relations
-    corrupted = images_via_split_casimir(config, shifted=True, corrupt_gamma="koszul")
+    corrupted = images_via_split_casimir(config, corrupt_gamma="koszul")
     rep = verify_braid_relations(corrupted)
     families = {c.id.split(":")[0] for c in rep.checks if not c.ok}
     assert {"R4", "R5"} & families, families

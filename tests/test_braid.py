@@ -69,6 +69,15 @@ def test_shift_amounts(cfg21_d2):
         assert (plain.x[i] - shifted.x[i] - half).max_entry_witness() is None
         assert (plain.z[i] - shifted.z[i] - full).max_entry_witness() is None
     assert (plain.z0 - shifted.z0).max_entry_witness() is None
+    # entries are int unless truly fractional: a Fraction(1) seed anywhere in
+    # the assembly would silently put every product on Fraction arithmetic
+    r = HP21.rank
+    units = [cfg21_d2.act_unit(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
+    shifted_ops = units + [op for _, op in shifted.named_ops()]
+    assert all(type(v) is int for op in shifted_ops for col in op.cols.values() for v in col.values())
+    plain_vals = [v for _, op in plain.named_ops() for col in op.cols.values() for v in col.values()]
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator == 2) for v in plain_vals)
+    assert any(type(v) is Fraction for v in plain_vals)
 
 
 # boundary partitions, d and hook profile: the two fixtures above and the
@@ -214,7 +223,7 @@ def test_unsigned_swap_negative_control(cfg11_d3):
 def test_corrupt_gamma_negative_control(cfg11_d3):
     # dropping the Koszul sign inside the split Casimir breaks the
     # transport relations R4 and R5, with explicit witnesses
-    broken = images_via_split_casimir(cfg11_d3, shifted=True, corrupt_gamma="koszul")
+    broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
     rep = verify_braid_relations(broken)
     families = {c.id.split(":")[0] for c in rep.checks if not c.ok}
     assert "R4" in families and "R5" in families
@@ -223,7 +232,7 @@ def test_corrupt_gamma_negative_control(cfg11_d3):
     for witness in witnesses:
         assert_witness_decodes(witness, cfg11_d3)
     # dropping the parity prefactor instead trips the sum relations
-    broken2 = images_via_split_casimir(cfg11_d3, shifted=True, corrupt_gamma="parity")
+    broken2 = images_via_split_casimir(cfg11_d3, corrupt_gamma="parity")
     rep2 = verify_braid_relations(broken2)
     assert not rep2.ok
 

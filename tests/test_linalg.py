@@ -256,15 +256,29 @@ def assert_stores_no_zero(mat):
         assert col and all(col.values())
 
 
+def is_canonical(v):
+    """An int, or a Fraction that is not integral; never a float or Fraction(n, 1)."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+def assert_canonical(mat):
+    assert all(is_canonical(v) for col in mat.cols.values() for v in col.values())
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 5), st.integers())
 def test_operator_arithmetic_matches_dense_oracle(k, seed):
     # b repeats some entries of a with either sign, so whole entries and
     # columns of a + b and a - b cancel; entries of a are fed twice, once
     # with a cancelling summand, to exercise add_entry's cancellation
+    # half the examples draw plain ints only, so int-only products occur;
+    # the others also feed integral Fractions that inserts must turn into int
     rng = random.Random(seed)
     space = GradedSpace((0,) * k)
-    vals = [Fraction(n, q) for n in (-2, -1, 1, 2) for q in (1, 2)]
+    if rng.random() < 0.5:
+        vals = [-2, -1, 1, 2]
+    else:
+        vals = [Fraction(n, q) for n in (-2, -1, 1, 2) for q in (1, 2)]
     a_entries = [(i, j, rng.choice(vals)) for i in range(k) for j in range(k) if rng.random() < 0.5]
     a = op(space, a_entries + [(i, j, v) for i, j, v in a_entries if rng.random() < 0.3]
            + [(i, j, -v) for i, j, v in a_entries if rng.random() < 0.3])
@@ -287,6 +301,7 @@ def test_operator_arithmetic_matches_dense_oracle(k, seed):
     for got, want in cases:
         assert dense(got) == want
         assert_stores_no_zero(got)
+        assert_canonical(got)
     # entries +-a[0][j] make row 0 of the image cancel now and then
     vec = {j: rng.choice([v, -v]) for j, v in enumerate(da[0]) if v}
     vec.update({j: rng.choice(vals) for j in range(k) if rng.random() < 0.3})
@@ -294,6 +309,7 @@ def test_operator_arithmetic_matches_dense_oracle(k, seed):
     assert [image.get(i, 0) for i in range(k)] == [
         sum(da[i][j] * vec.get(j, 0) for j in range(k)) for i in range(k)]
     assert all(image.values())
+    assert all(is_canonical(v) for v in image.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -326,6 +342,20 @@ def test_row_reducer_numbers_accepted_vectors_only():
     assert red.add(e0) and not red.add(e0) and red.add(e1)
     assert red.coordinates(e1) == {1: Fraction(1)}
     assert red.coordinates({0: Fraction(2), 1: Fraction(3)}) == {0: 2, 1: 3}
+
+
+def test_elimination_divides_exactly_on_integer_input():
+    # every pivot candidate is +-2, so normalising a row divides two ints:
+    # int / int would store floats 1.0 and 2.0 here instead of Fraction(1, 2)
+    sub = Subspace(GradedSpace((0, 0)), [{0: 2, 1: 4}, {1: 2}])
+    red = sub._solver
+    assert red.rows == [{0: 1, 1: 2}, {1: 1}]
+    assert red.trans == [{0: Fraction(1, 2)}, {1: Fraction(1, 2)}]
+    coords = sub.coordinates({0: 1})
+    assert coords == {0: Fraction(1, 2), 1: -1}
+    assert sub.coordinates({0: 2, 1: 6}) == {0: 1, 1: 1}
+    for vec in red.rows + red.trans + [coords, sub.coordinates({0: 2, 1: 6})]:
+        assert all(is_canonical(v) for v in vec.values()), vec
 
 
 def test_subspace_add_grows_on_independent_vectors_only():
