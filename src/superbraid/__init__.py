@@ -20,9 +20,7 @@ from .linalg import (
     Subspace,
     commutant_dimension,
     kernel_intersection,
-    koszul_tensor_op,
     simultaneous_eigenspaces,
-    tensor_space,
 )
 from .superalgebra import (
     RealizedModule,

@@ -19,11 +19,22 @@ natural-module factors.  Relations are verified as exact operator
 identities on the concrete space, never symbolically: each check reports a
 witness entry when a residual operator fails to vanish, since sign bugs
 are the dominant failure mode and a witness localizes them.
+
+The images need not be integral: kappa_V / 2 is a half-integer whenever
+kappa_V = n - m is odd, and realized boundary modules can carry fractional
+entries.  Products of such operators run on Fraction arithmetic, several
+times slower than on ints.  So the defining relations are checked on the
+images multiplied by s, the lcm of the denominators of x, y, z and z_0.
+With t fixed every relation is homogeneous in (x, y, z, z_0), so each
+scaled residual is exactly s^deg times the unscaled one, deg being its
+degree: it vanishes exactly when the unscaled one does, and its witness
+divided by s^deg is the unscaled witness, at the same entry.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -62,15 +73,20 @@ class Report:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add_zero_check(self, check_id: str, residual: LinearOp, config: TensorConfig) -> None:
+    def add_zero_check(
+        self, check_id: str, residual: LinearOp, config: TensorConfig, scale: int = 1
+    ) -> None:
         """Pass when ``residual`` vanishes; otherwise its largest entry is the
         witness, with row and column decoded to one basis index per factor
-        of ``config``, the space the residual acts on."""
+        of ``config``, the space the residual acts on.  ``residual`` is
+        ``scale`` times the operator checked, so the witness value is divided
+        by it; a positive scale leaves the largest entry where it was."""
         wit = residual.max_entry_witness()
         if wit is None:
             self.checks.append(Check(check_id, True))
         else:
             i, j, v = wit
+            v = Fraction(v, scale)
             self.checks.append(
                 Check(
                     check_id,
@@ -246,24 +262,51 @@ def m_sums(pair: dict) -> dict:
     return out
 
 
+def cleared_denominators(images: GeneratorImages) -> tuple:
+    """``(s, images with x, y, z and z_0 multiplied by s)``, where ``s`` is
+    the least common multiple of the denominators of their entries, so every
+    scaled entry is an int; ``t`` is integral already and stays as it is."""
+    polys = [images.z0, *images.x.values(), *images.y.values(), *images.z.values()]
+    s = math.lcm(1, *{v.denominator for op in polys for col in op.cols.values() for v in col.values()})
+    return s, GeneratorImages(
+        images.config, images.d, images.t,
+        {i: op.scaled(s) for i, op in images.x.items()},
+        {i: op.scaled(s) for i, op in images.y.items()},
+        {i: op.scaled(s) for i, op in images.z.items()},
+        images.z0.scaled(s), images.shifted,
+    )
+
+
 def verify_braid_relations(images: GeneratorImages) -> Report:
-    """Exhaustive exact check of the defining relations on the given space."""
+    """Exhaustive exact check of the defining relations on the given space.
+
+    The checks run on ``s x``, ``s y``, ``s z`` and ``s z_0``, with ``s``
+    from :func:`cleared_denominators`, so every product is on ints.  With
+    ``t`` fixed each relation is homogeneous of some degree ``deg`` in
+    ``(x, y, z, z_0)``: 0 for the ``sym:`` checks, 2 for the ``R2``
+    commutators and 1 for the rest, where ``m(i,j) = split-casimir`` compares
+    against ``s Gamma``.  So each residual is exactly ``s^deg`` times the
+    unscaled one: it vanishes exactly when that one does, and dividing its
+    witness by ``s^deg`` gives the unscaled witness at the same entry.
+    """
     rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
+    s, images = cleared_denominators(images)
     config = images.config
     d = images.d
     t, x, y, z = images.t, images.x, images.y, images.z
 
+    def check(check_id: str, residual: LinearOp, deg: int) -> None:
+        rep.add_zero_check(check_id, residual, config, s**deg)
+
     for i in range(1, d):
-        rep.add_zero_check(
-            f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space), config
-        )
+        check(f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space), 0)
     for i in range(1, d - 1):
         lhs = t[i] @ t[i + 1] @ t[i]
         rhs = t[i + 1] @ t[i] @ t[i + 1]
-        rep.add_zero_check(f"sym:braid(t{i},t{i + 1})", lhs - rhs, config)
+        check(f"sym:braid(t{i},t{i + 1})", lhs - rhs, 0)
     for i in range(1, d):
         for j in range(i + 2, d):
-            rep.add_zero_check(f"sym:[t{i},t{j}]", t[i].commutator(t[j]), config)
+            check(f"sym:[t{i},t{j}]", t[i].commutator(t[j]), 0)
 
     fams = {"x": x, "y": y, "z": z}
     for name, fam in fams.items():
@@ -275,19 +318,19 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             for j in range(1, d):
                 if i in (j, j + 1):
                     continue
-                rep.add_zero_check(f"R1:[{name}{i},t{j}]", op.commutator(t[j]), config)
+                check(f"R1:[{name}{i},t{j}]", op.commutator(t[j]), 1)
 
     for j in range(1, d + 1):
         partial = images.z0
         for i in range(1, d + 1):
             partial = partial + z[i]
             if i >= j:
-                rep.add_zero_check(f"R2:[z0+..+z{i},x{j}]", partial.commutator(x[j]), config)
-                rep.add_zero_check(f"R2:[z0+..+z{i},y{j}]", partial.commutator(y[j]), config)
+                check(f"R2:[z0+..+z{i},x{j}]", partial.commutator(x[j]), 2)
+                check(f"R2:[z0+..+z{i},y{j}]", partial.commutator(y[j]), 2)
 
     for i in range(1, d):
-        rep.add_zero_check(f"R3:[t{i},x{i}+x{i + 1}]", t[i].commutator(x[i] + x[i + 1]), config)
-        rep.add_zero_check(f"R3:[t{i},y{i}+y{i + 1}]", t[i].commutator(y[i] + y[i + 1]), config)
+        check(f"R3:[t{i},x{i}+x{i + 1}]", t[i].commutator(x[i] + x[i + 1]), 1)
+        check(f"R3:[t{i},y{i}+y{i + 1}]", t[i].commutator(y[i] + y[i + 1]), 1)
 
     # m_{i,i+1} = x_{i+1} - t_i x_i t_i from m_ops, and its y counterpart
     pair = m_ops(images)
@@ -296,19 +339,19 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     for name, m in (("x", mx), ("y", my)):
         for i in range(1, d - 1):
             lhs = t[i] @ t[i + 1] @ m[i] @ t[i + 1] @ t[i]
-            rep.add_zero_check(f"R4:{name},i={i}", lhs - m[i + 1], config)
+            check(f"R4:{name},i={i}", lhs - m[i + 1], 1)
 
     for i in range(1, d):
-        rep.add_zero_check(f"R5:i={i}", mx[i] - my[i], config)
+        check(f"R5:i={i}", mx[i] - my[i], 1)
 
     msum = m_sums(pair)
     for j in range(1, d + 1):
         m_j = msum.get(j, LinearOp(config.space))
-        rep.add_zero_check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - m_j), config)
+        check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - m_j), 1)
 
     for (i, j), op in sorted(pair.items()):
         gamma = config.split_casimir_op(v_position(i), v_position(j))
-        rep.add_zero_check(f"m({i},{j})=split-casimir", op - gamma, config)
+        check(f"m({i},{j})=split-casimir", op - gamma.scaled(s), 1)
     return rep
 
 

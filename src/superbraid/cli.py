@@ -125,7 +125,9 @@ def cmd_lr(args) -> int:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     total = sum(lam) + sum(mu)
-    for nu in sorted(partitions_of(total)):
+    # c^nu_{lam,mu} = 0 unless nu_1 <= lam_1 + mu_1 and l(nu) <= l(lam) + l(mu)
+    max_part = max(lam, default=0) + max(mu, default=0)
+    for nu in sorted(partitions_of(total, max_part=max_part, max_len=len(lam) + len(mu))):
         c = lr_coeff(lam, mu, nu)
         if c:
             print(f"{format_partition(nu)}:{c}")

@@ -42,10 +42,6 @@ class LinalgError(ValueError):
     pass
 
 
-class NotHomogeneousError(LinalgError):
-    """Operator mixes parities and a homogeneous one was required."""
-
-
 class NotInvariantError(LinalgError):
     """An operator does not preserve the given subspace."""
 
@@ -59,14 +55,6 @@ class GradedSpace:
     @property
     def dim(self) -> int:
         return len(self.parities)
-
-
-def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
-    """Tensor product basis in row-major order (u index slow), parity additive."""
-    parities = tuple(
-        (pu + pw) % 2 for pu in u.parities for pw in w.parities
-    )
-    return GradedSpace(parities)
 
 
 def _canonical(v: Rational) -> Rational:
@@ -179,44 +167,6 @@ class LinearOp:
             if best is None or key > best[0]:
                 best = (key, (i, j, v))
         return None if best is None else best[1]
-
-    def parity(self) -> Optional[int]:
-        """Z2 parity when homogeneous; None for the zero operator."""
-        par = self.space.parities
-        found = None
-        for j, col in self.cols.items():
-            for i in col:
-                this = (par[i] + par[j]) % 2
-                if found is None:
-                    found = this
-                elif found != this:
-                    raise NotHomogeneousError("operator mixes parities")
-        return found
-
-
-def koszul_tensor_op(a: LinearOp, b: LinearOp) -> LinearOp:
-    """Graded tensor product of homogeneous operators.
-
-    (a (x) b)(u (x) w) = (-1)^(|b| |u|) (a u) (x) (b w); the sign reads the
-    parity of the column-side basis vector of the first factor.
-    """
-    sa = a.space
-    sb = b.space
-    par_b = b.parity()
-    a.parity()  # raises if non-homogeneous
-    if par_b is None:
-        par_b = 0
-    prod = tensor_space(sa, sb)
-    out = LinearOp(prod)
-    dim_b = sb.dim
-    for ja, cola in a.cols.items():
-        sign = -1 if (par_b and sa.parities[ja] % 2) else 1
-        for jb, colb in b.cols.items():
-            j = ja * dim_b + jb
-            for ia, va in cola.items():
-                for ib, vb in colb.items():
-                    out.add_entry(ia * dim_b + ib, j, sign * va * vb)
-    return out
 
 
 class RowReducer:

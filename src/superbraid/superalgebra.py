@@ -175,8 +175,8 @@ class TensorConfig:
 
     Factor positions are 0-based indices into ``factors``, each a
     :class:`RealizedModule` on the same ``hp``.  Basis indices of
-    the product are mixed-radix with the first factor slowest, matching the
-    row-major convention of :func:`superbraid.linalg.tensor_space`.
+    the product are mixed-radix with the first factor slowest (row-major),
+    and a product basis vector's parity is the sum of its factors' parities.
     """
 
     def __init__(self, factors: Sequence, hp: HookProfile):

@@ -4,16 +4,64 @@ The package assembles x_i, y_i, z_i and z_0 from split Casimirs; here they
 are built literally as halved differences of coproduct Casimirs on growing
 factor prefixes, from single-factor embeddings alone.  Each embedding
 id (x) .. (x) E_ij (x) .. (x) id is chained one graded tensor product at a
-time by :func:`superbraid.linalg.koszul_tensor_op`, so the oracle shares
-no sign code with the assembly it checks.
+time by :func:`koszul_tensor_op`, so the oracle shares no sign code with
+the assembly it checks.
 """
 
 from fractions import Fraction
 from functools import reduce
+from typing import Optional
 
 from superbraid.braid import POS_M, POS_N, v_position
-from superbraid.linalg import LinearOp, koszul_tensor_op
+from superbraid.linalg import GradedSpace, LinalgError, LinearOp
 from superbraid.superalgebra import index_parity, natural_casimir_scalar
+
+
+class NotHomogeneousError(LinalgError):
+    """Operator mixes parities and a homogeneous one was required."""
+
+
+def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
+    """Tensor product basis in row-major order (u index slow), parity additive."""
+    return GradedSpace(tuple((pu + pw) % 2 for pu in u.parities for pw in w.parities))
+
+
+def parity(op: LinearOp) -> Optional[int]:
+    """Z2 parity of ``op`` when homogeneous; None for the zero operator."""
+    par = op.space.parities
+    found = None
+    for j, col in op.cols.items():
+        for i in col:
+            this = (par[i] + par[j]) % 2
+            if found is None:
+                found = this
+            elif found != this:
+                raise NotHomogeneousError("operator mixes parities")
+    return found
+
+
+def koszul_tensor_op(a: LinearOp, b: LinearOp) -> LinearOp:
+    """Graded tensor product of homogeneous operators.
+
+    (a (x) b)(u (x) w) = (-1)^(|b| |u|) (a u) (x) (b w); the sign reads the
+    parity of the column-side basis vector of the first factor.
+    """
+    sa = a.space
+    sb = b.space
+    par_b = parity(b)
+    parity(a)  # raises if non-homogeneous
+    if par_b is None:
+        par_b = 0
+    out = LinearOp(tensor_space(sa, sb))
+    dim_b = sb.dim
+    for ja, cola in a.cols.items():
+        sign = -1 if (par_b and sa.parities[ja] % 2) else 1
+        for jb, colb in b.cols.items():
+            j = ja * dim_b + jb
+            for ia, va in cola.items():
+                for ib, vb in colb.items():
+                    out.add_entry(ia * dim_b + ib, j, sign * va * vb)
+    return out
 
 
 def unit_embeddings(config):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from superbraid.braid import (
+    cleared_denominators,
     images_via_split_casimir,
     rho_images,
     rho_prime_images,
@@ -296,6 +297,12 @@ def test_criterion_13_paper_example_operators():
         images = rho_prime_images(config)
         rep = verify_hecke_relations(images, a, p, b, q)
         assert rep.checks and rep.ok, [c.id for c in rep.checks if not c.ok]
+        # the defining relations on both actions; the boundary modules'
+        # half-integer entries make both run on doubled images
+        for acting in (rho_images(config), images):
+            assert cleared_denominators(acting)[0] == 2
+            rep = verify_braid_relations(acting)
+            assert rep.checks and rep.ok, [c.id for c in rep.checks if not c.ok]
         records = spectral_match(g, config, images)
         assert [rec["partition"] for rec in records] == [list(lam) for lam in g.level(d)]
         for rec in records:
@@ -304,4 +311,4 @@ def test_criterion_13_paper_example_operators():
         for lam in g.level(d):
             rec = irreducibility_check(g, config, images, lam)
             assert rec["ok"], rec
-    report(13, "paper example at d <= 2: quotient relations, spectra, irreducibility", t0, budget=60.0)
+    report(13, "paper example at d <= 2: defining and quotient relations, spectra, irreducibility", t0, budget=60.0)

@@ -6,12 +6,14 @@ import pytest
 from superbraid.braid import (
     POS_M,
     POS_N,
+    cleared_denominators,
     images_via_split_casimir,
     m_ops,
     m_sums,
     rho_images,
     rho_prime_images,
     transposition_op,
+    unshifted,
     v_position,
     verify_braid_relations,
     verify_centralizer,
@@ -27,7 +29,10 @@ from casimir_oracle import casimir_difference_images
 
 HP11 = HookProfile(1, 1)
 HP21 = HookProfile(2, 1)
-GOLDEN_KOSZUL = Path(__file__).parent / "golden" / "braid_koszul_a1b1_n1m1_d3.json"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_KOSZUL = GOLDEN / "braid_koszul_a1b1_n1m1_d3.json"
+GOLDEN_KOSZUL_PLAIN = GOLDEN / "braid_koszul_plain_a1b1_n2m1_d3.json"
+GOLDEN_KOSZUL_PAPER = GOLDEN / "braid_koszul_a4p3b2q2_n3m1_d2.json"
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,14 @@ def test_shift_amounts(cfg21_d2):
     plain_vals = [v for _, op in plain.named_ops() for col in op.cols.values() for v in col.values()]
     assert all(type(v) is int or (type(v) is Fraction and v.denominator == 2) for v in plain_vals)
     assert any(type(v) is Fraction for v in plain_vals)
+    # so the braid checks run the plain images doubled, the shifted ones as they are
+    s_plain, cleared = cleared_denominators(plain)
+    assert (s_plain, cleared_denominators(shifted)[0]) == (2, 1)
+    assert all(
+        type(v) is int for _, op in cleared.named_ops() for col in op.cols.values() for v in col.values()
+    )
+    assert list(cleared.x[1].entries()) == list(plain.x[1].scaled(2).entries())
+    assert cleared.t == plain.t
 
 
 # boundary partitions, d and hook profile: the two fixtures above and the
@@ -128,6 +141,28 @@ def test_corrupt_gamma_report_matches_golden(cfg11_d3):
     # row, column and their decoding into one basis index per factor
     broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
     assert verify_braid_relations(broken).to_json() + "\n" == GOLDEN_KOSZUL.read_text()
+
+
+def test_corrupt_gamma_plain_report_matches_golden():
+    # kappa_V / 2 = 1/2 on the plain x_i and y_i makes the checks run on
+    # doubled images: every witness, the R2 ones at 2^2, is divided back
+    cfg = module_tensor_config((1,), (1,), 3, HP21)
+    broken = unshifted(images_via_split_casimir(cfg, corrupt_gamma="koszul"))
+    assert cleared_denominators(broken)[0] == 2
+    rep = verify_braid_relations(broken)
+    assert sum(not c.ok for c in rep.checks) == 25
+    assert rep.to_json() + "\n" == GOLDEN_KOSZUL_PLAIN.read_text()
+
+
+def test_corrupt_gamma_paper_example_report_matches_golden():
+    # half-integer entries of the realized boundary modules L(4^3) and
+    # L(2^2) make the shifted images at the paper example run doubled too
+    cfg = module_tensor_config((4, 4, 4), (2, 2), 2, HookProfile(3, 1))
+    broken = images_via_split_casimir(cfg, corrupt_gamma="koszul")
+    assert cleared_denominators(broken)[0] == 2
+    rep = verify_braid_relations(broken)
+    assert sum(not c.ok for c in rep.checks) == 11
+    assert rep.to_json() + "\n" == GOLDEN_KOSZUL_PAPER.read_text()
 
 
 def test_swap_involution(cfg11_d3):

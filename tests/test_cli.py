@@ -84,6 +84,15 @@ def test_lr_listing(capsys):
     assert lines["[2,2,1,1]"] == "1"
 
 
+
+def test_lr_scan_is_bounded_by_the_factors(capsys):
+    # s_(30) s_(30) has the 31 two-row terms (60 - k, k); an unbounded scan
+    # of the 966467 partitions of 60 does not finish in reasonable time
+    code, out, _ = run(capsys, "lr", "--lam", "30", "--mu", "30")
+    assert code == EXIT_OK
+    assert out.splitlines() == [f"[{60 - k},{k}]:1" if k else "[60]:1" for k in range(30, -1, -1)]
+
+
 def test_p0_listing(capsys):
     code, out, _ = run(capsys, "p0", "--a", "4", "--p", "3", "--b", "2", "--q", "2",
                        "--n", "3", "--m", "1")

@@ -10,19 +10,17 @@ from superbraid.linalg import (
     GradedSpace,
     LinalgError,
     LinearOp,
-    NotHomogeneousError,
     NotInvariantError,
     RowReducer,
     Subspace,
     commutant_dimension,
     kernel_intersection,
-    koszul_tensor_op,
     simultaneous_eigenspaces,
-    tensor_space,
 )
 from superbraid.modules import highest_weight_vectors, module_tensor_config
 from superbraid.partitions import HookProfile, hook_to_weight
 
+from casimir_oracle import NotHomogeneousError, koszul_tensor_op, tensor_space
 from commutant_oracle import commutant_dimension_by_equations
 
 V11 = GradedSpace((0, 1))

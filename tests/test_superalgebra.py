@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from superbraid.linalg import GradedSpace, LinearOp, koszul_tensor_op
+from superbraid.linalg import GradedSpace, LinearOp
 from superbraid.modules import module_tensor_config
 from superbraid.partitions import HookProfile
 from superbraid.superalgebra import (
@@ -23,7 +23,7 @@ from superbraid.superalgebra import (
     unit_parity,
 )
 
-from casimir_oracle import coproduct_casimir, coproduct_unit, unit_embeddings
+from casimir_oracle import coproduct_casimir, coproduct_unit, koszul_tensor_op, unit_embeddings
 
 HPS = [HookProfile(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
 
