@@ -18,6 +18,7 @@ from .linalg import (
     GradedSpace,
     LinearOp,
     Subspace,
+    commutant_components,
     commutant_dimension,
     kernel_intersection,
     simultaneous_eigenspaces,

@@ -6,6 +6,16 @@ previous one.  Paths through the graph index a basis of each multiplicity
 space; the polynomial generators act on that basis diagonally by box
 contents, which is what :func:`spectral_match` verifies against the
 concrete operators.
+
+Irreducibility is read off the same basis.  Once ``z_0..z_d`` have ``k``
+distinct one-dimensional joint eigenspaces on a ``k``-dimensional
+multiplicity space, everything commuting with them is diagonal in the
+joint eigenbasis, and a diagonal ``D`` commutes with ``A`` exactly when
+``D_ii = D_jj`` wherever ``A_ij != 0``, because
+``[D, A]_ij = (D_ii - D_jj) A_ij``.  So :func:`irreducibility_check`
+counts the connected components of the off-diagonal nonzeros of ``x_1``
+and ``t_1..t_{d-1}`` in that basis instead of solving for the commutant;
+one component means an absolutely irreducible space.
 """
 
 from __future__ import annotations
@@ -13,7 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from .linalg import NotInvariantError, commutant_dimension, simultaneous_eigenspaces
+from .linalg import (
+    GradedSpace,
+    NotInvariantError,
+    Subspace,
+    commutant_components,
+    restrict_op,
+    simultaneous_eigenspaces,
+)
 from .modules import highest_weight_vectors
 from .partitions import (
     Box,
@@ -250,6 +267,35 @@ def predicted_tuples(g: BratteliGraph, lam: Partition) -> dict:
     return out
 
 
+def _joint_eigenspaces(g: BratteliGraph, config, images, lam: Partition, notes: list) -> tuple:
+    """``(tuples, mult, spaces)`` for the top vertex ``lam``.
+
+    ``tuples`` are the predicted ``(z_0, z_1..z_d)`` tuples in path order,
+    ``mult`` the space of highest weight vectors, and ``spaces`` the joint
+    eigenspace of ``z_0..z_d`` for each tuple, in the coordinates of
+    ``mult``; ``spaces`` is None when they could not be counted.  Each
+    failed precondition of the spectral claim is appended to ``notes``, so
+    ``notes`` stays empty exactly when the ``k`` spaces are one-dimensional
+    and their vectors, in path order, form a joint eigenbasis.
+    """
+    tuples = list(predicted_tuples(g, lam).values())
+    mult = highest_weight_vectors(config, hook_to_weight(tuple(lam), g.hp))
+    if len(set(tuples)) != len(tuples):
+        notes.append("predicted tuples not distinct")
+    if mult.dim != len(tuples):
+        notes.append(f"multiplicity {mult.dim} != path count {len(tuples)}")
+        return tuples, mult, None
+    ops = [images.z0] + [images.z[i] for i in range(1, g.d + 1)]
+    try:
+        spaces = simultaneous_eigenspaces(ops, mult, tuples)
+    except NotInvariantError as exc:  # report, do not crash the suite
+        notes.append(f"eigenspace count failed: {exc}")
+        return tuples, mult, None
+    if any(space.dim != 1 for space in spaces):
+        notes.append("joint eigenspace of dimension != 1")
+    return tuples, mult, spaces
+
+
 def spectral_match(g: BratteliGraph, config, images) -> list:
     """Joint spectrum of (z_0, z_1..z_d) on every multiplicity space.
 
@@ -262,42 +308,54 @@ def spectral_match(g: BratteliGraph, config, images) -> list:
     commute, and have exactly the predicted joint spectrum.
     """
     records = []
-    ops = [images.z0] + [images.z[i] for i in range(1, g.d + 1)]
     for lam in g.level(g.d):
-        tuples = list(predicted_tuples(g, lam).values())
-        mult = highest_weight_vectors(config, hook_to_weight(lam, g.hp))
+        notes: list = []
+        tuples, mult, spaces = _joint_eigenspaces(g, config, images, lam, notes)
         record = {
             "partition": list(lam),
             "paths": len(tuples),
             "multiplicity_dim": mult.dim,
-            "notes": [],
+            "notes": notes,
         }
-        if len(set(tuples)) != len(tuples):
-            record["notes"].append("predicted tuples not distinct")
-        if mult.dim != len(tuples):
-            record["notes"].append(f"multiplicity {mult.dim} != path count {len(tuples)}")
-        else:
-            try:
-                record["eigenspace_dims"] = simultaneous_eigenspaces(ops, mult, tuples)
-            except NotInvariantError as exc:  # report, do not crash the suite
-                record["notes"].append(f"eigenspace count failed: {exc}")
-            else:
-                if any(dim != 1 for dim in record["eigenspace_dims"]):
-                    record["notes"].append("joint eigenspace of dimension != 1")
-        record["ok"] = not record["notes"]
+        if spaces is not None:
+            record["eigenspace_dims"] = [space.dim for space in spaces]
+        record["ok"] = not notes
         records.append(record)
     return records
 
 
 def irreducibility_check(g: BratteliGraph, config, images, lam: Partition) -> dict:
-    """Commutant dimension of the quotient-algebra generators on one space."""
-    mult = highest_weight_vectors(config, hook_to_weight(tuple(lam), g.hp))
-    gens = [op for _, op in images.hecke_generators()]
-    dim = commutant_dimension(gens, mult)
+    """Commutant dimension of the quotient-algebra generators on one space,
+    counted as components in the joint ``z``-eigenbasis.
+
+    The generators are ``z_0..z_d``, ``x_1`` and ``t_1..t_{d-1}``.  When
+    the spectral claim holds at ``lam`` (see :func:`spectral_match`), the
+    ``z``'s have ``k`` one-dimensional joint eigenspaces with distinct
+    tuples on the ``k``-dimensional space, and their vectors form a basis.
+    Anything commuting with the ``z``'s preserves each of those lines, so
+    the commutant is a set of diagonal matrices in that basis, and a
+    diagonal ``D`` commutes with ``A`` iff ``D_ii = D_jj`` wherever
+    ``A_ij != 0``, since ``[D, A]_ij = (D_ii - D_jj) A_ij``.  The commutant
+    dimension is therefore the number of connected components of the graph
+    whose edges are the off-diagonal nonzeros of ``x_1`` and the ``t_i`` in
+    the eigenbasis (:func:`commutant_components`); this is exact.  One
+    component certifies absolute irreducibility, as the dimension of a
+    commutant does not change under field extension.  A vertex where the
+    spectral claim fails has no such basis and fails with a note saying
+    why; there is no other route to a verdict.
+    """
+    notes: list = []
+    _, mult, spaces = _joint_eigenspaces(g, config, images, lam, notes)
+    dim = None
+    if not notes:
+        eigenbasis = Subspace(GradedSpace((0,) * mult.dim), [space.vectors[0] for space in spaces])
+        gens = [op for name, op in images.hecke_generators() if not name.startswith("z")]
+        dim = commutant_components([restrict_op(op, mult) for op in gens], eigenbasis)
     return {
         "partition": list(lam),
         "multiplicity_dim": mult.dim,
         "commutant_dim": dim,
+        "notes": notes,
         "ok": dim == 1,
     }
 

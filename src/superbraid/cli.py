@@ -34,7 +34,6 @@ from .partitions import (
     check_rectangle_params,
     format_partition,
     hook_to_weight,
-    is_hook,
     parse_partition,
     rectangle,
 )
@@ -97,11 +96,22 @@ def _rectangles_config(args, cap: int):
 
 
 def _hooks_up_to(args, hp: HookProfile):
-    """Hook diagrams of gl(n|m) by size, up to ``--max-size``."""
+    """Hook diagrams of gl(n|m) by size, up to ``--max-size``, each size in
+    :func:`partitions_of` order (lex decreasing).
+
+    A hook is a partition with at most ``n`` rows on top and, only when all
+    ``n`` are used, rows of at most ``min(m, lambda_n)`` boxes below them.
+    """
     for total in range(args.max_size + 1):
-        for lam in partitions_of(total):
-            if is_hook(lam, hp):
-                yield lam
+        hooks = []
+        for top_size in range(total + 1):
+            for top in partitions_of(top_size, max_len=hp.n):
+                if top_size == total:
+                    hooks.append(top)
+                elif len(top) == hp.n:
+                    below = partitions_of(total - top_size, max_part=min(hp.m, top[-1]))
+                    hooks.extend(top + tail for tail in below)
+        yield from sorted(hooks, reverse=True)
 
 
 def cmd_bar(args) -> int:
@@ -145,9 +155,12 @@ def _verify_braid(args, cap: int) -> Report:
     config = _config(args, cap)
     rep = Report(f"braid n={args.n} m={args.m} d={args.d}")
     shifted = rho_prime_images(config)
-    for images, tag in ((unshifted(shifted), "plain"), (shifted, "shifted")):
-        for check in verify_braid_relations(images).checks:
-            rep.add(replace(check, id=f"{tag}:{check.id}"))
+    # the plain images are passed on with no other reference, so they are
+    # freed as soon as verify_braid_relations has scaled them
+    for check in verify_braid_relations(unshifted(shifted)).checks:
+        rep.add(replace(check, id=f"plain:{check.id}"))
+    for check in verify_braid_relations(shifted).checks:
+        rep.add(replace(check, id=f"shifted:{check.id}"))
     return rep
 
 

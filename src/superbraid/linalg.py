@@ -19,13 +19,17 @@ all go through it, and :meth:`LinearOp.add_entry` is the single-entry
 insert.  The matrix of an operator restricted to a subspace is again a
 :class:`LinearOp`, on the subspace's coordinate space.
 :class:`RowReducer` holds the one elimination loop; only :class:`Subspace`,
-:func:`kernel_intersection` and :func:`restrict_op` drive it, and a
-commutant is a joint kernel too, on the space of matrices.
+:func:`kernel_intersection` and :func:`restrict_op` drive it.
 
 A joint spectrum is checked by counting, not by splitting: joint
 eigenvectors with pairwise distinct eigenvalue tuples are linearly
 independent, so one-dimensional joint eigenspaces for ``k`` distinct
-tuples on a ``k``-dimensional space already form a basis of it.
+tuples on a ``k``-dimensional space already form a basis of it.  A
+commutant is found by counting too: in such a joint eigenbasis it is
+diagonal, and :func:`commutant_components` counts the connected components
+of the other operators' off-diagonal entries there.  The joint-kernel
+solve :func:`commutant_dimension`, on the space of matrices, is kept as
+the oracle for that count.
 """
 
 from __future__ import annotations
@@ -330,29 +334,73 @@ def commutant_dimension(ops: Sequence, within: Subspace) -> int:
     is found by :func:`kernel_intersection` from the full matrix space; each
     ad_A is built only when its turn comes.  Dimension 1 over the rationals
     certifies absolute irreducibility: the commutant dimension of a matrix
-    set is invariant under field extension.
+    set is invariant under field extension.  The package counts the
+    commutant with :func:`commutant_components` instead; this solve is the
+    oracle for that count.
     """
     k = within.dim
     ads = (_ad(restrict_op(op, within)) for op in ops)
     return kernel_intersection(ads, Subspace.full(GradedSpace((0,) * (k * k)))).dim
 
 
-def simultaneous_eigenspaces(ops: Sequence, within: Subspace, tuples: Sequence) -> list:
-    """Dimension of the joint eigenspace of ``ops`` for each eigenvalue tuple.
+def commutant_components(ops: Sequence, basis: Subspace) -> int:
+    """Connected components of the graph of ``ops`` in the basis ``basis``.
 
-    Entry ``j`` is the dimension of the joint kernel of ``ops[i] - tuples[j][i]``
-    inside ``within``.  Each operator is restricted to ``within`` once and
-    the kernels are taken on those small matrices, never on the ambient
-    space.  Joint eigenvectors with distinct eigenvalue tuples are linearly
-    independent, so ``k`` distinct tuples with dimension 1 each on a
-    ``k``-dimensional subspace prove that the operators act there
-    diagonalizably, commute, and have exactly that joint spectrum.
+    ``basis`` is a basis of the coordinate space the ops act on (for
+    example a joint eigenbasis found by :func:`simultaneous_eigenspaces`).
+    Each op is rewritten in it with :func:`restrict_op`; the graph has the
+    vertices ``0..k-1`` and an edge ``i - j`` wherever entry ``(i, j)``, off
+    the diagonal, is nonzero.
+
+    The count is the dimension of the diagonal matrices that commute with
+    every op, because ``[D, A]_ij = (D_ii - D_jj) A_ij``: a diagonal ``D``
+    commutes with ``A`` exactly when ``D_ii = D_jj`` along every edge of
+    ``A``, so ``D`` is constant on each component and free across them.
+    When the basis consists of joint eigenvectors of further operators
+    ``z`` with pairwise distinct eigenvalue tuples, every ``X`` that
+    commutes with the ``z`` maps each one-dimensional joint eigenspace into
+    itself, so it is diagonal in that basis and commutes with the ``z``;
+    the commutant of the ``z`` together with ``ops`` is then exactly those
+    diagonal matrices, and the count is its dimension.  The
+    :func:`commutant_dimension` solve is the oracle for this count.
+    """
+    root = list(range(basis.dim))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    count = basis.dim
+    for op in ops:
+        for j, col in restrict_op(op, basis).cols.items():
+            for i in col:
+                a, b = find(i), find(j)
+                if a != b:
+                    root[a] = b
+                    count -= 1
+    return count
+
+
+def simultaneous_eigenspaces(ops: Sequence, within: Subspace, tuples: Sequence) -> list:
+    """Joint eigenspace of ``ops`` for each eigenvalue tuple, in coordinates.
+
+    Entry ``j`` is the joint kernel of ``ops[i] - tuples[j][i]`` inside
+    ``within``, as a :class:`Subspace` of the coordinate space of
+    ``within`` (vectors in its coordinates).  Each operator is restricted
+    to ``within`` once and the kernels are taken on those small matrices,
+    never on the ambient space.  Joint eigenvectors with distinct
+    eigenvalue tuples are linearly independent, so ``k`` distinct tuples
+    with dimension 1 each on a ``k``-dimensional subspace prove that the
+    operators act there diagonalizably, commute, and have exactly that
+    joint spectrum; the ``k`` vectors are then a basis of the coordinates.
     """
     if any(len(t) != len(ops) for t in tuples):
         raise LinalgError("need one eigenvalue per operator in every tuple")
     mats = [restrict_op(op, within) for op in ops]
     coords = Subspace.full(GradedSpace((0,) * within.dim))
     return [
-        kernel_intersection([mat.plus_scalar(-c) for mat, c in zip(mats, t)], coords).dim
+        kernel_intersection([mat.plus_scalar(-c) for mat, c in zip(mats, t)], coords)
         for t in tuples
     ]

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,16 @@ from superbraid.bratteli import (
     z_values,
 )
 from superbraid.braid import rho_images, rho_prime_images
-from superbraid.linalg import commutant_dimension
+from superbraid.linalg import (
+    GradedSpace,
+    Subspace,
+    commutant_components,
+    commutant_dimension,
+    restrict_op,
+    simultaneous_eigenspaces,
+)
 from superbraid.modules import highest_weight_vectors, module_tensor_config
-from superbraid.partitions import Box, HookProfile, hook_to_weight
+from superbraid.partitions import Box, HookProfile, hook_to_weight, rectangle
 
 HP31 = HookProfile(3, 1)
 HP21 = HookProfile(2, 1)
@@ -226,6 +234,16 @@ def test_irreducibility(hp, d):
         assert rec["ok"], rec
 
 
+def joint_eigenbasis(g, images, lam):
+    """The space of highest weight vectors at lam, and the joint eigenbasis
+    of z_0..z_d in its coordinates, in path order."""
+    mult = highest_weight_vectors(images.config, hook_to_weight(lam, g.hp))
+    zs = [images.z0] + [images.z[i] for i in range(1, g.d + 1)]
+    spaces = simultaneous_eigenspaces(zs, mult, list(predicted_tuples(g, lam).values()))
+    assert [space.dim for space in spaces] == [1] * mult.dim, lam
+    return mult, Subspace(GradedSpace((0,) * mult.dim), [space.vectors[0] for space in spaces])
+
+
 def test_irreducibility_control_without_x1():
     # dropping the boundary generator must lose irreducibility on a
     # two-path space: the remaining generators act diagonally there
@@ -239,6 +257,75 @@ def test_irreducibility_control_without_x1():
     assert commutant_dimension(gens_without_x1, mult) > 1
     full = gens_without_x1 + [images.x[1]]
     assert commutant_dimension(full, mult) == 1
+    # the same two verdicts as component counts in the joint eigenbasis
+    mult, basis = joint_eigenbasis(g, images, (2, 2))
+    t1, x1 = (restrict_op(o, mult) for o in (images.t[1], images.x[1]))
+    assert commutant_components([t1], basis) > 1
+    assert commutant_components([t1, x1], basis) == 1
+
+
+# (a, p, b, q), gl(n|m), d, and the number of (path, generator) pairs
+DESK_CONFIGS = {
+    "a2p2b2q1-n2m1-d3": ((2, 2, 2, 1), HP21, 3, 144),
+    "a1p1b1q1-n2m1-d2": ((1, 1, 1, 1), HP21, 2, 20),
+    "paper-d2": ((4, 3, 2, 2), HP31, 2, 66),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DESK_CONFIGS))
+def desk(request):
+    (a, p, b, q), hp, d, pairs = DESK_CONFIGS[request.param]
+    g = build_graph(a, p, b, q, hp, d)
+    config = module_tensor_config(rectangle(a, p), rectangle(b, q), d, hp)
+    return g, config, rho_prime_images(config), pairs
+
+
+def test_component_count_matches_commutant_oracle(desk):
+    g, config, images, _ = desk
+    gens = [op for _, op in images.hecke_generators()]
+    for lam in g.level(g.d):
+        rec = irreducibility_check(g, config, images, lam)
+        mult = highest_weight_vectors(config, hook_to_weight(lam, g.hp))
+        assert rec["commutant_dim"] == commutant_dimension(gens, mult) == 1, rec
+        assert rec["ok"] and rec["notes"] == [], rec
+
+
+def test_seminormal_form_in_joint_eigenbasis(desk):
+    # Young's seminormal form: in the eigenbasis, in path order, t_i joins T
+    # only to s_i T, with 1 / (c_{i+1}(T) - c_i(T)) on the diagonal, and x_1
+    # joins T only to s_0 T
+    g, _, images, pairs = desk
+    checked = 0
+    for lam in g.level(g.d):
+        paths = paths_to(g, lam)
+        mult, basis = joint_eigenbasis(g, images, lam)
+        gens = [(0, images.x[1])] + [(i, images.t[i]) for i in range(1, g.d)]
+        for i, gen in gens:
+            mat = restrict_op(restrict_op(gen, mult), basis)
+            for col, path in enumerate(paths):
+                partner = s_action_on_paths(g, i, path)
+                entries = mat.cols.get(col, {})
+                off = {paths[row] for row, v in entries.items() if row != col}
+                assert off == ({partner} - {path}), (lam, i, path, off)
+                if i >= 1:
+                    c = z_values(path)
+                    assert entries.get(col, 0) == Fraction(1, c[i] - c[i - 1]), (lam, i, path)
+                checked += 1
+    assert checked == pairs
+
+
+@pytest.mark.parametrize("hp,d", [(HP21, 2), (HP21, 3)])
+def test_irreducibility_control_unshifted_images(hp, d):
+    # without the shift no predicted tuple has a joint eigenvector, so no
+    # vertex has an eigenbasis: each fails with that note, and none crashes
+    g = build_graph(1, 1, 1, 1, hp, d)
+    config = module_tensor_config((1,), (1,), d, hp)
+    images = rho_images(config)
+    records = [irreducibility_check(g, config, images, lam) for lam in g.level(d)]
+    assert any(rec["multiplicity_dim"] > 1 for rec in records)
+    for rec in records:
+        assert not rec["ok"] and rec["commutant_dim"] is None, rec
+        assert rec["notes"] == ["joint eigenspace of dimension != 1"], rec
 
 
 def test_graph_dict_schema(figure_graph):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbraid import modules
-from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, main
+from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, _hooks_up_to, main
 from superbraid.modules import ConstructionError
-from superbraid.schur import MultiplicityError
+from superbraid.partitions import HookProfile, is_hook
+from superbraid.schur import MultiplicityError, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,6 +161,24 @@ def test_failing_hecke_report_matches_golden(capsys):
     assert out == (GOLDEN / "hecke_control_a1p1b1q1_n2m1_d2_params2111.json").read_text()
 
 
+def test_irreducible_report_matches_golden(capsys):
+    # every vertex passes; the verdicts are pinned byte for byte
+    code, out, _ = run(capsys, "verify", "irreducible", "--a", "2", "--p", "2", "--b", "2",
+                       "--q", "1", "--n", "2", "--m", "1", "--d", "3", "--fmt", "json")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "irreducible_a2p2b2q1_n2m1_d3.json").read_text()
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (1, 2)])
+def test_hooks_match_partition_filter(n, m):
+    # the direct generation yields what filtering every partition did, in
+    # the same order
+    hp = HookProfile(n, m)
+    args = argparse.Namespace(max_size=10)
+    expected = [lam for total in range(11) for lam in partitions_of(total) if is_hook(lam, hp)]
+    assert list(_hooks_up_to(args, hp)) == expected
+
+
 def test_malformed_check_params_reported_before_building(capsys):
     # the flag is parsed first, so a cap the build would exceed does not mask it
     for params in ("1,2", "1,x"):
@@ -256,6 +276,7 @@ FAR_OVER_CAP = [
         (["verify", "hecke", "--a", "1", "--p", "1", "--b", "1", "--q", "1",
           "--n", "2", "--m", "1", "--d", "0", "--fmt", "json"], EXIT_USAGE),
         (["verify", "casimir", "--n", "1", "--m", "1", "--max-size", "0"], EXIT_OK),
+        (["verify", "casimir", "--n", "1", "--m", "1", "--max-size", "60"], EXIT_OK),
         (["verify", "braid", "--n", "1", "--m", "1", "--d", "1", "--cap", "8"], EXIT_OK),
         (["verify", "hecke", "--a", "0", "--p", "1", "--b", "1", "--q", "1",
           "--n", "1", "--m", "1", "--d", "1"], EXIT_USAGE),

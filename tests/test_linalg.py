@@ -13,8 +13,10 @@ from superbraid.linalg import (
     NotInvariantError,
     RowReducer,
     Subspace,
+    commutant_components,
     commutant_dimension,
     kernel_intersection,
+    restrict_op,
     simultaneous_eigenspaces,
 )
 from superbraid.modules import highest_weight_vectors, module_tensor_config
@@ -28,6 +30,10 @@ V11 = GradedSpace((0, 1))
 
 def op(space, entries):
     return LinearOp.from_entries(space, entries)
+
+
+def eigen_dims(ops, within, tuples):
+    return [space.dim for space in simultaneous_eigenspaces(ops, within, tuples)]
 
 
 def test_tensor_space_row_major_parities():
@@ -172,11 +178,52 @@ def test_commutant_matches_equation_oracle_on_desk_config():
     assert 1 in seen and max(seen) > 1
 
 
+def test_commutant_components_reads_both_triangles():
+    # one off-diagonal entry joins its two basis vectors, above or below
+    # the diagonal; diagonal entries join nothing
+    s3 = GradedSpace((0, 0, 0))
+    full = Subspace.full(s3)
+    assert commutant_components([], full) == 3
+    assert commutant_components([op(s3, [(0, 0, 4), (2, 2, -1)])], full) == 3
+    assert commutant_components([op(s3, [(1, 0, 1)])], full) == 2
+    assert commutant_components([op(s3, [(0, 1, 1)])], full) == 2
+    assert commutant_components([op(s3, [(2, 1, 1)]), op(s3, [(1, 0, 1)])], full) == 1
+
+
+def test_commutant_components_in_a_basis():
+    # E12 in the basis e0 + e1, e1 is [[1, 0], [-1, -1]]: still one edge
+    s2 = GradedSpace((0, 0))
+    basis = Subspace(s2, [{0: 1, 1: 1}, {1: 1}])
+    assert commutant_components([op(s2, [(0, 1, 1)])], basis) == 1
+    assert commutant_components([op(s2, [(0, 0, 1), (1, 1, 2)])], basis) == 1
+    assert commutant_components([op(s2, [(0, 0, 1), (1, 1, 1)])], basis) == 2
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.integers())
+def test_commutant_components_match_commutant_oracle(k, n_ops, seed):
+    # next to a diagonal operator with distinct entries the commutant is
+    # diagonal, so its dimension is the component count of the others; the
+    # operators are conjugated by a random unitriangular change of basis,
+    # and the count is taken in that basis
+    rng = random.Random(seed)
+    space = GradedSpace((0,) * k)
+    ops = [
+        op(space, [(i, j, rng.randint(-2, 2)) for i in range(k) for j in range(k) if rng.random() < 0.3])
+        for _ in range(n_ops)
+    ]
+    basis = Subspace(space, [{i: 1, **{j: rng.randint(-1, 1) for j in range(i + 1, k)}} for i in range(k)])
+    in_basis = [restrict_op(o, basis) for o in ops]
+    diagonal = op(space, [(i, i, i + 1) for i in range(k)])
+    expected = commutant_dimension(in_basis + [diagonal], Subspace.full(space))
+    assert commutant_components(ops, basis) == expected
+
+
 def test_simultaneous_eigenspaces_scalar():
     space = GradedSpace((0, 0))
     full = Subspace.full(space)
     c_id = LinearOp.identity(space, Fraction(7))
-    assert simultaneous_eigenspaces([c_id], full, [(Fraction(7),), (Fraction(1),)]) == [2, 0]
+    assert eigen_dims([c_id], full, [(Fraction(7),), (Fraction(1),)]) == [2, 0]
 
 
 def test_simultaneous_eigenspaces_refinement():
@@ -185,7 +232,7 @@ def test_simultaneous_eigenspaces_refinement():
     d1 = op(space, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
     d2 = op(space, [(0, 0, 5), (1, 1, 3), (2, 2, 3)])
     tuples = [(1, 3), (1, 5), (2, 3), (2, 5)]
-    assert simultaneous_eigenspaces([d1, d2], full, tuples) == [1, 1, 1, 0]
+    assert eigen_dims([d1, d2], full, tuples) == [1, 1, 1, 0]
 
 
 def test_simultaneous_eigenspaces_incomplete_candidates():
@@ -193,7 +240,7 @@ def test_simultaneous_eigenspaces_incomplete_candidates():
     space = GradedSpace((0, 0))
     full = Subspace.full(space)
     d = op(space, [(0, 0, 1), (1, 1, 2)])
-    assert simultaneous_eigenspaces([d], full, [(1,)]) == [1]
+    assert eigen_dims([d], full, [(1,)]) == [1]
 
 
 def test_simultaneous_eigenspaces_jordan_block():
@@ -202,7 +249,7 @@ def test_simultaneous_eigenspaces_jordan_block():
     space = GradedSpace((0, 0))
     full = Subspace.full(space)
     jordan = op(space, [(0, 0, 1), (0, 1, 1), (1, 1, 1)])
-    assert simultaneous_eigenspaces([jordan], full, [(1,), (2,)]) == [1, 0]
+    assert eigen_dims([jordan], full, [(1,), (2,)]) == [1, 0]
 
 
 def test_simultaneous_eigenspaces_noncommuting_rejected():
@@ -210,7 +257,19 @@ def test_simultaneous_eigenspaces_noncommuting_rejected():
     s2 = GradedSpace((0, 0))
     full = Subspace.full(s2)
     ops = [op(s2, [(0, 1, 1)]), op(s2, [(1, 0, 1)])]
-    assert simultaneous_eigenspaces(ops, full, [(0, 0), (1, 1)]) == [0, 0]
+    assert eigen_dims(ops, full, [(0, 0), (1, 1)]) == [0, 0]
+
+
+def test_simultaneous_eigenspaces_vectors_are_eigenvectors():
+    # the kernels are in the coordinates of the subspace: on the span of
+    # e0 + e1 and e2, diag(3, 3, 5) has eigenvalue 3 at coordinate 0 only
+    space = GradedSpace((0, 0, 0))
+    sub = Subspace(space, [{0: 1, 1: 1}, {2: 1}])
+    d = op(space, [(0, 0, 3), (1, 1, 3), (2, 2, 5)])
+    three, five = simultaneous_eigenspaces([d], sub, [(3,), (5,)])
+    assert three.space.dim == five.space.dim == 2
+    assert three.dim == five.dim == 1
+    assert set(three.vectors[0]) == {0} and set(five.vectors[0]) == {1}
 
 
 def test_simultaneous_eigenspaces_tuple_length_checked():
@@ -393,7 +452,7 @@ def test_eigenspaces_on_proper_subspace_are_one_dimensional(multiplicity_spaces)
     # the joint kernel of the ambient operators inside the space is the oracle
     ops, spaces = multiplicity_spaces
     for mult, tuples in spaces:
-        assert simultaneous_eigenspaces(ops, mult, tuples) == [1] * mult.dim
+        assert eigen_dims(ops, mult, tuples) == [1] * mult.dim
         for t in tuples:
             shifted = [op.plus_scalar(-c) for op, c in zip(ops, t)]
             assert kernel_intersection(shifted, mult).dim == 1
