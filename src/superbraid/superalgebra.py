@@ -6,7 +6,10 @@ reads the factors' unit matrices, with explicit Koszul sign bookkeeping: an
 element acting on factor t picks up the sign
 (-1)^(parity of element * parity of everything left of t).  This makes the
 sign conventions locally testable instead of hiding them in Hopf-algebra
-plumbing.
+plumbing.  A split Casimir first sums its unit pairs into a local matrix on
+its two factors, so that loop only copies that matrix's columns with their
+Koszul signs.  Weight spaces are read off a weight index that each product
+builds once, factor by factor, from its factors' weights.
 
 Every factor is a :class:`RealizedModule`, a module given by its unit
 matrices and basis weights on its own basis.  The natural module V is the
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 from typing import Optional, Sequence
 
 from .linalg import GradedSpace, LinearOp, Subspace
@@ -192,10 +196,25 @@ class TensorConfig:
         self.strides = strides
         # first factor slowest, as in the mixed-radix index
         self._decoded = list(product(*(range(d) for d in dims)))
-        self.space = GradedSpace(tuple(
-            sum(f.space.parities[c] for f, c in zip(self.factors, comps)) % 2
-            for comps in self._decoded
-        ))
+        self.space = GradedSpace(tuple(self._span_parities(range(len(dims)))))
+        # The weight index (weight -> basis indices carrying it) grows one
+        # factor at a time: index i of the product so far and component c of
+        # the next factor make index i * dim + c.
+        index = {(0,) * hp.rank: [0]}
+        for f in self.factors:
+            comps_of: dict = {}
+            for c, w in enumerate(f.weights):
+                comps_of.setdefault(w, []).append(c)
+            grown: dict = {}
+            for total, indices in index.items():
+                for w, comps in comps_of.items():
+                    grown.setdefault(tuple(map(add, total, w)), []).extend(
+                        [i * f.dim + c for i in indices for c in comps]
+                    )
+            index = grown
+        for indices in index.values():
+            indices.sort()
+        self._weight_index = index
         self._unit_cache: dict = {}
 
     @property
@@ -205,14 +224,14 @@ class TensorConfig:
     def decode(self, idx: int) -> tuple:
         return self._decoded[idx]
 
-    def weight_of(self, idx: int) -> tuple:
-        comps = self._decoded[idx]
-        total = [0] * self.hp.rank
+    def _span_parities(self, span: range) -> list:
+        """Per basis index, the parity of its components at the positions in
+        ``span``, grown one factor at a time like the index itself."""
+        out = [0]
         for t, f in enumerate(self.factors):
-            w = f.weights[comps[t]]
-            for k in range(self.hp.rank):
-                total[k] += w[k]
-        return tuple(total)
+            ps = f.space.parities if t in span else (0,) * f.dim
+            out = [p ^ q for p in out for q in ps]
+        return out
 
     def act_unit(self, i: int, j: int) -> LinearOp:
         """Coproduct action of E_ij on all factors: on factor t, E_ij with the
@@ -258,9 +277,16 @@ class TensorConfig:
 
         E_ji acts first, so the Koszul signs of the two legs cancel across
         the factors left of pos1 and leave (-1)^(parity of E_ij * parity of
-        factors pos1..pos2-1).  ``corrupt`` is a negative-control hook:
-        'parity' drops the (-1)^parity(j) prefactor, 'koszul' drops the
-        Koszul sign on the second leg.  Production callers leave it None.
+        factors pos1..pos2-1).  Column idx depends on idx only through the
+        components (a, b) at pos1 and pos2 and that one Koszul parity, so the
+        sum over (i, j) is formed once, as a local matrix on the two factors:
+        column (a, b) lists its entries by index offset and unit parity.  One
+        pass over the product basis then copies each column's entries,
+        negating those of odd unit parity where the Koszul parity, read from
+        a per-index table (:meth:`_span_parities`), is odd.  ``corrupt`` is
+        a negative-control hook: 'parity' drops the (-1)^parity(j)
+        prefactor, 'koszul' drops the Koszul sign on the second leg.
+        Production callers leave it None.
         """
         if pos1 >= pos2:
             raise ValueError("need pos1 < pos2 in factor order")
@@ -268,28 +294,30 @@ class TensorConfig:
             raise ValueError(f"unknown corruption mode {corrupt!r}")
         f1, f2 = self.factors[pos1], self.factors[pos2]
         s1, s2 = self.strides[pos1], self.strides[pos2]
-        span = range(pos1) if corrupt == "koszul" else range(pos1, pos2)
         r = self.hp.rank
-        terms = [
-            (f1.units[(i, j)], f2.units[(j, i)], unit_parity(i, j, self.hp),
-             -1 if index_parity(j, self.hp) and corrupt != "parity" else 1)
-            for i in range(1, r + 1)
-            for j in range(1, r + 1)
-        ]
+        # (a, b) -> {(offset, unit parity): entry}
+        local: dict = {}
+        for i in range(1, r + 1):
+            for j in range(1, r + 1):
+                pu = unit_parity(i, j, self.hp)
+                sign = -1 if index_parity(j, self.hp) and corrupt != "parity" else 1
+                cols2 = f2.units[(j, i)].cols
+                for a, col1 in f1.units[(i, j)].cols.items():
+                    for b, col2 in cols2.items():
+                        acc = local.setdefault((a, b), {})
+                        for b2, v2 in col2.items():
+                            for a2, v1 in col1.items():
+                                key = ((a2 - a) * s1 + (b2 - b) * s2, pu)
+                                acc[key] = acc.get(key, 0) + sign * v1 * v2
+        across = self._span_parities(range(pos1) if corrupt == "koszul" else range(pos1, pos2))
         out = LinearOp(self.space)
-        for idx in range(self.dim):
-            comps = self._decoded[idx]
-            a, b = comps[pos1], comps[pos2]
-            across = sum(self.factors[s].space.parities[comps[s]] for s in span) % 2
-            for e1, e2, pu, sign in terms:
-                col1, col2 = e1.cols.get(a), e2.cols.get(b)
-                if not (col1 and col2):
-                    continue
-                if pu and across:
-                    sign = -sign
-                for b2, v2 in col2.items():
-                    for a2, v1 in col1.items():
-                        out.add_entry(idx + (a2 - a) * s1 + (b2 - b) * s2, idx, sign * v1 * v2)
+        for idx, comps in enumerate(self._decoded):
+            acc = local.get((comps[pos1], comps[pos2]))
+            if not acc:
+                continue
+            odd = across[idx]
+            for (off, pu), v in acc.items():
+                out.add_entry(idx + off, idx, -v if pu and odd else v)
         return out
 
     def signed_swap(self, pos: int) -> LinearOp:
@@ -308,13 +336,10 @@ class TensorConfig:
         return out
 
     def weight_subspace(self, w: Sequence) -> Subspace:
-        target = tuple(w)
-        vecs = [
-            {idx: 1}
-            for idx in range(self.dim)
-            if self.weight_of(idx) == target
-        ]
-        return Subspace(self.space, vecs)
+        """The weight-w space, spanned by the basis vectors of that weight in
+        increasing index order, read off the weight index built with the
+        config; a weight that does not occur gives dimension 0."""
+        return Subspace(self.space, [{idx: 1} for idx in self._weight_index.get(tuple(w), ())])
 
 
 def tensor_power_config(hp: HookProfile, k: int) -> TensorConfig:

@@ -169,6 +169,15 @@ def test_irreducible_report_matches_golden(capsys):
     assert out == (GOLDEN / "irreducible_a2p2b2q1_n2m1_d3.json").read_text()
 
 
+def test_spectra_report_matches_golden(capsys):
+    # the paper example at d = 2: weight spaces of M (x) N (x) V^2 and split
+    # Casimirs with fractional boundary entries, pinned byte for byte
+    code, out, _ = run(capsys, "verify", "spectra", "--a", "4", "--p", "3", "--b", "2",
+                       "--q", "2", "--n", "3", "--m", "1", "--d", "2", "--fmt", "json")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "spectra_a4p3b2q2_n3m1_d2.json").read_text()
+
+
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (1, 2)])
 def test_hooks_match_partition_filter(n, m):
     # the direct generation yields what filtering every partition did, in

@@ -5,7 +5,7 @@ import pytest
 
 from superbraid.linalg import GradedSpace, LinearOp
 from superbraid.modules import module_tensor_config
-from superbraid.partitions import HookProfile
+from superbraid.partitions import HookProfile, rectangle
 from superbraid.superalgebra import (
     TensorConfig,
     bilinear_form,
@@ -303,11 +303,14 @@ def test_embed_unit_matches_chained_koszul_product(hp, k):
             assert list(total.entries()) == list(config.act_unit(i, j).entries())
 
 
-# boundary modules with odd basis vectors: (2,1) at gl(2|1) and (1,1) at gl(1|1)
+# boundary modules with odd basis vectors: (2,1) at gl(2|1) and (1,1) at
+# gl(1|1); (2,2) at gl(3|1) (dim 17) has fractional entries and columns with
+# two entries
 SPLIT_CONFIGS = [
     ((2, 1), (1,), 2, HookProfile(2, 1)),
     ((1, 1), (2,), 1, HookProfile(1, 1)),
     ((1,), (2, 1), 2, HookProfile(1, 1)),
+    ((2, 2), (1,), 1, HookProfile(3, 1)),
 ]
 
 
@@ -347,6 +350,32 @@ def test_weight_subspace():
     sub = config.weight_subspace((1, 1, 0))
     assert sub.dim == 2  # e1 e2 and e2 e1
     assert config.weight_subspace((0, 0, 2)).dim == 1
+
+
+@pytest.mark.parametrize("alpha, beta, d, hp", [
+    ((2, 1), (1,), 2, HookProfile(2, 1)),
+    ((2, 2), (1,), 1, HookProfile(3, 1)),
+    (rectangle(4, 3), rectangle(2, 2), 1, HookProfile(3, 1)),  # the paper example
+])
+def test_weight_subspace_matches_scan(alpha, beta, d, hp):
+    # brute force: the weight of an index is the sum of its factors' weights;
+    # each index lies in exactly the weight space of that sum, so the weight
+    # spaces partition the basis, each in increasing index order
+    config = module_tensor_config(alpha, beta, d, hp)
+    scanned: dict = {}
+    for idx in range(config.dim):
+        comps = config.decode(idx)
+        w = tuple(sum(f.weights[c][k] for f, c in zip(config.factors, comps)) for k in range(hp.rank))
+        scanned.setdefault(w, []).append(idx)
+    covered = []
+    for w, indices in scanned.items():
+        sub = config.weight_subspace(w)
+        assert sub.vectors == [{idx: 1} for idx in indices], w
+        covered += indices
+    assert sorted(covered) == list(range(config.dim))
+    absent = (0,) * (hp.rank - 1) + (sum(alpha) + sum(beta) + d + 1,)
+    assert absent not in scanned
+    assert config.weight_subspace(absent).dim == 0
 
 
 def test_root_count():
