@@ -10,9 +10,7 @@ from .partitions import (
     content,
     hook_to_weight,
     is_hook,
-    is_polynomial_dominant,
     normalize_partition,
-    weight_to_hook,
 )
 from .linalg import (
     GradedSpace,
@@ -31,7 +29,6 @@ from .superalgebra import (
     natural_casimir_scalar,
     natural_factor,
     pairing_eps,
-    rectangle_pairing,
     two_rho,
 )
 from .modules import (

@@ -16,7 +16,9 @@ matrix-vector application cheap for the very sparse operators produced by
 tensor-factor embeddings.  :func:`_add_scaled` is the one loop that combines
 sparse entries: sums, differences, products, applications and elimination
 all go through it, and :meth:`LinearOp.add_entry` is the single-entry
-insert.  The matrix of an operator restricted to a subspace is again a
+insert.  A commutator goes through it one column at a time, both
+products' columns into one accumulator, with no product operators built.
+The matrix of an operator restricted to a subspace is again a
 :class:`LinearOp`, on the subspace's coordinate space.
 :class:`RowReducer` holds the one elimination loop; only :class:`Subspace`,
 :func:`kernel_intersection` and :func:`restrict_op` drive it.
@@ -153,7 +155,19 @@ class LinearOp:
         return out
 
     def commutator(self, other: "LinearOp") -> "LinearOp":
-        return (self @ other) - (other @ self)
+        """self @ other - other @ self, one column at a time: column j of
+        both products goes into one accumulator, so neither product and no
+        difference copy is built."""
+        cols = {}
+        for j in self.cols.keys() | other.cols.keys():
+            acc = self.apply(other.cols.get(j, {}))
+            for k, v in self.cols.get(j, {}).items():
+                col = other.cols.get(k)
+                if col:
+                    _add_scaled(acc, col, -v)
+            if acc:
+                cols[j] = acc
+        return LinearOp(self.space, cols)
 
     def apply(self, vec: Vector) -> Vector:
         out: dict = {}
@@ -389,18 +403,23 @@ def simultaneous_eigenspaces(ops: Sequence, within: Subspace, tuples: Sequence) 
     Entry ``j`` is the joint kernel of ``ops[i] - tuples[j][i]`` inside
     ``within``, as a :class:`Subspace` of the coordinate space of
     ``within`` (vectors in its coordinates).  Each operator is restricted
-    to ``within`` once and the kernels are taken on those small matrices,
-    never on the ambient space.  Joint eigenvectors with distinct
-    eigenvalue tuples are linearly independent, so ``k`` distinct tuples
-    with dimension 1 each on a ``k``-dimensional subspace prove that the
-    operators act there diagonalizably, commute, and have exactly that
-    joint spectrum; the ``k`` vectors are then a basis of the coordinates.
+    to ``within`` once and shifted once per distinct eigenvalue, and the
+    kernels are taken on those small matrices, never on the ambient space.
+    Joint eigenvectors with distinct eigenvalue tuples are linearly
+    independent, so ``k`` distinct tuples with dimension 1 each on a
+    ``k``-dimensional subspace prove that the operators act there
+    diagonalizably, commute, and have exactly that joint spectrum; the
+    ``k`` vectors are then a basis of the coordinates.
     """
     if any(len(t) != len(ops) for t in tuples):
         raise LinalgError("need one eigenvalue per operator in every tuple")
     mats = [restrict_op(op, within) for op in ops]
     coords = Subspace.full(GradedSpace((0,) * within.dim))
-    return [
-        kernel_intersection([mat.plus_scalar(-c) for mat, c in zip(mats, t)], coords)
-        for t in tuples
-    ]
+    shifted: dict = {}  # (i, c) -> mats[i] - c, built once per call
+    out = []
+    for t in tuples:
+        for i, c in enumerate(t):
+            if (i, c) not in shifted:
+                shifted[i, c] = mats[i].plus_scalar(-c)
+        out.append(kernel_intersection([shifted[i, c] for i, c in enumerate(t)], coords))
+    return out

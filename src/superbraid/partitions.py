@@ -23,10 +23,6 @@ class NotHookError(CombinatoricsError):
     """Partition does not fit in the (n, m)-hook."""
 
 
-class NotDominantError(CombinatoricsError):
-    """Weight violates the polynomial dominance condition."""
-
-
 @dataclass(frozen=True)
 class HookProfile:
     """The pair (n, m): n even basis directions, m odd ones."""
@@ -104,26 +100,6 @@ def is_hook(p: Partition, hp: HookProfile) -> bool:
     return row <= hp.m
 
 
-def is_polynomial_dominant(w: Weight, hp: HookProfile) -> bool:
-    """Dominance plus the polynomiality condition on an integral weight.
-
-    Requires: first n coordinates weakly decreasing, last m weakly
-    decreasing, all nonnegative, and coordinate n at least the number of
-    nonzero coordinates among the last m.
-    """
-    if len(w) != hp.rank:
-        raise CombinatoricsError(f"weight length {len(w)} != n + m = {hp.rank}")
-    even, odd = w[: hp.n], w[hp.n :]
-    if any(x < 0 for x in w):
-        return False
-    if any(even[i] < even[i + 1] for i in range(len(even) - 1)):
-        return False
-    if any(odd[i] < odd[i + 1] for i in range(len(odd) - 1)):
-        return False
-    nonzero_odd = sum(1 for x in odd if x != 0)
-    return even[-1] >= nonzero_odd
-
-
 def hook_to_weight(p: Partition, hp: HookProfile) -> Weight:
     """Transpose the rows below n and paste them under the first n rows.
 
@@ -137,15 +113,6 @@ def hook_to_weight(p: Partition, hp: HookProfile) -> Weight:
     odd_t = transpose(p[hp.n :])
     coords = even + list(odd_t) + [0] * (hp.m - len(odd_t))
     return tuple(coords)
-
-
-def weight_to_hook(w: Weight, hp: HookProfile) -> Partition:
-    """Inverse of :func:`hook_to_weight`."""
-    if not is_polynomial_dominant(w, hp):
-        raise NotDominantError(f"{w} is not a polynomial dominant weight for {hp}")
-    even = [x for x in w[: hp.n]]
-    odd_rows = transpose(normalize_partition(w[hp.n :]))
-    return normalize_partition(tuple(even) + odd_rows)
 
 
 def box_sets(p: Partition, row_bound: int, col_bound: int) -> tuple[list[Box], list[Box]]:

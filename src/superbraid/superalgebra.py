@@ -95,24 +95,6 @@ def natural_casimir_scalar(hp: HookProfile) -> int:
     return hp.n - hp.m
 
 
-def rectangle_pairing(u: int, size: int, kind: str, hp: HookProfile) -> int:
-    """<u w, u w + 2rho> for w a fundamental-type weight.
-
-    kind 'phi': w = eps_1 + ... + eps_t (t <= n), value u t (-t + n - m + u).
-    kind 'psi': w = eps_{n+1} + ... + eps_{n+s} (s <= m), value u s (s - n - m - u).
-    """
-    n, m = hp.n, hp.m
-    if kind == "phi":
-        if not 0 <= size <= n:
-            raise ValueError(f"phi weight needs t <= n, got t = {size}")
-        return u * size * (-size + n - m + u)
-    if kind == "psi":
-        if not 0 <= size <= m:
-            raise ValueError(f"psi weight needs s <= m, got s = {size}")
-        return u * size * (size - n - m - u)
-    raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
-
-
 def rectangle_weight(u: int, size: int, kind: str, hp: HookProfile) -> tuple:
     """The weight u * (eps_1 + .. + eps_t) or u * (eps_{n+1} + .. + eps_{n+s})."""
     coords = [0] * hp.rank

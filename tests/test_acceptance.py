@@ -47,7 +47,6 @@ from superbraid.partitions import (
     hook_to_weight,
     is_hook,
     rectangle,
-    weight_to_hook,
 )
 from superbraid.schur import (
     decompose_two_rectangles,
@@ -57,6 +56,8 @@ from superbraid.schur import (
     remmel_check,
 )
 from superbraid.superalgebra import bilinear_form, casimir_pairing, pairing_eps, two_rho
+
+from weight_oracle import weight_to_hook
 
 GOLDEN = Path(__file__).parent / "golden" / "bratteli_a4p3b2q2_n3m1_d1.json"
 

@@ -33,6 +33,7 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_KOSZUL = GOLDEN / "braid_koszul_a1b1_n1m1_d3.json"
 GOLDEN_KOSZUL_PLAIN = GOLDEN / "braid_koszul_plain_a1b1_n2m1_d3.json"
 GOLDEN_KOSZUL_PAPER = GOLDEN / "braid_koszul_a4p3b2q2_n3m1_d2.json"
+GOLDEN_UNSIGNED = GOLDEN / "centralizer_unsigned_a1b1_n1m1_d3.json"
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +254,13 @@ def test_unsigned_swap_negative_control(cfg11_d3):
     assert any(c.id.startswith("[t") for c in bad)
     for check in bad:
         assert_witness_decodes(check.witness, cfg11_d3)
+
+
+def test_unsigned_swap_report_matches_golden(cfg11_d3):
+    # pins the witnesses of a failing centralizer report, each the largest
+    # entry of one commutator residual, byte for byte
+    broken = with_unsigned_swaps(rho_prime_images(cfg11_d3))
+    assert verify_centralizer(broken).to_json() + "\n" == GOLDEN_UNSIGNED.read_text()
 
 
 def test_corrupt_gamma_negative_control(cfg11_d3):

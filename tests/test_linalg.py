@@ -369,6 +369,37 @@ def test_operator_arithmetic_matches_dense_oracle(k, seed):
     assert all(is_canonical(v) for v in image.values())
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers())
+def test_commutator_matches_product_difference(k, seed):
+    # the one-pass commutator against its definition where a column comes
+    # from one side only (disjoint column supports, a zero operator) and
+    # where every column cancels (b = c a + c2 commutes with a)
+    rng = random.Random(seed)
+    space = GradedSpace((0,) * k)
+    vals = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+    def random_op(cols):
+        return op(space, [(i, j, rng.choice(vals)) for i in range(k) for j in cols if rng.random() < 0.6])
+
+    split = rng.randrange(1, k)
+    a = random_op(range(k))
+    zero = LinearOp(space)
+    commuting = a.scaled(rng.choice(vals)).plus_scalar(rng.choice(vals))
+    pairs = [
+        (random_op(range(split)), random_op(range(split, k))),
+        (a, zero),
+        (zero, a),
+        (a, commuting),
+    ]
+    for x, y in pairs:
+        got = x.commutator(y)
+        assert list(got.entries()) == list(((x @ y) - (y @ x)).entries())
+        assert_stores_no_zero(got)
+        assert_canonical(got)
+    assert a.commutator(commuting).cols == {}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 5), st.integers())
 def test_coordinates_invert_from_coefficients(rank, extra, seed):

@@ -5,7 +5,6 @@ from superbraid.partitions import (
     Box,
     CombinatoricsError,
     HookProfile,
-    NotDominantError,
     NotHookError,
     addable_hook_positions,
     box_sets,
@@ -16,15 +15,15 @@ from superbraid.partitions import (
     format_partition,
     hook_to_weight,
     is_hook,
-    is_polynomial_dominant,
     normalize_partition,
     parse_partition,
     partition_size,
     rectangle,
     check_rectangle_params,
     transpose,
-    weight_to_hook,
 )
+
+from weight_oracle import NotDominantError, is_polynomial_dominant, weight_to_hook
 
 
 def brute_box_sums(parts, a, p, b, q):

@@ -16,7 +16,6 @@ from superbraid.superalgebra import (
     pairing_eps,
     positive_roots,
     psi_pairing_report,
-    rectangle_pairing,
     rectangle_weight,
     tensor_power_config,
     two_rho,
@@ -24,6 +23,7 @@ from superbraid.superalgebra import (
 )
 
 from casimir_oracle import coproduct_casimir, coproduct_unit, koszul_tensor_op, unit_embeddings
+from weight_oracle import rectangle_pairing
 
 HPS = [HookProfile(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
 
