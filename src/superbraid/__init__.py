@@ -17,7 +17,6 @@ from .linalg import (
     LinearOp,
     Subspace,
     commutant_components,
-    commutant_dimension,
     kernel_intersection,
     simultaneous_eigenspaces,
 )
@@ -38,14 +37,7 @@ from .modules import (
     pieri_summands,
     realize_module,
 )
-from .schur import (
-    decompose_two_rectangles,
-    hook_schur_poly,
-    lr_coeff,
-    lr_product_oracle,
-    remmel_check,
-    schur_poly,
-)
+from .schur import decompose_two_rectangles, lr_coeff
 from .braid import (
     GeneratorImages,
     m_ops,

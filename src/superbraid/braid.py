@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -157,14 +157,10 @@ def rho_images(config: TensorConfig) -> GeneratorImages:
     return unshifted(rho_prime_images(config))
 
 
-def rho_prime_images(config: TensorConfig) -> GeneratorImages:
-    """The shifted action, under which boundary eigenvalues are contents."""
-    return images_via_split_casimir(config)
-
-
-def images_via_split_casimir(config: TensorConfig, corrupt_gamma: Optional[str] = None) -> GeneratorImages:
-    """The shifted generator images, assembled from split Casimirs (module
-    docstring); :func:`unshifted` adds the constants back.
+def rho_prime_images(config: TensorConfig, corrupt_gamma: Optional[str] = None) -> GeneratorImages:
+    """The shifted action, under which boundary eigenvalues are contents,
+    assembled from split Casimirs (module docstring); :func:`unshifted` adds
+    the constants back.
 
     With ``corrupt_gamma`` ('parity' or 'koszul') every split Casimir is
     built with a wrong sign, which serves as a negative control for the
@@ -199,12 +195,12 @@ def unshifted(images: GeneratorImages) -> GeneratorImages:
     z_i by kappa_V; t and z_0 are shared."""
     kv = natural_casimir_scalar(images.config.hp)
     half = Fraction(kv, 2)
-    return GeneratorImages(
-        images.config, images.d, dict(images.t),
-        {i: op.plus_scalar(half) for i, op in images.x.items()},
-        {i: op.plus_scalar(half) for i, op in images.y.items()},
-        {i: op.plus_scalar(kv) for i, op in images.z.items()},
-        images.z0, False,
+    return replace(
+        images,
+        x={i: op.plus_scalar(half) for i, op in images.x.items()},
+        y={i: op.plus_scalar(half) for i, op in images.y.items()},
+        z={i: op.plus_scalar(kv) for i, op in images.z.items()},
+        shifted=False,
     )
 
 
@@ -218,10 +214,7 @@ def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
         i: LinearOp.from_entries(op.space, ((r, c, abs(v)) for r, c, v in op.entries()))
         for i, op in images.t.items()
     }
-    return GeneratorImages(
-        images.config, images.d, t, dict(images.x), dict(images.y), dict(images.z),
-        images.z0, images.shifted,
-    )
+    return replace(images, t=t)
 
 
 def transposition_op(images: GeneratorImages, i: int, j: int) -> LinearOp:
@@ -268,12 +261,12 @@ def cleared_denominators(images: GeneratorImages) -> tuple:
     scaled entry is an int; ``t`` is integral already and stays as it is."""
     polys = [images.z0, *images.x.values(), *images.y.values(), *images.z.values()]
     s = math.lcm(1, *{v.denominator for op in polys for col in op.cols.values() for v in col.values()})
-    return s, GeneratorImages(
-        images.config, images.d, images.t,
-        {i: op.scaled(s) for i, op in images.x.items()},
-        {i: op.scaled(s) for i, op in images.y.items()},
-        {i: op.scaled(s) for i, op in images.z.items()},
-        images.z0.scaled(s), images.shifted,
+    return s, replace(
+        images,
+        x={i: op.scaled(s) for i, op in images.x.items()},
+        y={i: op.scaled(s) for i, op in images.y.items()},
+        z={i: op.scaled(s) for i, op in images.z.items()},
+        z0=images.z0.scaled(s),
     )
 
 

@@ -152,20 +152,19 @@ def z0_case_report(t0: Partition, a: int, p: int, b: int, q: int) -> dict:
     """The theorem value next to the two proof-case forms.
 
     Case form A sums over columns beyond a with constant -b*p*q; case form
-    B sums over rows below p with constant a*b*q.  All three must agree on
-    every level-0 vertex.
+    B sums over rows below p with constant a*b*q, which is
+    :func:`z0_value` itself.  The forms must agree on every level-0 vertex.
     """
+    value = z0_value(t0, a, p, b, q)
     shift = a - p + b - q
-    below, beyond = box_sets(tuple(t0), p, a)
-    main = q * a * b + sum(2 * content(x) - shift for x in below)
+    _, beyond = box_sets(tuple(t0), p, a)
     col_form = -b * p * q + sum(2 * content(x) - shift for x in beyond)
-    row_form = a * b * q + sum(2 * content(x) - shift for x in below)
     return {
         "vertex": list(t0),
-        "value": main,
+        "value": value,
         "column_form": col_form,
-        "row_form": row_form,
-        "agree": main == col_form == row_form,
+        "row_form": value,
+        "agree": value == col_form,
     }
 
 

@@ -22,6 +22,7 @@ from .modules import (
     CapExceededError,
     ConstructionError,
     DEFAULT_DIM_CAP,
+    check_cap,
     kappa_scalar,
     module_tensor_config,
     pieri_summands,
@@ -191,6 +192,9 @@ def _verify_casimir(args, cap: int) -> Report:
     for s in range(1, hp.m + 1):
         psi = psi_pairing_report(s, hp)
         rep.add(_check(f"psi-pairing-form(s={s})", psi["matching"] == "general", psi))
+    # realize_module refuses the row hook of the top size past the cap, so
+    # refuse at once, before the smaller hooks are realized
+    check_cap(args.max_size * hp.rank, cap)
     for lam in _hooks_up_to(args, hp):
         mod = realize_module(lam, hp, cap)
         scalar = kappa_scalar(mod)
@@ -203,6 +207,7 @@ def _verify_casimir(args, cap: int) -> Report:
 def _verify_pieri(args, cap: int) -> Report:
     hp = HookProfile(args.n, args.m)
     rep = Report(f"pieri n={args.n} m={args.m} size<={args.max_size}")
+    check_cap(args.max_size * hp.rank, cap)  # as in _verify_casimir
     for mu in _hooks_up_to(args, hp):
         for rec in pieri_summands(mu, hp, cap):
             check_id = f"pieri:{format_partition(mu)}->{format_partition(rec['partition'])}"

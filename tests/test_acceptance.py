@@ -14,7 +14,6 @@ import pytest
 
 from superbraid.braid import (
     cleared_denominators,
-    images_via_split_casimir,
     rho_images,
     rho_prime_images,
     verify_braid_relations,
@@ -48,15 +47,10 @@ from superbraid.partitions import (
     is_hook,
     rectangle,
 )
-from superbraid.schur import (
-    decompose_two_rectangles,
-    lr_coeff,
-    lr_product_oracle,
-    partitions_of,
-    remmel_check,
-)
+from superbraid.schur import decompose_two_rectangles, lr_coeff, partitions_of
 from superbraid.superalgebra import bilinear_form, casimir_pairing, pairing_eps, two_rho
 
+from schur_oracle import lr_product_oracle, remmel_check
 from weight_oracle import weight_to_hook
 
 GOLDEN = Path(__file__).parent / "golden" / "bratteli_a4p3b2q2_n3m1_d1.json"
@@ -273,7 +267,7 @@ def test_criterion_12_negative_controls():
     bad = [c for c in rep.checks if not c.ok]
     assert bad and all(c.witness is not None for c in bad)
     # a corrupted split-Casimir sign must break the transport relations
-    corrupted = images_via_split_casimir(config, corrupt_gamma="koszul")
+    corrupted = rho_prime_images(config, corrupt_gamma="koszul")
     rep = verify_braid_relations(corrupted)
     families = {c.id.split(":")[0] for c in rep.checks if not c.ok}
     assert {"R4", "R5"} & families, families

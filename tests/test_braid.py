@@ -7,7 +7,6 @@ from superbraid.braid import (
     POS_M,
     POS_N,
     cleared_denominators,
-    images_via_split_casimir,
     m_ops,
     m_sums,
     rho_images,
@@ -132,7 +131,7 @@ def test_images_match_casimir_difference_oracle(name):
 def test_casimir_difference_oracle_rejects_corrupt_gamma(cfg11_d3):
     # the comparison above can fail: a split Casimir without the Koszul
     # sign on its second leg is off the definition in every x_i
-    broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
+    broken = rho_prime_images(cfg11_d3, corrupt_gamma="koszul")
     missed = oracle_mismatches(broken, casimir_difference_images(cfg11_d3))
     assert {"x1", "x2", "x3"} <= set(missed)
 
@@ -140,7 +139,7 @@ def test_casimir_difference_oracle_rejects_corrupt_gamma(cfg11_d3):
 def test_corrupt_gamma_report_matches_golden(cfg11_d3):
     # pins every witness of a failing relation report byte for byte: value,
     # row, column and their decoding into one basis index per factor
-    broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
+    broken = rho_prime_images(cfg11_d3, corrupt_gamma="koszul")
     assert verify_braid_relations(broken).to_json() + "\n" == GOLDEN_KOSZUL.read_text()
 
 
@@ -148,7 +147,7 @@ def test_corrupt_gamma_plain_report_matches_golden():
     # kappa_V / 2 = 1/2 on the plain x_i and y_i makes the checks run on
     # doubled images: every witness, the R2 ones at 2^2, is divided back
     cfg = module_tensor_config((1,), (1,), 3, HP21)
-    broken = unshifted(images_via_split_casimir(cfg, corrupt_gamma="koszul"))
+    broken = unshifted(rho_prime_images(cfg, corrupt_gamma="koszul"))
     assert cleared_denominators(broken)[0] == 2
     rep = verify_braid_relations(broken)
     assert sum(not c.ok for c in rep.checks) == 25
@@ -159,7 +158,7 @@ def test_corrupt_gamma_paper_example_report_matches_golden():
     # half-integer entries of the realized boundary modules L(4^3) and
     # L(2^2) make the shifted images at the paper example run doubled too
     cfg = module_tensor_config((4, 4, 4), (2, 2), 2, HookProfile(3, 1))
-    broken = images_via_split_casimir(cfg, corrupt_gamma="koszul")
+    broken = rho_prime_images(cfg, corrupt_gamma="koszul")
     assert cleared_denominators(broken)[0] == 2
     rep = verify_braid_relations(broken)
     assert sum(not c.ok for c in rep.checks) == 11
@@ -266,7 +265,7 @@ def test_unsigned_swap_report_matches_golden(cfg11_d3):
 def test_corrupt_gamma_negative_control(cfg11_d3):
     # dropping the Koszul sign inside the split Casimir breaks the
     # transport relations R4 and R5, with explicit witnesses
-    broken = images_via_split_casimir(cfg11_d3, corrupt_gamma="koszul")
+    broken = rho_prime_images(cfg11_d3, corrupt_gamma="koszul")
     rep = verify_braid_relations(broken)
     families = {c.id.split(":")[0] for c in rep.checks if not c.ok}
     assert "R4" in families and "R5" in families
@@ -275,7 +274,7 @@ def test_corrupt_gamma_negative_control(cfg11_d3):
     for witness in witnesses:
         assert_witness_decodes(witness, cfg11_d3)
     # dropping the parity prefactor instead trips the sum relations
-    broken2 = images_via_split_casimir(cfg11_d3, corrupt_gamma="parity")
+    broken2 = rho_prime_images(cfg11_d3, corrupt_gamma="parity")
     rep2 = verify_braid_relations(broken2)
     assert not rep2.ok
 

@@ -294,6 +294,8 @@ FAR_OVER_CAP = [
           "--n", "1", "--m", "1", "--d", "1"], EXIT_USAGE),
     ] + [(argv, EXIT_USAGE) for argv in FAR_OVER_CAP] + [
         (["verify", "casimir", "--n", "1", "--m", "1", "--max-size", "60"], EXIT_OK),
+        (["verify", "casimir", "--n", "1", "--m", "1", "--max-size", "100000"], EXIT_USAGE),
+        (["verify", "pieri", "--n", "1", "--m", "1", "--max-size", "100000"], EXIT_USAGE),
     ],
 )
 def test_verify_exit_code_contract(capsys, argv, expected):

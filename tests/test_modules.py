@@ -18,8 +18,10 @@ from superbraid.modules import (
 )
 from superbraid.superalgebra import natural_factor, tensor_power_config
 from superbraid.partitions import HookProfile, hook_to_weight, is_hook
-from superbraid.schur import hook_dimension, hook_tableau_weights, partitions_of
+from superbraid.schur import partitions_of
 from superbraid.superalgebra import casimir_pairing, natural_casimir_scalar, unit_parity
+
+from schur_oracle import hook_dimension, hook_tableau_weights
 
 HP11 = HookProfile(1, 1)
 HP21 = HookProfile(2, 1)

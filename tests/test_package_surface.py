@@ -1,0 +1,70 @@
+"""The package holds production code only.
+
+Every top-level function and class of ``superbraid`` (``__init__`` aside)
+must be named somewhere in the package, as a name or an attribute, or sit
+on the allowlist below with the reason it stays.  Code whose only callers
+are tests belongs in ``tests/``, next to ``casimir_oracle``,
+``commutant_oracle``, ``schur_oracle`` and ``weight_oracle``.
+"""
+
+import ast
+from pathlib import Path
+
+import superbraid
+
+PACKAGE = Path(superbraid.__file__).parent
+
+# name -> why it stays in the package with no caller there
+ALLOWED = {
+    "rho_images": "negative control (the unshifted action), and a perfbench tracer target",
+    "with_unsigned_swaps": "negative control (plain swaps in place of signed ones)",
+    "commutant_dimension": "oracle that a perfbench tracer target pins until a benchmark change drops it",
+    "s_action_on_paths": "seminormal-form prediction; its production caller waits on ROADMAP item 2",
+    "module_to_json": "documented serialization of a realized module",
+}
+
+
+def _trees() -> dict:
+    return {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _definitions(trees: dict) -> dict:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name: module
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds)
+    }
+
+
+def _named(trees: dict) -> set:
+    out = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_every_definition_is_named_in_the_package():
+    trees = _trees()
+    named = _named(trees)
+    orphans = sorted(
+        f"{module}:{name}"
+        for name, module in _definitions(trees).items()
+        if name not in named and name not in ALLOWED
+    )
+    assert not orphans, f"no caller in the package; move to tests/ or allowlist with a reason: {orphans}"
+
+
+def test_allowlist_is_current():
+    trees = _trees()
+    assert not sorted(set(ALLOWED) - set(_definitions(trees))), "allowlisted name no longer defined"
+    assert not sorted(set(ALLOWED) & _named(trees)), "allowlisted name now has a caller in the package"

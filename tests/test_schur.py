@@ -1,14 +1,12 @@
 import pytest
 
 from superbraid.partitions import HookProfile, is_hook
-from superbraid.schur import (
-    MultiplicityError,
-    decompose_two_rectangles,
+from superbraid.schur import MultiplicityError, decompose_two_rectangles, lr_coeff, partitions_of
+
+from schur_oracle import (
     hook_dimension,
     hook_schur_poly,
-    lr_coeff,
     lr_product_oracle,
-    partitions_of,
     poly_mul,
     remmel_check,
     schur_poly,
