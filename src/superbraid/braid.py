@@ -142,15 +142,6 @@ class GeneratorImages:
         out += [(f"z{i}", self.z[i]) for i in sorted(self.z)]
         return out
 
-    def hecke_generators(self) -> list:
-        """Generators of the quotient algebra: z_0..z_d, x_1, t_1..t_{d-1}."""
-        out = [("z0", self.z0)]
-        out += [(f"z{i}", self.z[i]) for i in sorted(self.z)]
-        if self.d >= 1:
-            out.append(("x1", self.x[1]))
-        out += [(f"t{i}", self.t[i]) for i in sorted(self.t)]
-        return out
-
 
 def rho_images(config: TensorConfig) -> GeneratorImages:
     """The unshifted action."""

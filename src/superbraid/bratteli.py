@@ -176,12 +176,13 @@ def p0_neighbor_check(g: BratteliGraph) -> list:
     """
     target = g.a - g.p + g.b - g.q
     base = g.level(0)
+    sets = [set(boxes(lam)) for lam in base]
     records = []
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
             lam, mu = base[i], base[j]
-            only_lam = set(boxes(lam)) - set(boxes(mu))
-            only_mu = set(boxes(mu)) - set(boxes(lam))
+            only_lam = sets[i] - sets[j]
+            only_mu = sets[j] - sets[i]
             if len(only_lam) != 1 or len(only_mu) != 1:
                 continue
             bl, bm = only_lam.pop(), only_mu.pop()
@@ -348,7 +349,7 @@ def irreducibility_check(g: BratteliGraph, config, images, lam: Partition) -> di
     dim = None
     if not notes:
         eigenbasis = Subspace(GradedSpace((0,) * mult.dim), [space.vectors[0] for space in spaces])
-        gens = [op for name, op in images.hecke_generators() if not name.startswith("z")]
+        gens = [images.x[1], *images.t.values()] if images.d else []
         dim = commutant_components([restrict_op(op, mult) for op in gens], eigenbasis)
     return {
         "partition": list(lam),

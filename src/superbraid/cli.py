@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
 
 from . import bratteli
 from .braid import Report, Check, rho_prime_images, unshifted, verify_braid_relations, verify_centralizer, verify_hecke_relations
@@ -253,29 +254,37 @@ def _verify_lemmas(args, cap: int) -> Report:
     return rep
 
 
+class Suite(NamedTuple):
+    """One ``verify`` suite: its function, the flags it requires, and its
+    default ``--max-size`` (``None`` when it reads no size); a report's
+    ``params`` are exactly the flags it reads."""
+
+    run: Callable
+    flags: tuple
+    max_size: Optional[int] = None
+
+
 VERIFY_KINDS = {
-    "braid": _verify_braid,
-    "centralizer": _verify_centralizer,
-    "hecke": _verify_hecke,
-    "casimir": _verify_casimir,
-    "pieri": _verify_pieri,
-    "spectra": _verify_spectra,
-    "irreducible": _verify_irreducible,
-    "lemmas": _verify_lemmas,
+    "braid": Suite(_verify_braid, ("n", "m", "d")),
+    "centralizer": Suite(_verify_centralizer, ("n", "m", "d")),
+    "hecke": Suite(_verify_hecke, ("a", "p", "b", "q", "n", "m", "d")),
+    "casimir": Suite(_verify_casimir, ("n", "m"), 4),
+    "pieri": Suite(_verify_pieri, ("n", "m"), 3),
+    "spectra": Suite(_verify_spectra, ("a", "p", "b", "q", "n", "m", "d")),
+    "irreducible": Suite(_verify_irreducible, ("a", "p", "b", "q", "n", "m", "d")),
+    "lemmas": Suite(_verify_lemmas, ("a", "p", "b", "q", "n", "m")),
 }
 
 
 def cmd_verify(args) -> int:
-    report = VERIFY_KINDS[args.kind](args, args.cap)
+    suite = VERIFY_KINDS[args.kind]
+    report = suite.run(args, args.cap)
     if not report.checks:
         # a report that checked nothing must not read as a pass
         print(f"verify {args.kind}: no checks apply at these parameters", file=sys.stderr)
         return EXIT_USAGE
-    params = {
-        k: getattr(args, k)
-        for k in ("a", "p", "b", "q", "n", "m", "d", "max_size")
-        if getattr(args, k, None) is not None
-    }
+    read = suite.flags if suite.max_size is None else (*suite.flags, "max_size")
+    params = {k: getattr(args, k) for k in read}
     return _print_report(report, args.fmt, f"verify {args.kind}", params)
 
 
@@ -345,25 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_REQUIRED = {
-    "braid": ("n", "m", "d"),
-    "centralizer": ("n", "m", "d"),
-    "hecke": ("a", "p", "b", "q", "n", "m", "d"),
-    "casimir": ("n", "m"),
-    "pieri": ("n", "m"),
-    "spectra": ("a", "p", "b", "q", "n", "m", "d"),
-    "irreducible": ("a", "p", "b", "q", "n", "m", "d"),
-    "lemmas": ("a", "p", "b", "q", "n", "m"),
-}
-
-_DEFAULT_MAX_SIZE = {"casimir": 4, "pieri": 3}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        missing = [k for k in _REQUIRED[args.kind] if getattr(args, k) is None]
+        suite = VERIFY_KINDS[args.kind]
+        missing = [k for k in suite.flags if getattr(args, k) is None]
         if missing:
             print(
                 f"verify {args.kind} requires " + " ".join(f"--{k}" for k in missing),
@@ -371,7 +367,7 @@ def main(argv=None) -> int:
             )
             return EXIT_USAGE
         if args.max_size is None:
-            args.max_size = _DEFAULT_MAX_SIZE.get(args.kind, 4)
+            args.max_size = suite.max_size
         for name, value, low in (("d", args.d, 0), ("max-size", args.max_size, 0), ("cap", args.cap, 1)):
             if value is not None and value < low:
                 print(f"verify {args.kind}: --{name} must be at least {low}, got {value}", file=sys.stderr)

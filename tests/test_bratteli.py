@@ -282,7 +282,7 @@ def desk(request):
 
 def test_component_count_matches_commutant_oracle(desk):
     g, config, images, _ = desk
-    gens = [op for _, op in images.hecke_generators()]
+    gens = [images.z0, *images.z.values(), images.x[1], *images.t.values()]
     for lam in g.level(g.d):
         rec = irreducibility_check(g, config, images, lam)
         mult = highest_weight_vectors(config, hook_to_weight(lam, g.hp))

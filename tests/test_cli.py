@@ -233,6 +233,31 @@ def test_verify_witness_on_failure_only(capsys, kind):
     assert checks and all(c["status"] == "pass" and "witness" not in c for c in checks)
 
 
+# the flags each suite reads, written out here rather than read from the table
+_READS = {
+    "braid": {"n", "m", "d"},
+    "centralizer": {"n", "m", "d"},
+    "hecke": {"a", "p", "b", "q", "n", "m", "d"},
+    "spectra": {"a", "p", "b", "q", "n", "m", "d"},
+    "irreducible": {"a", "p", "b", "q", "n", "m", "d"},
+    "casimir": {"n", "m", "max_size"},
+    "pieri": {"n", "m", "max_size"},
+    "lemmas": {"a", "p", "b", "q", "n", "m"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_KINDS))
+def test_report_params_are_the_flags_read(capsys, kind):
+    # a flag the suite ignores stays out of its report, and so does
+    # --check-params (the hecke title names the parameters it checks)
+    extra = [arg for flag in ("a", "p", "b", "q", "d", "max_size") if flag not in _READS[kind]
+             for arg in ("--" + flag.replace("_", "-"), "1")]
+    code, out, _ = run(capsys, "verify", kind, *_SMALL[kind], *extra,
+                       "--check-params", "1,1,1,1", "--fmt", "json")
+    assert code == EXIT_OK
+    assert set(json.loads(out)["params"]) == _READS[kind]
+
+
 def test_verify_missing_params(capsys):
     code, _, err = run(capsys, "verify", "spectra", "--n", "1", "--m", "1")
     assert code == EXIT_USAGE

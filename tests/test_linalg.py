@@ -167,7 +167,7 @@ def test_commutant_matches_equation_oracle_on_desk_config():
     hp = HookProfile(2, 1)
     g = build_graph(1, 1, 1, 1, hp, 2)
     images = rho_prime_images(module_tensor_config((1,), (1,), 2, hp))
-    gens = [op for _, op in images.hecke_generators()]
+    gens = [images.z0, *images.z.values(), images.x[1], *images.t.values()]
     seen = set()
     for lam in g.level(2):
         mult = highest_weight_vectors(images.config, hook_to_weight(lam, hp))

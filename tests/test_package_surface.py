@@ -4,7 +4,8 @@ Every top-level function and class of ``superbraid`` (``__init__`` aside)
 must be named somewhere in the package, as a name or an attribute, or sit
 on the allowlist below with the reason it stays.  Code whose only callers
 are tests belongs in ``tests/``, next to ``casimir_oracle``,
-``commutant_oracle``, ``schur_oracle`` and ``weight_oracle``.
+``commutant_oracle``, ``schur_oracle`` and ``weight_oracle``.  ``__init__``
+re-exports nothing: each name has one import path, its module.
 """
 
 import ast
@@ -68,3 +69,10 @@ def test_allowlist_is_current():
     trees = _trees()
     assert not sorted(set(ALLOWED) - set(_definitions(trees))), "allowlisted name no longer defined"
     assert not sorted(set(ALLOWED) & _named(trees)), "allowlisted name now has a caller in the package"
+
+
+def test_init_binds_only_the_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    bound = [ast.unparse(t) for node in body for t in getattr(node, "targets", [node])]
+    assert bound == ["__version__"] and isinstance(body[0], ast.Assign), bound
