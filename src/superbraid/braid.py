@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import LinearOp
+from .linalg import LinearOp, op_sum
 from .superalgebra import TensorConfig, natural_casimir_scalar
 
 POS_M = 0
@@ -169,13 +169,11 @@ def rho_prime_images(config: TensorConfig, corrupt_gamma: Optional[str] = None) 
     z = {}
     for i in range(1, d + 1):
         pos = v_position(i)
-        cross = LinearOp(config.space)
-        for k in range(1, i):
-            cross = cross + gamma(v_position(k), pos)
+        cross = [gamma(v_position(k), pos) for k in range(1, i)]
         gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
-        x[i] = gm + cross
-        y[i] = gn + cross
-        z[i] = gm + gn + cross
+        x[i] = op_sum([gm, *cross])
+        y[i] = op_sum([gn, *cross])
+        z[i] = op_sum([x[i], gn])
     z0 = gamma(POS_M, POS_N)
     t = {i: config.signed_swap(v_position(i)) for i in range(1, d)}
     return GeneratorImages(config, d, t, x, y, z, z0, True)

@@ -15,7 +15,8 @@ entries column-major (``cols[j][i]``), which makes products and
 matrix-vector application cheap for the very sparse operators produced by
 tensor-factor embeddings.  :func:`_add_scaled` is the one loop that combines
 sparse entries: sums, differences, products, applications and elimination
-all go through it, and :meth:`LinearOp.add_entry` is the single-entry
+all go through it (:func:`op_sum` adds many operators into one accumulator
+per column), and :meth:`LinearOp.add_entry` is the single-entry
 insert.  A commutator goes through it one column at a time, both
 products' columns into one accumulator, with no product operators built.
 The matrix of an operator restricted to a subspace is again a
@@ -187,6 +188,23 @@ class LinearOp:
         return None if best is None else best[1]
 
 
+def op_sum(ops: Sequence) -> LinearOp:
+    """The sum of nonempty ``ops``, all on one space, with one accumulator
+    per column: each summand's columns are added into it in place, so no
+    partial sum is ever copied."""
+    cols: dict = {}
+    for op in ops:
+        for j, col in op.cols.items():
+            acc = cols.get(j)
+            if acc is None:
+                cols[j] = dict(col)
+                continue
+            _add_scaled(acc, col, 1)
+            if not acc:
+                del cols[j]
+    return LinearOp(ops[0].space, cols)
+
+
 class RowReducer:
     """Incremental exact Gaussian elimination with coordinate tracking.
 
@@ -232,11 +250,21 @@ class RowReducer:
     def add(self, vec: Vector) -> bool:
         """Insert a vector; True when it enlarges the span.  Only accepted
         vectors are numbered, so coordinates index them in order."""
-        v, t = self._reduce(vec, {len(self.rows): 1})
-        if not v:
-            return False
-        self._append(v, t)
-        return True
+        return self.insert(vec) is None
+
+    def insert(self, vec: Vector) -> Optional[Vector]:
+        """Insert a vector: None when it enlarges the span (it is then the
+        last accepted vector), else its coordinates in the accepted vectors,
+        read off the same elimination."""
+        new = len(self.rows)
+        v, t = self._reduce(vec, {new: 1})
+        if v:
+            self._append(v, t)
+            return None
+        # v = vec + sum_{k != new} t[k] * accepted_k vanishes; the echelon
+        # transforms never mention vector `new`, so t[new] is still 1
+        del t[new]
+        return {k: -c for k, c in t.items()}
 
     def coordinates(self, vec: Vector) -> Optional[Vector]:
         """Express vec in terms of the accepted vectors; None if outside the span."""
@@ -265,6 +293,17 @@ class Subspace:
             return False
         self.vectors.append(dict(vec))
         return True
+
+    def insert(self, vec: Vector) -> Vector:
+        """Append vec to the basis if it lies outside the span, and return
+        its coordinates in the basis as it then stands: ``{dim - 1: 1}`` when
+        it was appended, else those found by the elimination that rejected
+        it, with no second solve."""
+        coords = self._solver.insert(vec)
+        if coords is None:
+            self.vectors.append(dict(vec))
+            return {self.dim - 1: 1}
+        return coords
 
     @classmethod
     def full(cls, space: GradedSpace) -> "Subspace":

@@ -12,6 +12,17 @@ vector is killed by all raising operators), and sitting inside a
 semisimple product it is automatically irreducible.  The empty diagram is
 the trivial module, the empty tensor product.
 
+Only r - 1 of the r^2 unit matrices on the closure basis cost a
+coordinate solve per basis vector, where r = n + m.  The lowering units
+come out of the closure's own eliminations, and the Cartan units are the
+basis weights.  The simple raising units E(i,i+1) are restricted, which
+also checks that the closure is a submodule: invariance under the
+lowering, Cartan and simple raising units is enough, since they generate
+gl(n|m).  Restriction to a submodule is a homomorphism, so every other
+raising unit is the bracket E(a,c) = [E(a,c-1), E(c-1,c)] of restricted
+matrices.  Odd indices come last, so two units E(a,b), E(b,c) with
+a < b < c are never both odd, and that bracket is the plain commutator.
+
 Finished modules are kept in a process-wide memo keyed by (lambda, (n, m)),
 so the chain of parents is built once however many callers ask for it.
 Each is a :class:`superbraid.superalgebra.RealizedModule`, the same type
@@ -142,12 +153,25 @@ def realize_module(p: Partition, hp: HookProfile, cap: Optional[int] = None) -> 
 
 def lowering_closure(p: Partition, ambient: TensorConfig, start: dict) -> RealizedModule:
     """The submodule generated by the highest weight vector ``start`` of L(p),
-    with its generator matrices on the closure basis."""
+    with its generator matrices on the closure basis.
+
+    The lowering matrices are read off the closure's own eliminations (an
+    image that enlarges the span is the new basis vector, any other comes
+    with its coordinates), the Cartan matrices off the basis weights, which
+    is why ``start`` must have the weight of p.  Only the simple raising
+    units are restricted, which is the submodule check, and the other
+    raising units are commutators, built in order of c - a; the module
+    docstring says why that suffices.
+    """
     hp = ambient.hp
-    w = hook_to_weight(p, hp)
+    r = hp.rank
+    w = tuple(hook_to_weight(p, hp))
+    if not set(start) <= set(ambient.weight_indices(w)):
+        raise ConstructionError(f"start vector of {p} is not of weight {w}")
     sub = Subspace(ambient.space, [start])
-    basis_weights = [tuple(w)]
+    basis_weights = [w]
     lowering = [(pair, ambient.act_unit(*pair)) for pair in lowering_units(hp)]
+    lowering_cols: dict = {pair: {} for pair, _ in lowering}
     frontier = [0]
     while frontier:
         next_frontier = []
@@ -155,24 +179,36 @@ def lowering_closure(p: Partition, ambient: TensorConfig, start: dict) -> Realiz
             vec = sub.vectors[bi]
             wt = basis_weights[bi]
             for (j, i), op in lowering:
-                if sub.add(op.apply(vec)):
+                before = sub.dim
+                coords = sub.insert(op.apply(vec))
+                if coords:
+                    lowering_cols[(j, i)][bi] = coords
+                if sub.dim > before:
                     new_wt = list(wt)
                     new_wt[i - 1] -= 1
                     new_wt[j - 1] += 1
                     basis_weights.append(tuple(new_wt))
-                    next_frontier.append(sub.dim - 1)
+                    next_frontier.append(before)
         frontier = next_frontier
 
     own_space = GradedSpace(tuple(sum(wt[hp.n :]) % 2 for wt in basis_weights))
-    units = {}
-    for i in range(1, hp.rank + 1):
-        for j in range(1, hp.rank + 1):
-            try:
-                mat = restrict_op(ambient.act_unit(i, j), sub)
-            except NotInvariantError as exc:
-                raise ConstructionError("lowering closure is not a submodule") from exc
-            units[(i, j)] = LinearOp(own_space, mat.cols)
-    return RealizedModule(p, hp, tuple(w), own_space, tuple(basis_weights), units)
+    units = {pair: LinearOp(own_space, cols) for pair, cols in lowering_cols.items()}
+    for i in range(1, r + 1):
+        units[(i, i)] = LinearOp(
+            own_space, {k: {k: wt[i - 1]} for k, wt in enumerate(basis_weights) if wt[i - 1]}
+        )
+    for (i, j) in raising_units(hp):
+        try:
+            mat = restrict_op(ambient.act_unit(i, j), sub)
+        except NotInvariantError as exc:
+            raise ConstructionError("lowering closure is not a submodule") from exc
+        units[(i, j)] = LinearOp(own_space, mat.cols)
+    for gap in range(2, r):
+        for a in range(1, r - gap + 1):
+            c = a + gap
+            units[(a, c)] = units[(a, c - 1)].commutator(units[(c - 1, c)])
+    ordered = {(i, j): units[(i, j)] for i in range(1, r + 1) for j in range(1, r + 1)}
+    return RealizedModule(p, hp, w, own_space, tuple(basis_weights), ordered)
 
 
 def module_tensor_config(

@@ -317,11 +317,16 @@ class TensorConfig:
             out.add_entry(new_idx, idx, sign)
         return out
 
+    def weight_indices(self, w: Sequence) -> list:
+        """The basis indices of weight w in increasing order, read off the
+        weight index built with the config; empty for a weight that does
+        not occur."""
+        return self._weight_index.get(tuple(w), [])
+
     def weight_subspace(self, w: Sequence) -> Subspace:
         """The weight-w space, spanned by the basis vectors of that weight in
-        increasing index order, read off the weight index built with the
-        config; a weight that does not occur gives dimension 0."""
-        return Subspace(self.space, [{idx: 1} for idx in self._weight_index.get(tuple(w), ())])
+        increasing index order; a weight that does not occur gives dimension 0."""
+        return Subspace(self.space, [{idx: 1} for idx in self.weight_indices(w)])
 
 
 def tensor_power_config(hp: HookProfile, k: int) -> TensorConfig:

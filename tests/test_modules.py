@@ -5,18 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from superbraid.linalg import LinearOp
+from superbraid import modules
+from superbraid.linalg import GradedSpace, LinearOp, NotInvariantError, Subspace, restrict_op
 from superbraid.modules import (
     CapExceededError,
+    ConstructionError,
     highest_weight_vectors,
     kappa_scalar,
     lowering_closure,
+    lowering_units,
     module_tensor_config,
     module_to_json,
     pieri_summands,
     realize_module,
 )
-from superbraid.superalgebra import natural_factor, tensor_power_config
+from superbraid.superalgebra import RealizedModule, TensorConfig, natural_factor, tensor_power_config
 from superbraid.partitions import HookProfile, hook_to_weight, is_hook
 from superbraid.schur import partitions_of
 from superbraid.superalgebra import casimir_pairing, natural_casimir_scalar, unit_parity
@@ -25,6 +28,7 @@ from schur_oracle import hook_dimension, hook_tableau_weights
 
 HP11 = HookProfile(1, 1)
 HP21 = HookProfile(2, 1)
+HP12 = HookProfile(1, 2)
 HP22 = HookProfile(2, 2)
 HP31 = HookProfile(3, 1)
 
@@ -35,6 +39,54 @@ def realize_in_tensor_power(p, hp):
     ambient = tensor_power_config(hp, sum(p))
     hwv = highest_weight_vectors(ambient, hook_to_weight(p, hp))
     return lowering_closure(p, ambient, hwv.vectors[0])
+
+
+def full_restriction_closure(p, ambient, start):
+    """The lowering closure of ``start`` with every one of the r^2 unit
+    matrices found by restricting the ambient unit to it, one coordinate
+    solve per basis vector per unit; kept as the oracle for the units that
+    :func:`lowering_closure` reads off, derives or restricts."""
+    hp = ambient.hp
+    w = hook_to_weight(p, hp)
+    sub = Subspace(ambient.space, [start])
+    basis_weights = [tuple(w)]
+    lowering = [(pair, ambient.act_unit(*pair)) for pair in lowering_units(hp)]
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for bi in frontier:
+            vec = sub.vectors[bi]
+            wt = basis_weights[bi]
+            for (j, i), op in lowering:
+                if sub.add(op.apply(vec)):
+                    new_wt = list(wt)
+                    new_wt[i - 1] -= 1
+                    new_wt[j - 1] += 1
+                    basis_weights.append(tuple(new_wt))
+                    next_frontier.append(sub.dim - 1)
+        frontier = next_frontier
+    own_space = GradedSpace(tuple(sum(wt[hp.n :]) % 2 for wt in basis_weights))
+    units = {}
+    for i in range(1, hp.rank + 1):
+        for j in range(1, hp.rank + 1):
+            try:
+                mat = restrict_op(ambient.act_unit(i, j), sub)
+            except NotInvariantError as exc:
+                raise ConstructionError("lowering closure is not a submodule") from exc
+            units[(i, j)] = LinearOp(own_space, mat.cols)
+    return RealizedModule(p, hp, tuple(w), own_space, tuple(basis_weights), units)
+
+
+def realize_by_full_restriction(lam, hp):
+    """The last Pieri step of ``realize_module(lam, hp)``, same ambient space
+    L(lam^-) (x) V and same start vector, closed by the r^2-restriction
+    oracle."""
+    if not lam:
+        return full_restriction_closure(lam, tensor_power_config(hp, 0), {0: 1})
+    parent = realize_module(lam[:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ()), hp)
+    ambient = TensorConfig([parent, natural_factor(hp)], hp)
+    start = highest_weight_vectors(ambient, hook_to_weight(lam, hp)).vectors[0]
+    return full_restriction_closure(lam, ambient, start)
 
 
 def hooks_up_to(size, hp):
@@ -180,7 +232,62 @@ def test_module_matches_tensor_power_route(hp):
         assert kappa_scalar(mod) == kappa_scalar(direct), lam
 
 
-@pytest.mark.parametrize("lam, hp", [((3, 2, 1), HP22), ((4, 4, 4), HP31)])
+RESTRICTION_CASES = [(lam, hp) for hp in (HP11, HP21, HP12, HP22) for lam in hooks_up_to(5, hp)] + [
+    ((4, 4, 4), HP31),
+    ((2, 2), HP31),
+]
+
+
+@pytest.mark.parametrize(
+    "lam, hp", RESTRICTION_CASES, ids=[f"{list(lam)}-gl({hp.n}|{hp.m})" for lam, hp in RESTRICTION_CASES]
+)
+def test_units_match_full_restriction(lam, hp):
+    # read-off lowering, weight-diagonal Cartan and commutator-built raising
+    # units are exactly the restrictions of the ambient units
+    mod = realize_module(lam, hp)
+    oracle = realize_by_full_restriction(lam, hp)
+    assert mod.space == oracle.space
+    assert mod.weights == oracle.weights
+    assert list(mod.units) == list(oracle.units)
+    for key, op in oracle.units.items():
+        assert mod.units[key].cols == op.cols, key
+
+
+def test_fresh_module_restricts_only_simple_raising_units(monkeypatch):
+    lam, hp = (3, 2, 1), HP22
+    realize_module((3, 2), hp)
+    monkeypatch.delitem(modules._REALIZED, (lam, hp), raising=False)
+    calls = []
+
+    def counting_restrict_op(op, sub):
+        calls.append(sub.dim)
+        return restrict_op(op, sub)
+
+    monkeypatch.setattr(modules, "restrict_op", counting_restrict_op)
+    mod = realize_module(lam, hp)
+    # r - 1 = 3 restrictions, each to the whole closure
+    assert calls == [mod.dim] * (hp.rank - 1)
+
+
+def test_closure_of_non_highest_weight_vector_is_refused():
+    # e_2 (x) e_1 in V (x) V has the weight of (1,1), but its lowering closure
+    # misses E(1,2)(e_2 (x) e_1) = e_1 (x) e_1, so raising invariance fails
+    ambient = tensor_power_config(HP21, 2)
+    start = {next(i for i in range(ambient.dim) if ambient.decode(i) == (1, 0)): 1}
+    with pytest.raises(ConstructionError, match="not a submodule"):
+        lowering_closure((1, 1), ambient, start)
+
+
+def test_closure_from_a_vector_of_another_weight_is_refused():
+    # e_1 (x) e_1 is a highest weight vector, of weight (2,0,0), not (1,1,0)
+    ambient = tensor_power_config(HP21, 2)
+    with pytest.raises(ConstructionError, match="not of weight"):
+        lowering_closure((1, 1), ambient, {0: 1})
+
+
+@pytest.mark.parametrize(
+    "lam, hp", [((3, 2, 1), HP22), ((4, 4, 4), HP31), ((3, 2, 1), HP21), ((2, 2, 1), HP12)]
+)
 def test_realized_units_satisfy_supercommutators(lam, hp):
     # [E_ij, E_kl] = delta_jk E_il - (-1)^(|ij| |kl|) delta_li E_kj
     units = realize_module(lam, hp).units
