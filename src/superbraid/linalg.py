@@ -19,6 +19,10 @@ all go through it (:func:`op_sum` adds many operators into one accumulator
 per column), and :meth:`LinearOp.add_entry` is the single-entry
 insert.  A commutator goes through it one column at a time, both
 products' columns into one accumulator, with no product operators built.
+Two commutators need no products at all: with a diagonal operator each
+entry is only scaled (:meth:`LinearOp.commutator_with_diagonal`), and
+whether an operator commutes with a signed permutation is a relabelling
+of its entries (:meth:`LinearOp.commutes_with_signed_permutation`).
 The matrix of an operator restricted to a subspace is again a
 :class:`LinearOp`, on the subspace's coordinate space.
 :class:`RowReducer` holds the one elimination loop; only :class:`Subspace`,
@@ -169,6 +173,66 @@ class LinearOp:
             if acc:
                 cols[j] = acc
         return LinearOp(self.space, cols)
+
+    def diagonal(self) -> Optional[list]:
+        """The diagonal as a dense list when self is diagonal, else None."""
+        diag = [0] * self.space.dim
+        for j, col in self.cols.items():
+            if len(col) != 1 or j not in col:
+                return None
+            diag[j] = col[j]
+        return diag
+
+    def commutator_with_diagonal(self, diag: Sequence) -> "LinearOp":
+        """``self.commutator(D)`` for ``D`` diagonal with dense diagonal
+        ``diag``, with no product: entry ``(k, j)`` is
+        ``self[k, j] * (diag[j] - diag[k])``."""
+        cols = {}
+        for j, col in self.cols.items():
+            dj = diag[j]
+            acc = {}
+            for k, v in col.items():
+                nv = v * (dj - diag[k])
+                if nv:
+                    acc[k] = nv.numerator if nv.denominator == 1 else nv
+            if acc:
+                cols[j] = acc
+        return LinearOp(self.space, cols)
+
+    def signed_permutation(self) -> Optional[dict]:
+        """``{j: (row, sign)}`` when self sends each basis vector ``e_j`` to
+        ``sign * e_row`` with ``sign = ±1`` and distinct rows, else None."""
+        perm = {}
+        for j, col in self.cols.items():
+            if len(col) != 1:
+                return None
+            ((k, v),) = col.items()
+            if v != 1 and v != -1:
+                return None
+            perm[j] = (k, v)
+        if len(perm) != self.space.dim or len({k for k, _ in perm.values()}) != len(perm):
+            return None
+        return perm
+
+    def commutes_with_signed_permutation(self, perm: dict) -> bool:
+        """Whether ``self`` commutes with the signed permutation ``P`` that
+        ``perm`` describes (:meth:`signed_permutation`), by relabelling
+        alone: ``[self, P] = 0`` exactly when ``P self P^-1 = self``, and
+        ``P self P^-1`` moves entry ``(k, j)`` to ``(row_k, row_j)`` times
+        ``sign_k sign_j``.  That relabelling is a bijection of entries, so
+        it equals self when every moved entry is found in a column of the
+        same size."""
+        cols = self.cols
+        for j, col in cols.items():
+            pj, sj = perm[j]
+            target = cols.get(pj)
+            if target is None or len(target) != len(col):
+                return False
+            for k, v in col.items():
+                pk, sk = perm[k]
+                if target.get(pk) != (v if sj == sk else -v):
+                    return False
+        return True
 
     def apply(self, vec: Vector) -> Vector:
         out: dict = {}

@@ -298,6 +298,8 @@ def test_criterion_13_paper_example_operators():
             assert cleared_denominators(acting)[0] == 2
             rep = verify_braid_relations(acting)
             assert rep.checks and rep.ok, [c.id for c in rep.checks if not c.ok]
+        rep = verify_centralizer(images)
+        assert len(rep.checks) == 16 * (1 + 3 * d + (d - 1)) and rep.ok, [c.id for c in rep.checks if not c.ok]
         records = spectral_match(g, config, images)
         assert [rec["partition"] for rec in records] == [list(lam) for lam in g.level(d)]
         for rec in records:
@@ -306,4 +308,4 @@ def test_criterion_13_paper_example_operators():
         for lam in g.level(d):
             rec = irreducibility_check(g, config, images, lam)
             assert rec["ok"], rec
-    report(13, "paper example at d <= 2: defining and quotient relations, spectra, irreducibility", t0, budget=60.0)
+    report(13, "paper example at d <= 2: defining and quotient relations, centralizer, spectra, irreducibility", t0, budget=60.0)

@@ -1,3 +1,5 @@
+import functools
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from superbraid.partitions import HookProfile
 from superbraid.superalgebra import TensorConfig, natural_casimir_scalar, natural_factor
 
 from casimir_oracle import casimir_difference_images
+from centralizer_oracle import full_centralizer
 
 HP11 = HookProfile(1, 1)
 HP21 = HookProfile(2, 1)
@@ -86,6 +89,7 @@ def test_shift_amounts(cfg21_d2):
     # so the braid checks run the plain images doubled, the shifted ones as they are
     s_plain, cleared = cleared_denominators(plain)
     assert (s_plain, cleared_denominators(shifted)[0]) == (2, 1)
+    assert cleared_denominators(shifted)[1] is shifted  # nothing to scale, nothing copied
     assert all(
         type(v) is int for _, op in cleared.named_ops() for col in op.cols.values() for v in col.values()
     )
@@ -299,3 +303,114 @@ def test_d1_and_d0_edge_cases():
     assert imgs0.d == 0 and not imgs0.t and not imgs0.x
     with pytest.raises(ValueError):
         rho_images(TensorConfig([natural_factor(HP11)], HP11))
+
+
+# boundary partitions, d and hook profile of the configs on which the
+# shortcut proofs are compared with the direct residuals
+SHORTCUT_CONFIGS = {
+    "gl11_d3": ((1,), (1,), 3, HP11),
+    "gl21_d2": ((1,), (1,), 2, HP21),
+    "gl12_d3": ((1,), (1,), 3, HookProfile(1, 2)),
+    "gl22_boundaries_d1": ((2,), (1, 1), 1, HookProfile(2, 2)),
+    "paper_d1": ((4, 4, 4), (2, 2), 1, HookProfile(3, 1)),
+}
+CONTROLS = ("clean", "parity", "koszul", "unsigned")
+
+
+@functools.cache
+def shortcut_images(name, control):
+    alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
+    cfg = module_tensor_config(alpha, beta, d, hp)
+    if control == "unsigned":
+        return with_unsigned_swaps(rho_prime_images(cfg))
+    if control == "off-weight":
+        # z_0 plus a raising unit moves weight, so the Cartan lines fail
+        images = rho_prime_images(cfg)
+        return replace(images, z0=images.z0 + cfg.act_unit(1, 2))
+    return rho_prime_images(cfg, corrupt_gamma=None if control == "clean" else control)
+
+
+@pytest.mark.parametrize("control", CONTROLS + ("off-weight",))
+@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
+def test_centralizer_matches_full_oracle(name, control):
+    images = shortcut_images(name, control)
+    rep = verify_centralizer(images)
+    assert rep.to_json() == full_centralizer(images).to_json()
+    # every control fails but the unsigned swaps where there are none
+    assert rep.ok == (control == "clean" or control == "unsigned" and images.d < 2)
+    if control == "off-weight":
+        assert [c.ok for c in rep.checks if c.id in ("[z0,E(1,1)]", "[z0,E(2,2)]")] == [False, False]
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
+def test_braid_relations_match_without_relabelling(name, control, monkeypatch):
+    images = shortcut_images(name, control)
+    reports = [verify_braid_relations(acting).to_json() for acting in (images, unshifted(images))]
+    monkeypatch.setattr(LinearOp, "signed_permutation", lambda self: None)
+    assert reports == [verify_braid_relations(acting).to_json() for acting in (images, unshifted(images))]
+
+
+def count_commutators(monkeypatch):
+    calls = []
+    commutator = LinearOp.commutator
+
+    def counted(self, other):
+        calls.append((self, other))
+        return commutator(self, other)
+
+    monkeypatch.setattr(LinearOp, "commutator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("hp", [HP21, HookProfile(3, 1)])
+def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
+    # on passing reports: 2(r-1) commutators per image plus (r-1)(r-2) for
+    # the bracket identities, and none with a swap t_i as an operand
+    cfg = module_tensor_config((1,), (1,), 3, hp)
+    images = rho_prime_images(cfg)
+    r = hp.rank
+    calls = count_commutators(monkeypatch)
+    assert verify_centralizer(images).ok
+    assert len(calls) == len(images.named_ops()) * 2 * (r - 1) + (r - 1) * (r - 2)
+    calls.clear()
+    assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
+    swaps = list(images.t.values())
+    assert calls and not [c for c in calls if any(x is t for x in c for t in swaps)]
+
+
+def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
+    # act_unit(1,3) off its bracket [act_unit(1,2), act_unit(2,3)]: the
+    # E(1,3) lines are the direct residuals, and fail as the oracle's do
+    cfg = module_tensor_config((1,), (1,), 2, HP21)
+    act_unit = cfg.act_unit
+    wrong = act_unit(1, 3) + LinearOp.from_entries(cfg.space, [(0, 1, 1)])
+    monkeypatch.setattr(cfg, "act_unit", lambda i, j: wrong if (i, j) == (1, 3) else act_unit(i, j))
+    images = rho_prime_images(cfg)
+    calls = count_commutators(monkeypatch)
+    rep = verify_centralizer(images)
+    n_images = len(images.named_ops())
+    # per image the 4 simple units and E(1,3); 2 bracket identities
+    assert len(calls) == n_images * 5 + 2
+    failed = {c.id[-7:] for c in rep.checks if not c.ok}
+    assert failed == {"E(1,3)]"}
+    assert rep.to_json() == full_centralizer(images).to_json()
+
+
+def test_swap_with_an_entry_two_falls_back(monkeypatch):
+    # t_1 with one entry doubled is no signed permutation: every R1, R3 and
+    # sym line on it is the commutator, as with the relabelling declined
+    images = rho_prime_images(module_tensor_config((1,), (1,), 4, HP11))
+    t1 = images.t[1]
+    i, j, v = next(t1.entries())
+    bad = t1 + LinearOp.from_entries(t1.space, [(i, j, v)])
+    assert bad.signed_permutation() is None
+    images = replace(images, t={**images.t, 1: bad})
+    calls = count_commutators(monkeypatch)
+    rep = verify_braid_relations(images)
+    lines = [c.id for c in rep.checks if c.id.endswith(",t1]") or c.id.startswith(("R3:[t1,", "sym:[t1,"))]
+    assert len([c for c in calls if bad in c]) == len(lines) == 10
+    swaps = [images.t[2], images.t[3]]
+    assert not [c for c in calls if bad not in c and any(x is t for x in c for t in swaps)]
+    monkeypatch.setattr(LinearOp, "signed_permutation", lambda self: None)
+    assert rep.to_json() == verify_braid_relations(images).to_json()

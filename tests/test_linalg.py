@@ -400,6 +400,55 @@ def test_commutator_matches_product_difference(k, seed):
     assert a.commutator(commuting).cols == {}
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers())
+def test_diagonal_commutator_matches_commutator(k, seed):
+    # the product-free residual against the commutator, on a diagonal with
+    # zero and repeated entries, so some columns cancel entirely
+    rng = random.Random(seed)
+    space = GradedSpace((0,) * k)
+    vals = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    diag = [rng.choice([0, 0, 1, -1, 3]) for _ in range(k)]
+    d_op = op(space, [(j, j, v) for j, v in enumerate(diag)])
+    assert d_op.diagonal() == diag
+    a = op(space, [(i, j, rng.choice(vals)) for i in range(k) for j in range(k) if rng.random() < 0.6])
+    got = a.commutator_with_diagonal(diag)
+    assert list(got.entries()) == list(a.commutator(d_op).entries())
+    assert_stores_no_zero(got)
+    assert_canonical(got)
+    if k > 1:
+        assert (d_op + op(space, [(0, 1, 1)])).diagonal() is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers())
+def test_signed_permutation_relabelling_matches_commutator(k, seed):
+    # commutation with a signed permutation read off by relabelling, against
+    # the commutator: for ops that commute with it (its powers, scaled and
+    # shifted) and for random ops; then the premise's refusals
+    rng = random.Random(seed)
+    space = GradedSpace((0,) * k)
+    vals = [-2, -1, 1, 2, Fraction(1, 2)]
+    rows = list(range(k))
+    rng.shuffle(rows)
+    signs = [rng.choice([1, -1]) for _ in range(k)]
+    p = op(space, [(rows[j], j, signs[j]) for j in range(k)])
+    perm = p.signed_permutation()
+    assert perm == {j: (rows[j], signs[j]) for j in range(k)}
+    a = op(space, [(i, j, rng.choice(vals)) for i in range(k) for j in range(k) if rng.random() < 0.5])
+    ops = [p, p @ p, (p @ p @ p).scaled(rng.choice(vals)).plus_scalar(2), LinearOp(space), a, a + p]
+    for x in ops:
+        assert x.commutes_with_signed_permutation(perm) == (x.commutator(p).cols == {})
+    j = rng.randrange(k)
+    refused = [
+        p + op(space, [(rows[j], j, signs[j])]),  # an entry 2 or -2
+        p - op(space, [(rows[j], j, signs[j])]),  # a column missing
+        p + op(space, [(rows[j - 1], j, 1)]),  # two entries in a column
+        op(space, [(rows[0], i, 1) for i in range(k)]),  # one row for every column
+    ]
+    assert [x.signed_permutation() for x in refused] == [None] * 4
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 5), st.integers())
 def test_coordinates_invert_from_coefficients(rank, extra, seed):
