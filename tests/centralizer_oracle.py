@@ -7,7 +7,7 @@ units and proves the other lines from them; here every line is the residual
 witnesses included.
 """
 
-from superbraid.braid import Report
+from superbraid.braid import Report, zero_check
 
 
 def full_centralizer(images):
@@ -18,5 +18,5 @@ def full_centralizer(images):
         for i in range(1, r + 1):
             for j in range(1, r + 1):
                 unit = config.act_unit(i, j)
-                rep.add_zero_check(f"[{name},E({i},{j})]", op.commutator(unit), config)
+                rep.add(zero_check(f"[{name},E({i},{j})]", op.commutator(unit), config))
     return rep

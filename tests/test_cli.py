@@ -1,17 +1,22 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbraid import modules
+from superbraid import cli, modules
+from superbraid.braid import rho_prime_images, unshifted, verify_braid_relations, with_unsigned_swaps
 from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, _hooks_up_to, main
-from superbraid.modules import ConstructionError
+from superbraid.modules import ConstructionError, module_tensor_config
 from superbraid.partitions import HookProfile, is_hook
 from superbraid.schur import MultiplicityError, partitions_of
+
+from braid_oracle import two_pass_braid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -137,6 +142,65 @@ def test_verify_braid_json_format(capsys):
     assert payload["schema"] == 1 and payload["ok"] is True
     assert payload["params"]["n"] == 1
     assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+BRAID_CONTROLS = {
+    "clean": rho_prime_images,
+    "parity": functools.partial(rho_prime_images, corrupt_gamma="parity"),
+    "koszul": functools.partial(rho_prime_images, corrupt_gamma="koszul"),
+    "unsigned-swaps": lambda config: with_unsigned_swaps(rho_prime_images(config)),
+}
+
+
+@pytest.mark.parametrize("control", sorted(BRAID_CONTROLS))
+@pytest.mark.parametrize("n,m,d", [(1, 1, 3), (2, 1, 2), (2, 1, 4), (1, 2, 3), (2, 2, 2)])
+def test_verify_braid_matches_two_pass_oracle(capsys, monkeypatch, control, n, m, d):
+    # one relation pass on the shifted images gives the report of a plain
+    # pass followed by a shifted one, on passing and failing images alike
+    built, passes = [], []
+
+    def images(config):
+        built.append(BRAID_CONTROLS[control](config))
+        return built[-1]
+
+    def counted(acting):
+        passes.append(acting)
+        return verify_braid_relations(acting)
+
+    monkeypatch.setattr(cli, "rho_prime_images", images)
+    monkeypatch.setattr(cli, "verify_braid_relations", counted)
+    code, out, _ = run(capsys, "verify", "braid", "--n", str(n), "--m", str(m), "--d", str(d),
+                       "--fmt", "json")
+    assert len(passes) == 1 and passes[0] is built[0]
+    assert not hasattr(cli, "unshifted")
+    payload = json.loads(out)
+    expected = two_pass_braid(built[0])
+    assert payload["checks"] == [c.as_dict() for c in expected]
+    assert payload["ok"] is (control == "clean")
+    assert code == (EXIT_OK if control == "clean" else EXIT_CHECK_FAILED)
+    if (n, m, d) == (2, 1, 4):
+        assert len(expected) == 140
+
+
+def test_verify_braid_refuses_swaps_that_are_not_involutions(capsys, monkeypatch):
+    # t_1 t_2 is a signed permutation but not an involution, so the plain
+    # lines that pass through t_1^2 are no longer the shifted ones
+    def tangled(config):
+        images = rho_prime_images(config)
+        return replace(images, t={**images.t, 1: images.t[1] @ images.t[2]})
+
+    broken = tangled(module_tensor_config((1,), (1,), 3, HookProfile(2, 1)))
+    shifted = verify_braid_relations(broken).checks
+    plain = verify_braid_relations(unshifted(broken)).checks
+    assert [a.id for a, b in zip(plain, shifted) if a != b] == [
+        "R4:x,i=1", "R4:y,i=1", "R6:z2=x2+y2-m2", "m(1,2)=split-casimir",
+    ]
+    monkeypatch.setattr(cli, "rho_prime_images", tangled)
+    code, out, err = run(capsys, "verify", "braid", "--n", "2", "--m", "1", "--d", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert not out
+    assert err.startswith("internal error: ") and "sym:t1^2=1" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_verify_hecke_pass_and_fail(capsys):
