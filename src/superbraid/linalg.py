@@ -15,14 +15,19 @@ entries column-major (``cols[j][i]``), which makes products and
 matrix-vector application cheap for the very sparse operators produced by
 tensor-factor embeddings.  :func:`_add_scaled` is the one loop that combines
 sparse entries: sums, differences, products, applications and elimination
-all go through it (:func:`op_sum` adds many operators into one accumulator
-per column), and :meth:`LinearOp.add_entry` is the single-entry
-insert.  A commutator goes through it one column at a time, both
-products' columns into one accumulator, with no product operators built.
-Two commutators need no products at all: with a diagonal operator each
-entry is only scaled (:meth:`LinearOp.commutator_with_diagonal`), and
-whether an operator commutes with a signed permutation is a relabelling
-of its entries (:meth:`LinearOp.commutes_with_signed_permutation`).
+all go through it (:func:`op_sum` adds many operators, and
+:func:`product_sum` many products, into one accumulator per column), and
+:meth:`LinearOp.add_entry` is the single-entry insert.  A commutator goes
+through it one column at a time, both products' columns into one
+accumulator, with no product operators built.
+Some commutators need no products at all: with a diagonal operator each
+entry is only scaled (:meth:`LinearOp.commutator_with_diagonal`), whether
+an operator commutes with a family of diagonals is a comparison of keys
+(:meth:`LinearOp.commutes_with_diagonals`), and whether it commutes with a
+signed permutation is a relabelling of its entries
+(:meth:`LinearOp.commutes_with_signed_permutation`).  A product ``T X T``
+with a signed permutation ``T`` is such a relabelling too
+(:meth:`LinearOp.sandwiched`).
 The matrix of an operator restricted to a subspace is again a
 :class:`LinearOp`, on the subspace's coordinate space.
 :class:`RowReducer` holds the one elimination loop; only :class:`Subspace`,
@@ -199,6 +204,19 @@ class LinearOp:
                 cols[j] = acc
         return LinearOp(self.space, cols)
 
+    def commutes_with_diagonals(self, keys: Sequence) -> bool:
+        """Whether self commutes with diagonal operators ``D_1 .. D_r``,
+        given ``keys[b] = (D_1[b], .., D_r[b])`` per basis index ``b``, in
+        one pass over the entries: entry ``(k, j)`` of ``[self, D_i]`` is
+        ``self[k, j] (D_i[j] - D_i[k])``, so all ``r`` commutators vanish
+        exactly when every entry joins two indices with equal keys."""
+        for j, col in self.cols.items():
+            kj = keys[j]
+            for k in col:
+                if keys[k] != kj:
+                    return False
+        return True
+
     def signed_permutation(self) -> Optional[dict]:
         """``{j: (row, sign)}`` when self sends each basis vector ``e_j`` to
         ``sign * e_row`` with ``sign = ±1`` and distinct rows, else None."""
@@ -234,6 +252,20 @@ class LinearOp:
                     return False
         return True
 
+    def sandwiched(self, perm: dict) -> "LinearOp":
+        """``T @ self @ T`` for the signed permutation ``T`` that ``perm``
+        describes (:meth:`signed_permutation`), by relabelling alone: ``T``
+        sends ``e_j`` to ``sign_j e_(row_j)``, so column ``j`` of the product
+        is column ``row_j`` of self with each entry ``(k, v)`` moved to row
+        ``row_k`` as ``sign_j sign_k v``.  No inverse is taken, so ``T`` need
+        not be an involution."""
+        cols = {}
+        for j, (pj, sj) in perm.items():
+            col = self.cols.get(pj)
+            if col:
+                cols[j] = {perm[k][0]: v if perm[k][1] == sj else -v for k, v in col.items()}
+        return LinearOp(self.space, cols)
+
     def apply(self, vec: Vector) -> Vector:
         out: dict = {}
         for j, vj in vec.items():
@@ -252,21 +284,43 @@ class LinearOp:
         return None if best is None else best[1]
 
 
+def add_into(cols: dict, op: LinearOp) -> None:
+    """``cols += op`` in place, for ``cols`` the columns of an operator on
+    ``op``'s space: each column of ``op`` is added into its accumulator, and
+    a column that cancels is dropped."""
+    for j, col in op.cols.items():
+        acc = cols.get(j)
+        if acc is None:
+            cols[j] = dict(col)
+            continue
+        _add_scaled(acc, col, 1)
+        if not acc:
+            del cols[j]
+
+
 def op_sum(ops: Sequence) -> LinearOp:
     """The sum of nonempty ``ops``, all on one space, with one accumulator
-    per column: each summand's columns are added into it in place, so no
-    partial sum is ever copied."""
+    per column (:func:`add_into`), so no partial sum is ever copied."""
     cols: dict = {}
     for op in ops:
-        for j, col in op.cols.items():
-            acc = cols.get(j)
-            if acc is None:
-                cols[j] = dict(col)
-                continue
-            _add_scaled(acc, col, 1)
-            if not acc:
-                del cols[j]
+        add_into(cols, op)
     return LinearOp(ops[0].space, cols)
+
+
+def product_sum(space: GradedSpace, terms: Iterable) -> LinearOp:
+    """The sum of ``c * A @ B`` over the triples ``(c, A, B)`` of
+    ``terms``, all on ``space``, with one accumulator per column: column
+    ``j`` of each product is added into it entry by entry of ``B``'s column
+    ``j``, so no product and no partial sum is built."""
+    cols: dict = {}
+    for c, a, b in terms:
+        for j, bcol in b.cols.items():
+            acc = cols.setdefault(j, {})
+            for k, v in bcol.items():
+                acol = a.cols.get(k)
+                if acol:
+                    _add_scaled(acc, acol, c * v)
+    return LinearOp(space, {j: col for j, col in cols.items() if col})
 
 
 class RowReducer:

@@ -26,7 +26,7 @@ from itertools import product
 from operator import add
 from typing import Optional, Sequence
 
-from .linalg import GradedSpace, LinearOp, Subspace
+from .linalg import GradedSpace, LinearOp, Subspace, product_sum
 from .partitions import HookProfile, Partition
 
 
@@ -240,18 +240,20 @@ class TensorConfig:
         """Quadratic Casimir acting through the coproduct on all factors.
 
         This is sum (-1)^parity(j) D(E_ij) D(E_ji) with D the diagonal
-        action, so it contains all cross terms between the factors.
+        action, so it contains all cross terms between the factors.  The
+        r^2 products go into one accumulator per column
+        (:func:`~superbraid.linalg.product_sum`).
         """
         r = self.hp.rank
-        out = LinearOp(self.space)
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                term = self.act_unit(i, j) @ self.act_unit(j, i)
-                if index_parity(j, self.hp):
-                    out = out - term
-                else:
-                    out = out + term
-        return out
+        unit = self.act_unit
+        return product_sum(
+            self.space,
+            (
+                (-1 if index_parity(j, self.hp) else 1, unit(i, j), unit(j, i))
+                for i in range(1, r + 1)
+                for j in range(1, r + 1)
+            ),
+        )
 
     def split_casimir_op(self, pos1: int, pos2: int, corrupt: Optional[str] = None) -> LinearOp:
         """The mixed term of the coproduct Casimir on an ordered factor pair:

@@ -365,18 +365,36 @@ def count_commutators(monkeypatch):
 
 @pytest.mark.parametrize("hp", [HP21, HookProfile(3, 1)])
 def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
-    # on passing reports: 2(r-1) commutators per image plus (r-1)(r-2) for
-    # the bracket identities, and none with a swap t_i as an operand
+    # on passing reports: 2(r-1) commutators per split Casimir that is no
+    # signed permutation, none here since both boundaries are V, plus
+    # (r-1)(r-2) for the bracket identities; none with an image or a swap
+    # t_i as an operand
     cfg = module_tensor_config((1,), (1,), 3, hp)
     images = rho_prime_images(cfg)
     r = hp.rank
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
-    assert len(calls) == len(images.named_ops()) * 2 * (r - 1) + (r - 1) * (r - 2)
+    assert len(calls) == (r - 1) * (r - 2)
+    ops = [op for _, op in images.named_ops()]
+    assert not [c for c in calls if any(x is op for x in c for op in ops)]
     calls.clear()
     assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
     swaps = list(images.t.values())
     assert calls and not [c for c in calls if any(x is t for x in c for t in swaps)]
+
+
+@pytest.mark.parametrize("name", ["gl22_boundaries_d1", "paper_d1"])
+def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
+    # Gamma(M,N), Gamma(M,v_1) and Gamma(N,v_1) are no signed permutations:
+    # each takes its 2(r-1) commutators with the simple units, once, and no
+    # image is an operand
+    images = shortcut_images(name, "clean")
+    r = images.config.hp.rank
+    calls = count_commutators(monkeypatch)
+    assert verify_centralizer(images).ok
+    assert len(calls) == 3 * 2 * (r - 1) + (r - 1) * (r - 2)
+    ops = [op for _, op in images.named_ops()]
+    assert not [c for c in calls if any(x is op for x in c for op in ops)]
 
 
 def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
@@ -390,11 +408,32 @@ def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
     calls = count_commutators(monkeypatch)
     rep = verify_centralizer(images)
     n_images = len(images.named_ops())
-    # per image the 4 simple units and E(1,3); 2 bracket identities
-    assert len(calls) == n_images * 5 + 2
+    # per image E(1,3) only, since every split Casimir here is a signed
+    # permutation; 2 bracket identities
+    assert len(calls) == n_images + 2
     failed = {c.id[-7:] for c in rep.checks if not c.ok}
     assert failed == {"E(1,3)]"}
     assert rep.to_json() == full_centralizer(images).to_json()
+
+
+@pytest.mark.parametrize("control", ["clean", "koszul"])
+def test_image_off_its_parts_is_computed_directly(control, monkeypatch):
+    # x_2 := y_2 (of the clean or the 'koszul' images) while x_2 keeps its
+    # recorded parts Gamma(M,v_2), Gamma(v_1,v_2): those pass, but x_2 is not
+    # their sum, so its simple lines are the direct residuals
+    images = shortcut_images("gl21_d2", "clean")
+    x2 = shortcut_images("gl21_d2", control).y[2]
+    images = replace(images, x={**images.x, 2: x2})
+    assert images.parts["x2"] == ((POS_M, v_position(2)), (v_position(1), v_position(2)))
+    calls = count_commutators(monkeypatch)
+    rep = verify_centralizer(images)
+    taken = [other for op, other in calls if op is x2]
+    simple = [images.config.act_unit(i, j) for i, j in ((1, 2), (2, 1), (2, 3), (3, 2))]
+    assert all(any(e is unit for unit in taken) for e in simple)
+    assert rep.to_json() == full_centralizer(images).to_json()
+    failed = {c.id for c in rep.checks if not c.ok}
+    # y_2 centralizes; the corrupted one fails on x_2's lines alone
+    assert rep.ok == (control == "clean") and all(f.startswith("[x2,") for f in failed)
 
 
 def test_swap_with_an_entry_two_falls_back(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbraid.bratteli import build_graph, predicted_tuples
-from superbraid.braid import rho_prime_images
+from superbraid.braid import rho_prime_images, sandwich
 from superbraid.linalg import (
     GradedSpace,
     LinalgError,
@@ -418,6 +418,15 @@ def test_diagonal_commutator_matches_commutator(k, seed):
     assert_canonical(got)
     if k > 1:
         assert (d_op + op(space, [(0, 1, 1)])).diagonal() is None
+    # both lines at once, keyed by each index's pair of diagonal entries,
+    # on the random op and on its entries between equal keys
+    diag2 = [rng.choice([0, 1, -2]) for _ in range(k)]
+    keys = list(zip(diag, diag2))
+    joined = op(space, [(i, j, v) for i, j, v in a.entries() if keys[i] == keys[j]])
+    for x in (a, joined):
+        both = not x.commutator_with_diagonal(diag).cols and not x.commutator_with_diagonal(diag2).cols
+        assert x.commutes_with_diagonals(keys) == both
+    assert joined.commutes_with_diagonals(keys)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -447,6 +456,41 @@ def test_signed_permutation_relabelling_matches_commutator(k, seed):
         op(space, [(rows[0], i, 1) for i in range(k)]),  # one row for every column
     ]
     assert [x.signed_permutation() for x in refused] == [None] * 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers())
+def test_sandwich_by_relabelling_matches_products(k, seed):
+    # T X T read off by relabelling, against the two products: for a random
+    # signed permutation, a signed k-cycle (no involution once k > 2), its
+    # square and a product of the two; the operators the premise refuses
+    # go through the products
+    rng = random.Random(seed)
+    space = GradedSpace((0,) * k)
+    vals = [-2, -1, 1, 2, Fraction(1, 2)]
+    rows = list(range(k))
+    rng.shuffle(rows)
+    signs = [rng.choice([1, -1]) for _ in range(k)]
+    p = op(space, [(rows[j], j, signs[j]) for j in range(k)])
+    cycle = op(space, [((j + 1) % k, j, rng.choice([1, -1])) for j in range(k)])
+    if k > 2:
+        assert (cycle @ cycle).cols != LinearOp.identity(space).cols
+    x = op(space, [(i, j, rng.choice(vals)) for i in range(k) for j in range(k) if rng.random() < 0.5])
+    for t in (p, cycle, cycle @ cycle, p @ cycle):
+        perm = t.signed_permutation()
+        assert perm is not None
+        want = (t @ x @ t).cols
+        assert x.sandwiched(perm).cols == want
+        assert sandwich(t, x).cols == want
+    j = rng.randrange(k)
+    refused = [
+        p + op(space, [(rows[j], j, signs[j])]),  # an entry 2 or -2
+        p - op(space, [(rows[j], j, signs[j])]),  # a column missing
+        op(space, [(rows[0], i, 1) for i in range(k)]),  # one row for every column
+    ]
+    for t in refused:
+        assert t.signed_permutation() is None
+        assert sandwich(t, x).cols == (t @ x @ t).cols
 
 
 @settings(max_examples=80, deadline=None)
