@@ -37,14 +37,55 @@ A commutator [X, t_i] with a swap vanishes exactly when t_i X t_i^-1 = X,
 and for a signed permutation t_i that is a relabelling of X's entries, so
 R1, R3 and the commuting swaps are compared entry by entry, with no
 arithmetic; the conjugations t X t of m_{i,j}, R4 and the Hecke lines are
-relabellings too (:func:`sandwich`).  The centralizer line of an image
-with a simple unit E(i,i±1) follows by linearity from the split Casimirs
-the image is summed from (``GeneratorImages.parts``): [X, E] is the sum of
-the [Gamma, E], so it vanishes when each of those does and X is checked to
-be their exact sum.  All Cartan lines of an image are one pass over its
-entries, and the other lines follow from the bracket identity
-E(a,c) = [E(a,b), E(b,c)], checked on the operators (see
-:func:`verify_centralizer`).
+relabellings too (:func:`sandwich`).
+
+The centralizer and R2 lines rest on the split Casimirs each image is
+summed from (``GeneratorImages.parts``, checked by
+:func:`summed_from_parts`): a commutator of sums is the sum of the
+commutators of their Gammas, and a scalar drops out of it.  Each of those
+is decided on a local config whose size does not grow with d.
+
+Transport lemma.  ``act_unit(i, j)`` sums E_ij on each factor t with the
+Koszul sign (-1)^(|E_ij| * parity of the factors left of t), and
+``split_casimir_op(p, q)`` sums (-1)^|j| E_ij on factor p times E_ji on
+factor q, the product of two such signed actions, whose signs leave
+(-1)^(|E_ij| * parity of the factors p .. q-1); ``signed_swap(p)`` reads
+factors p and p+1 alone.  So each moves only the components at its own
+factors and reads a factor between two of its legs only through its
+parity.  The local config of legs p_1 < .. < p_k
+(:meth:`TensorConfig.local`) holds the leg factors in order, with a
+parity carrier C^(1|1) (zero action) in each gap between legs that are not
+adjacent.  Send each whole basis vector to the local one with the same leg
+components and, in each gap, the carrier vector of the gap's parity.  Then
+each split Casimir and swap on the legs is the local one relabelled along
+this map, times the identity on the other factors, and so is any
+polynomial in them; the carrier has both parities, so a local identity
+holds on the whole space.  If, moreover, every factor is graded (each unit
+E_ij moves parity by |E_ij|, :meth:`RealizedModule.units_graded`, checked
+first), Gamma is even and moves both legs by one parity, so it commutes
+with the action of any unit on a factor off its legs: left of the legs
+neither sign reads what the other moves, right of them E reads the legs
+only through their total parity, and in a gap E flips Gamma's sign by the
+same (-1)^(|E| |E_ij|) by which Gamma, through its first leg, flips E's.
+Swaps likewise.  Hence [Gamma, act_unit(E)] is the relabelled local
+commutator, whose carrier parts are zero, times the sign (-1)^(|E| *
+parity of the factors left of the legs); split Casimirs on disjoint pairs
+commute, in every interleaving, as one is a sum of products of unit
+actions off the other's legs; and E(a,c) = [E(a,b), E(b,c)] on each
+factor's unit matrices carries to ``act_unit`` when one of the two is
+even.  ``tests/transport_oracle.py`` relabels local operators for the
+desk-scale tests of these statements.  The suites use the lemma so:
+
+- Centralizer: each Gamma of an image, and each swap that is
+  ``signed_swap``, is decided against the simple units on the local config
+  of its two legs, once per module pair and gap (:func:`verify_centralizer`).
+- R2: [z_0+..+z_i, x_j] expands into commutators of the Gammas on the
+  pairs of the prefix M, N, v_1 .. v_i with those of x_j.  Disjoint pairs
+  commute, a pair commutes with itself, and the rest group exactly, on the
+  index sets, into the infinitesimal braid (4T) relators [Gamma(c,j),
+  Gamma(c,e) + Gamma(j,e)] = 0 (Kohno 1987; Drinfeld 1990), one for each
+  part (c, j) of x_j and other factor e of the prefix, each decided on its
+  three legs (:meth:`LocalProofs.bracket_vanishes`).
 
 The plain images differ from the shifted ones only by scalars, and those
 cancel in every defining relation once each t_i^2 = 1: in commutators, in
@@ -58,6 +99,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -144,7 +186,8 @@ class GeneratorImages:
     one) under which the boundary eigenvalues become box contents.
     ``parts`` maps an image's name (as in :meth:`named_ops`) to the factor
     pairs ``(p, q)`` whose split Casimirs it was summed from, keys only:
-    :func:`verify_centralizer` checks that claim before it relies on it.
+    the relation suites check that claim (:func:`summed_from_parts`) before
+    they rely on it.
     """
 
     config: TensorConfig
@@ -298,6 +341,105 @@ def cleared_denominators(images: GeneratorImages) -> tuple:
     )
 
 
+def summed_from_parts(images: GeneratorImages) -> set:
+    """The names of the images that equal the exact sum of
+    ``config.split_casimir_op(p, q)`` over their recorded ``parts``, up to
+    a multiple of the identity, which no commutator sees.  Each Gamma is
+    built once: the images are taken in order of the last factor of their
+    parts, and a Gamma is dropped when no later image lists it, so one
+    accumulator and the Gammas of one last factor are alive at a time."""
+    config = images.config
+    ops = dict(images.named_ops())
+    names = sorted(images.parts, key=lambda name: max(q for _, q in images.parts[name]))
+    uses = Counter(pair for name in names for pair in images.parts[name])
+    built: dict = {}
+    out = set()
+    for name in names:
+        cols: dict = {}
+        for pair in images.parts[name]:
+            gamma = built.get(pair)
+            if gamma is None:
+                gamma = built[pair] = config.split_casimir_op(*pair)
+            add_into(cols, gamma)
+            uses[pair] -= 1
+            if not uses[pair]:
+                del built[pair]
+        op = ops[name]
+        # the scalar op - sum would be, read off entry (0, 0)
+        shift = op.cols.get(0, {}).get(0, 0) - cols.get(0, {}).get(0, 0)
+        if cols == (op.plus_scalar(-shift) if shift else op).cols:
+            out.add(name)
+    return out
+
+
+class LocalProofs:
+    """Identities of split Casimirs, swaps and units on a config, each
+    decided on the local config of its legs (:meth:`TensorConfig.local`)
+    and kept by that config's key, so a decision is made once per modules
+    and gaps however often, and at whatever d, it is asked for.  The module
+    docstring has the transport lemma that makes each a proof."""
+
+    def __init__(self, config: TensorConfig):
+        self.config = config
+        r = config.hp.rank
+        self.simple = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if abs(i - j) == 1]
+        self.modules = list({id(f): f for f in config.factors}.values())
+        # the lemma's premise: it trades signs by the parity each unit moves
+        self.graded = all(f.units_graded() for f in self.modules)
+        self._memo: dict = {}
+
+    def units_commuting(self, pair: tuple, swap: bool = False) -> set:
+        """The simple units ``E(i,i±1)`` whose action commutes with the split
+        Casimir on the factor ``pair``, or with the swap of it when ``swap``
+        (then the pair is adjacent); none when a factor is not graded."""
+        if not self.graded:
+            return set()
+        key, local, where = self.config.local(pair)
+        memo_key = ("units", swap, key)
+        if memo_key not in self._memo:
+            a, b = where[pair[0]], where[pair[1]]
+            op = local.signed_swap(a) if swap else local.split_casimir_op(a, b)
+            self._memo[memo_key] = {u for u in self.simple if not op.commutator(local.act_unit(*u)).cols}
+        return self._memo[memo_key]
+
+    def _relator_vanishes(self, q: tuple, e: int) -> bool:
+        # [Gamma(a,b), Gamma(a,e) + Gamma(b,e)] = 0 on the local config of
+        # the legs a, b, e, for q = (a, b)
+        key, local, where = self.config.local(sorted((*q, e)))
+        a, b, c = where[q[0]], where[q[1]], where[e]
+        memo_key = ("4T", key, a, b)
+        if memo_key not in self._memo:
+            gamma = local.split_casimir_op
+            others = gamma(*sorted((a, c))) + gamma(*sorted((b, c)))
+            self._memo[memo_key] = not gamma(a, b).commutator(others).cols
+        return self._memo[memo_key]
+
+    def bracket_vanishes(self, left: list, right: list) -> bool:
+        """Whether the sum of ``[Gamma_p, Gamma_q]`` over ``p`` in ``left`` and
+        ``q`` in ``right`` (factor pairs, each increasing) vanishes by local
+        identities.  A term on one pair twice is zero, and so is a term on
+        two disjoint pairs, by the transport lemma.  Every other term shares
+        one leg of ``q = (a, b)`` and has one more leg ``e``, and the terms
+        of one ``(q, e)`` must be ``[Gamma(a,e), Gamma_q]`` and
+        ``[Gamma(b,e), Gamma_q]`` equally often: together they are that
+        multiple of the 4T relator ``-[Gamma_q, Gamma(a,e) + Gamma(b,e)]``,
+        decided on the three legs.  When the terms do not group so, the
+        answer is no, and so it is when a factor is not graded."""
+        if not self.graded:
+            return False
+        groups: dict = {}
+        for p in left:
+            for q in right:
+                common = set(p) & set(q)
+                if len(common) == 1:
+                    ((c,), (e,)) = common, set(p) - common
+                    groups.setdefault((q, e), Counter())[c] += 1
+        for (q, e), legs in groups.items():
+            if legs[q[0]] != legs[q[1]] or not self._relator_vanishes(q, e):
+                return False
+        return True
+
+
 def verify_braid_relations(images: GeneratorImages) -> Report:
     """Exhaustive exact check of the defining relations on the given space.
 
@@ -309,15 +451,23 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     against ``s Gamma``.  So each residual is exactly ``s^deg`` times the
     unscaled one: it vanishes exactly when that one does, and dividing its
     witness by ``s^deg`` gives the unscaled witness at the same entry.
-    Each ``R2`` residual ``[z_0+..+z_i, x_j]`` for ``i > j`` is the one for
-    ``i - 1`` plus ``[z_i, x_j]`` (the commutator is bilinear), so only
-    the first one per ``j`` is taken with the whole prefix sum.
+    An ``R2`` line ``[z_0+..+z_i, x_j]`` (or ``y_j``) passes when every
+    image in it is the sum of its ``parts`` up to a scalar
+    (:func:`summed_from_parts`, on the unscaled images) and the commutator
+    of those sums vanishes by local 4T relators
+    (:meth:`LocalProofs.bracket_vanishes`), so a passing line takes no
+    commutator on the whole space.  Otherwise the line is its residual:
+    the one of the line for ``i - 1`` plus ``[z_i, x_j]`` (the commutator
+    is bilinear), zero when that line was proved, and the commutator with
+    the whole prefix sum for ``i = j``.
     When ``t_i`` is a signed permutation (checked once per call), the R1,
     R3 and ``sym:[ti,tj]`` lines on it pass by relabelling
     (:meth:`LinearOp.commutes_with_signed_permutation`); a line the
     relabelling does not prove is the commutator, for the witness.
     """
     rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
+    summed = summed_from_parts(images)
+    local = LocalProofs(images.config)
     s, images = cleared_denominators(images)
     config = images.config
     d = images.d
@@ -358,16 +508,30 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
                     continue
                 check_commutes(f"R1:[{name}{i},t{j}]", op, j, lambda: op.commutator(t[j]), 1)
 
-    prefix = images.z0
+    prefixes: dict = {}  # i -> z_0 + .. + z_i, summed when a residual needs it
     for j in range(1, d + 1):
-        prefix = prefix + z[j]
-        rx, ry = prefix.commutator(x[j]), prefix.commutator(y[j])
+        residuals: dict = {}  # family -> the residual of its line before, when known
         for i in range(j, d + 1):
-            if i > j:
-                # exact by bilinearity: [P + z_i, x_j] = [P, x_j] + [z_i, x_j]
-                rx, ry = rx + z[i].commutator(x[j]), ry + z[i].commutator(y[j])
-            check(f"R2:[z0+..+z{i},x{j}]", rx, 2)
-            check(f"R2:[z0+..+z{i},y{j}]", ry, 2)
+            names = ["z0", *(f"z{k}" for k in range(1, i + 1))]
+            prefix_parts = [pair for name in names for pair in images.parts[name]]
+            for name, fam in (("x", x), ("y", y)):
+                check_id = f"R2:[z0+..+z{i},{name}{j}]"
+                if summed.issuperset((*names, f"{name}{j}")) and local.bracket_vanishes(
+                    prefix_parts, images.parts[f"{name}{j}"]
+                ):
+                    rep.add(Check(check_id, True))
+                    residuals[name] = LinearOp(config.space)
+                    continue
+                before = residuals.get(name)
+                if before is None:
+                    if i not in prefixes:
+                        prefixes[i] = op_sum([images.z0, *(z[k] for k in range(1, i + 1))])
+                    residual = prefixes[i].commutator(fam[j])
+                else:
+                    # exact by bilinearity: [P + z_i, x_j] = [P, x_j] + [z_i, x_j]
+                    residual = before + z[i].commutator(fam[j])
+                residuals[name] = residual
+                check(check_id, residual, 2)
 
     for i in range(1, d):
         for name, fam in (("x", x), ("y", y)):
@@ -429,84 +593,61 @@ def verify_centralizer(images: GeneratorImages) -> Report:
 
     - Simple units ``E(i,i±1)``, by linearity: ``[X, E]`` is the sum of
       ``[Gamma, E]`` over the split Casimirs ``Gamma`` that ``X`` is summed
-      from (``images.parts``), so the line passes when (a) each of them
-      commutes with ``E`` and (b) ``X`` equals their exact sum.  Each
-      ``Gamma`` is built when it is summed, one at a time into one
-      accumulator per image, which checks (b); (a) is decided once per
-      distinct ``Gamma``, by a relabelling when it is a signed permutation
-      (every ``Gamma(v_k, v_i)`` is) and otherwise by
-      ``Gamma.commutator(E)``.  When ``X`` itself is a signed
-      permutation, as a swap ``t_i`` is, the line passes when relabelling
-      ``E`` by it gives ``E`` back.
+      from (``images.parts``), so the line passes when (a) ``X`` is their
+      exact sum, up to a scalar (:func:`summed_from_parts`), and (b) each of
+      them commutes with ``E``, decided on the local config of its two legs
+      (:meth:`LocalProofs.units_commuting`) once per module pair and gap:
+      ``M (x) N``, ``M (x) V``, ``N (x) V`` and ``V (x) V``, with a parity
+      carrier between legs that are not adjacent (the module docstring's
+      transport lemma).  A swap ``t_i`` that equals ``signed_swap`` on its
+      factors is decided on ``V (x) V`` the same way.
     - Cartan units ``E(i,i)``: when each ``act_unit(i,i)`` is diagonal,
       every basis index is keyed by its tuple of diagonal entries, and all
       ``r`` lines pass when every entry of ``X`` joins two indices with
       equal keys (:meth:`LinearOp.commutes_with_diagonals`); otherwise each
       residual is read off ``X``'s entries as ``X[k,b] (D_b - D_k)``.
-    - Other units ``E(a,c)``, in order of ``|a-c|``: when
-      ``act_unit(a,c)`` equals ``[act_unit(a,b), act_unit(b,c)]`` exactly,
-      for the neighbour ``b = c ∓ 1`` of ``c`` towards ``a`` (checked once
-      per call), the line passes when the lines for ``E(a,b)`` and
-      ``E(b,c)`` passed, since ``[X,AB-BA] = [X,A]B + A[X,B] - [X,B]A -
-      B[X,A]``.
+    - Other units ``E(a,c)``, in order of ``|a-c|``: when every factor's
+      unit matrices satisfy ``E(a,c) = [E(a,b), E(b,c)]`` for the
+      neighbour ``b = c ∓ 1`` of ``c`` towards ``a`` (checked once per
+      call, on the factors' own bases), the line passes when the lines for
+      ``E(a,b)`` and ``E(b,c)`` passed, since ``[X,AB-BA] = [X,A]B +
+      A[X,B] - [X,B]A - B[X,A]``; the identity carries over to
+      ``act_unit`` by the transport lemma.
 
     Any other line is the direct residual ``X.commutator(E)``, so every
     failing line carries the witness the full ``r^2`` check would give.
-    On a passing report the only commutators are ``2(r-1)`` per split
-    Casimir that is not a signed permutation and ``(r-1)(r-2)`` for the
-    bracket identities.  Only each line's :class:`Check` is kept, never
-    its residual.
+    A passing report takes no commutator on the whole space, and builds
+    the whole-space units only for the Cartan diagonals.  Only each
+    line's :class:`Check` is kept, never its residual.
     """
     rep = Report("centralizer")
     config = images.config
     r = config.hp.rank
     unit = config.act_unit
+    local = LocalProofs(config)
     diagonals = {i: unit(i, i).diagonal() for i in range(1, r + 1)}
     # the weight of each basis index, read off the Cartan units
     keys = None if None in diagonals.values() else list(zip(*diagonals.values()))
     units = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
-    simple = [u for u in units if abs(u[0] - u[1]) == 1]
     bracket = {}
     for a, c in units:
-        if abs(a - c) > 1:
+        if local.graded and abs(a - c) > 1:
             b = c - 1 if a < c else c + 1
-            if unit(a, c).cols == unit(a, b).commutator(unit(b, c)).cols:
+            if all(f.units[(a, c)].cols == f.units[(a, b)].commutator(f.units[(b, c)]).cols for f in local.modules):
                 bracket[(a, c)] = b
-
-    def relabelled(perm: dict) -> set:
-        # the simple units that the signed permutation perm commutes with
-        return {u for u in simple if unit(*u).commutes_with_signed_permutation(perm)}
-
-    commuting: dict = {}  # pair -> the simple units its split Casimir commutes with
-
-    def by_parts(op: LinearOp, pairs: tuple) -> set:
-        # the simple units that every split Casimir on pairs commutes with,
-        # or none when op is not their exact sum; each is built when it is
-        # summed into the one accumulator, so one is alive at a time
-        proved = set(simple)
-        cols: dict = {}
-        for pair in pairs:
-            gamma = config.split_casimir_op(*pair)
-            if pair not in commuting:
-                perm = gamma.signed_permutation()
-                if perm is not None:
-                    commuting[pair] = relabelled(perm)
-                else:
-                    commuting[pair] = {u for u in simple if not gamma.commutator(unit(*u)).cols}
-            proved &= commuting[pair]
-            if not proved:
-                return proved
-            add_into(cols, gamma)
-        return proved if cols == op.cols else set()
+    summed = summed_from_parts(images)
+    swaps = {f"t{i}": v_position(i) for i in images.t}
 
     order = sorted(units, key=lambda u: abs(u[0] - u[1]))
     for name, op in images.named_ops():
-        pairs = images.parts.get(name)
-        proved = by_parts(op, pairs) if pairs else set()
-        if len(proved) < len(simple):
-            perm = op.signed_permutation()
-            if perm is not None:
-                proved = proved | relabelled(perm)
+        proved = set()
+        if name in summed:
+            proved = set(local.simple)
+            for pair in images.parts[name]:
+                proved &= local.units_commuting(pair)
+        elif name in swaps and op.cols == config.signed_swap(swaps[name]).cols:
+            pos = swaps[name]
+            proved = local.units_commuting((pos, pos + 1), swap=True)
         cartan = keys is not None and op.commutes_with_diagonals(keys)
         lines = {}
         for i, j in order:

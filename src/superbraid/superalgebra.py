@@ -140,6 +140,17 @@ class RealizedModule:
     def dim(self) -> int:
         return self.space.dim
 
+    def units_graded(self) -> bool:
+        """Whether each unit E_ij changes parity by its own parity: every
+        entry joins two basis vectors whose parities differ by |E_ij|."""
+        ps = self.space.parities
+        return all(
+            ps[row] ^ ps[col] == unit_parity(i, j, self.hp)
+            for (i, j), op in self.units.items()
+            for col, entries in op.cols.items()
+            for row in entries
+        )
+
 
 def natural_factor(hp: HookProfile) -> RealizedModule:
     """The natural module V = L(1), highest weight eps_1, with E_ij e_j = e_i."""
@@ -154,6 +165,18 @@ def natural_factor(hp: HookProfile) -> RealizedModule:
         tuple(1 if k == t else 0 for k in range(r)) for t in range(r)
     )
     return RealizedModule((1,), hp, weights[0], space, weights, units)
+
+
+def parity_carrier(hp: HookProfile) -> RealizedModule:
+    """C^(1|1) with every unit acting as zero: one even and one odd basis
+    vector, both of weight 0.  It is a module but no irreducible, and it is
+    never a factor of the spaces the suites check.  In a local config of
+    :meth:`TensorConfig.local` it stands for the factors between two legs,
+    which the operators on the legs see only through their total parity."""
+    space = GradedSpace((0, 1))
+    zero = (0,) * hp.rank
+    units = {(i, j): LinearOp(space) for i in range(1, hp.rank + 1) for j in range(1, hp.rank + 1)}
+    return RealizedModule((), hp, zero, space, (zero, zero), units)
 
 
 class TensorConfig:
@@ -198,6 +221,10 @@ class TensorConfig:
             indices.sort()
         self._weight_index = index
         self._unit_cache: dict = {}
+        # position -> the first position holding the same module object
+        first: dict = {}
+        self._kind = [first.setdefault(id(f), t) for t, f in enumerate(self.factors)]
+        self._local_cache: dict = {}
 
     @property
     def n_factors(self) -> int:
@@ -214,6 +241,31 @@ class TensorConfig:
             ps = f.space.parities if t in span else (0,) * f.dim
             out = [p ^ q for p in out for q in ps]
         return out
+
+    def local(self, positions: Sequence) -> tuple:
+        """``(key, config, where)`` for the factors at the increasing
+        ``positions``, the legs: ``config`` holds them in order, with one
+        :func:`parity_carrier` in each gap between two legs that are not
+        adjacent, and ``where`` maps each leg to its position there.
+        ``key`` names ``config`` by the identity of its modules and by its
+        gaps, so calls with equal keys get the one config, built once.  The
+        transport lemma in :mod:`superbraid.braid` says why an identity of
+        split Casimirs, swaps and units on the legs is decided on it."""
+        key: list = []
+        factors: list = []
+        where = {}
+        for k, pos in enumerate(positions):
+            if k and pos > positions[k - 1] + 1:
+                key.append(None)
+                factors.append(parity_carrier(self.hp))
+            where[pos] = len(factors)
+            key.append(self._kind[pos])
+            factors.append(self.factors[pos])
+        key = tuple(key)
+        config = self._local_cache.get(key)
+        if config is None:
+            config = self._local_cache[key] = TensorConfig(factors, self.hp)
+        return key, config, where
 
     def act_unit(self, i: int, j: int) -> LinearOp:
         """Coproduct action of E_ij on all factors: on factor t, E_ij with the

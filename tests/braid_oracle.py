@@ -1,15 +1,18 @@
-"""The ``verify braid`` report as two relation passes, kept as a test oracle.
+"""The ``verify braid`` report as two relation passes, and the R2 lines as
+whole-space commutators, kept as test oracles.
 
 The command runs ``verify_braid_relations`` once, on the shifted images, and
 reports each line twice, since the plain lines equal the shifted ones once
 every t_i^2 = 1.  Here the plain lines come from their own pass on the
 :func:`unshifted` images, so both must give the same lines, witnesses
-included.
+included.  ``verify_braid_relations`` proves its R2 lines from local 4T
+relators; :func:`whole_space_r2` takes each as the commutator of the prefix
+sum with the image, as the suite did before.
 """
 
 from dataclasses import replace
 
-from superbraid.braid import unshifted, verify_braid_relations
+from superbraid.braid import Report, cleared_denominators, unshifted, verify_braid_relations, zero_check
 
 
 def two_pass_braid(images):
@@ -19,3 +22,22 @@ def two_pass_braid(images):
     for prefix, acting in (("plain", unshifted(images)), ("shifted", images)):
         checks += [replace(c, id=f"{prefix}:{c.id}") for c in verify_braid_relations(acting).checks]
     return checks
+
+
+def whole_space_r2(images):
+    """The R2 lines ``[z0+..+zi, xj]`` and ``[z0+..+zi, yj]`` in report
+    order, each the residual of the prefix commutator on the images scaled
+    by ``s``, its witness divided by ``s^2``."""
+    rep = Report("R2")
+    s, images = cleared_denominators(images)
+    config, z = images.config, images.z
+    prefix = images.z0
+    for j in range(1, images.d + 1):
+        prefix = prefix + z[j]
+        rx, ry = prefix.commutator(images.x[j]), prefix.commutator(images.y[j])
+        for i in range(j, images.d + 1):
+            if i > j:
+                rx, ry = rx + z[i].commutator(images.x[j]), ry + z[i].commutator(images.y[j])
+            rep.add(zero_check(f"R2:[z0+..+z{i},x{j}]", rx, config, s**2))
+            rep.add(zero_check(f"R2:[z0+..+z{i},y{j}]", ry, config, s**2))
+    return rep

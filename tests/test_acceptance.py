@@ -31,7 +31,7 @@ from superbraid.bratteli import (
     transfer_check,
     z0_case_report,
 )
-from superbraid.linalg import commutant_dimension
+from superbraid.linalg import Subspace, commutant_dimension, kernel_intersection
 from superbraid.modules import (
     highest_weight_vectors,
     kappa_scalar,
@@ -277,7 +277,19 @@ def test_criterion_12_negative_controls():
     rep = verify_hecke_relations(rho_prime_images(config21), 2, 1, 1, 1)
     failed = [c for c in rep.checks if not c.ok]
     assert failed and failed[0].id.startswith("hecke:(x1-2)") and failed[0].witness
-    report(12, "all three sabotage modes detected with witnesses", t0)
+    # the quotient needs rectangles: for the hook (2,1) the shifted x_1 on
+    # L(2,1) (x) V has three eigenvalues, the contents 2, 0, -2 of its
+    # addable boxes, whose kernels fill the space, so no quadratic kills it
+    hook = module_tensor_config((2, 1), (1,), 1, HookProfile(2, 1))
+    images = rho_prime_images(hook)
+    whole = Subspace.full(hook.space)
+    kernels = [kernel_intersection([images.x[1].plus_scalar(-c)], whole).dim for c in (2, 0, -2)]
+    assert kernels == [36, 12, 24] and sum(kernels) == hook.dim == 72
+    for a in range(4):
+        for p in range(4):
+            quadratic = verify_hecke_relations(images, a, p, 1, 1).checks[0]
+            assert quadratic.id == f"hecke:(x1-{a})(x1+{p})=0" and not quadratic.ok
+    report(12, "all three sabotage modes and a non-rectangular boundary detected", t0)
 
 
 def test_criterion_13_paper_example_operators():

@@ -8,6 +8,7 @@ import pytest
 from superbraid.braid import (
     POS_M,
     POS_N,
+    LocalProofs,
     cleared_denominators,
     m_ops,
     m_sums,
@@ -26,6 +27,7 @@ from superbraid.modules import module_tensor_config
 from superbraid.partitions import HookProfile
 from superbraid.superalgebra import TensorConfig, natural_casimir_scalar, natural_factor
 
+from braid_oracle import whole_space_r2
 from casimir_oracle import casimir_difference_images
 from centralizer_oracle import full_centralizer
 
@@ -312,6 +314,8 @@ SHORTCUT_CONFIGS = {
     "gl21_d2": ((1,), (1,), 2, HP21),
     "gl12_d3": ((1,), (1,), 3, HookProfile(1, 2)),
     "gl22_boundaries_d1": ((2,), (1, 1), 1, HookProfile(2, 2)),
+    # N and v_1 sit between the legs of Gamma(M, v_2), and both have odd vectors
+    "gl22_boundaries_d2": ((2,), (1, 1), 2, HookProfile(2, 2)),
     "paper_d1": ((4, 4, 4), (2, 2), 1, HookProfile(3, 1)),
 }
 CONTROLS = ("clean", "parity", "koszul", "unsigned")
@@ -351,6 +355,32 @@ def test_braid_relations_match_without_relabelling(name, control, monkeypatch):
     assert reports == [verify_braid_relations(acting).to_json() for acting in (images, unshifted(images))]
 
 
+@pytest.mark.parametrize("control", CONTROLS)
+@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
+def test_r2_lines_match_whole_space_oracle(name, control):
+    # the R2 lines proved from local 4T relators, or taken as residuals where
+    # a premise fails, against the prefix commutators on the whole space
+    images = shortcut_images(name, control)
+    for acting in (images, unshifted(images)):
+        lines = [c.as_dict() for c in verify_braid_relations(acting).checks if c.id.startswith("R2:")]
+        expected = whole_space_r2(acting).as_dict()["checks"]
+        assert lines == expected
+        # the split Casimir controls fail every R2 line
+        assert all(c["status"] == ("fail" if control in ("parity", "koszul") else "pass") for c in expected)
+
+
+def test_r2_grouping_needs_every_term():
+    # the prefix z_0 + z_1 + z_2 against x_2 groups into 4T relators; without
+    # Gamma(N, v_2) the term [Gamma(M, N), Gamma(M, v_2)] has no partner in
+    # its group, so the sum is not proved
+    images = shortcut_images("gl21_d2", "clean")
+    local = LocalProofs(images.config)
+    prefix = [pair for name in ("z0", "z1", "z2") for pair in images.parts[name]]
+    assert local.bracket_vanishes(prefix, images.parts["x2"])
+    short = [pair for pair in prefix if pair != (POS_N, v_position(2))]
+    assert not local.bracket_vanishes(short, images.parts["x2"])
+
+
 def count_commutators(monkeypatch):
     calls = []
     commutator = LinearOp.commutator
@@ -363,57 +393,100 @@ def count_commutators(monkeypatch):
     return calls
 
 
+def on_whole_space(calls, config):
+    return [c for c in calls if c[0].space is config.space]
+
+
 @pytest.mark.parametrize("hp", [HP21, HookProfile(3, 1)])
 def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
-    # on passing reports: 2(r-1) commutators per split Casimir that is no
-    # signed permutation, none here since both boundaries are V, plus
-    # (r-1)(r-2) for the bracket identities; none with an image or a swap
-    # t_i as an operand
+    # on passing reports no commutator is taken on the whole space.  The
+    # centralizer takes 2(r-1) per local key: M (x) N, M (x) gap (x) V,
+    # N (x) V, V (x) V and V (x) gap (x) V for the split Casimirs, and
+    # V (x) V for the swaps, where M and N are one module object here; and
+    # (r-1)(r-2) per module, M = N and V, for the bracket identities.  R2
+    # takes one local commutator per 4T relator key
     cfg = module_tensor_config((1,), (1,), 3, hp)
     images = rho_prime_images(cfg)
     r = hp.rank
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
-    assert len(calls) == (r - 1) * (r - 2)
-    ops = [op for _, op in images.named_ops()]
-    assert not [c for c in calls if any(x is op for x in c for op in ops)]
+    assert not on_whole_space(calls, cfg)
+    assert len(calls) == 6 * 2 * (r - 1) + 2 * (r - 1) * (r - 2)
     calls.clear()
     assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
-    swaps = list(images.t.values())
-    assert calls and not [c for c in calls if any(x is t for x in c for t in swaps)]
+    assert calls and not on_whole_space(calls, cfg)
 
 
-@pytest.mark.parametrize("name", ["gl22_boundaries_d1", "paper_d1"])
+@pytest.mark.parametrize("name", ["gl22_boundaries_d1", "gl22_boundaries_d2", "paper_d1"])
 def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
-    # Gamma(M,N), Gamma(M,v_1) and Gamma(N,v_1) are no signed permutations:
-    # each takes its 2(r-1) commutators with the simple units, once, and no
-    # image is an operand
+    # Gamma(M,N), Gamma(M,v_i) and Gamma(N,v_i) are no signed permutations:
+    # each local config takes its 2(r-1) commutators with the simple units,
+    # once, on M (x) N, M (x) gap (x) V and N (x) V, and at d = 2 also on
+    # N (x) gap (x) V and V (x) V (for Gamma(v_1, v_2) and the swap); none is
+    # on the whole space
     images = shortcut_images(name, "clean")
-    r = images.config.hp.rank
+    cfg = images.config
+    r = cfg.hp.rank
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
-    assert len(calls) == 3 * 2 * (r - 1) + (r - 1) * (r - 2)
-    ops = [op for _, op in images.named_ops()]
-    assert not [c for c in calls if any(x is op for x in c for op in ops)]
+    assert not on_whole_space(calls, cfg)
+    m, n, v = (f.dim for f in cfg.factors[:3])
+    dims = [m * n, m * 2 * v, n * v] + ([n * 2 * v, v * v, v * v] if images.d == 2 else [])
+    modules = {id(f.space) for f in cfg.factors}
+    local = [c[0].space.dim for c in calls if id(c[0].space) not in modules]
+    assert sorted(local) == sorted(dim for dim in dims for _ in range(2 * (r - 1)))
+    assert len(calls) == len(local) + 3 * (r - 1) * (r - 2)
+
+
+@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
+def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
+    # every centralizer and R2 line of a clean config is proved locally
+    images = shortcut_images(name, "clean")
+    calls = count_commutators(monkeypatch)
+    assert verify_centralizer(images).ok
+    assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
+    assert calls and not on_whole_space(calls, images.config)
+
+
+def off_bracket_config(entry):
+    # gl(2|1), d = 2, with one more entry in the left boundary's E(1,3)
+    cfg = module_tensor_config((1,), (1,), 2, HP21)
+    left = cfg.factors[0]
+    units = {**left.units, (1, 3): left.units[(1, 3)] + LinearOp.from_entries(left.space, [entry])}
+    return TensorConfig([replace(left, units=units), *cfg.factors[1:]], HP21)
 
 
 def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
-    # act_unit(1,3) off its bracket [act_unit(1,2), act_unit(2,3)]: the
-    # E(1,3) lines are the direct residuals, and fail as the oracle's do
-    cfg = module_tensor_config((1,), (1,), 2, HP21)
-    act_unit = cfg.act_unit
-    wrong = act_unit(1, 3) + LinearOp.from_entries(cfg.space, [(0, 1, 1)])
-    monkeypatch.setattr(cfg, "act_unit", lambda i, j: wrong if (i, j) == (1, 3) else act_unit(i, j))
+    # the left boundary's E(1,3) is off its bracket [E(1,2), E(2,3)]: the
+    # bracket identities are checked on each factor's own unit matrices, so
+    # every image's E(1,3) line is the direct residual, and the report is
+    # the oracle's
+    cfg = off_bracket_config((1, 2, 1))
+    assert LocalProofs(cfg).graded
     images = rho_prime_images(cfg)
     calls = count_commutators(monkeypatch)
     rep = verify_centralizer(images)
-    n_images = len(images.named_ops())
-    # per image E(1,3) only, since every split Casimir here is a signed
-    # permutation; 2 bracket identities
-    assert len(calls) == n_images + 2
-    failed = {c.id[-7:] for c in rep.checks if not c.ok}
-    assert failed == {"E(1,3)]"}
+    e13 = cfg.act_unit(1, 3)
+    assert sum(other is e13 for _, other in on_whole_space(calls, cfg)) == len(images.named_ops())
+    assert "[x1,E(1,3)]" in {c.id for c in rep.checks if not c.ok}
     assert rep.to_json() == full_centralizer(images).to_json()
+
+
+def test_ungraded_factor_takes_the_whole_space_lines(monkeypatch):
+    # the entry (0, 1) joins two even vectors in the odd E(1,3), so the left
+    # boundary is not graded and no line rests on the transport lemma: every
+    # simple and bracket line of the centralizer and every R2 line is its
+    # whole-space residual, as in the oracles
+    cfg = off_bracket_config((0, 1, 1))
+    assert not LocalProofs(cfg).graded
+    images = rho_prime_images(cfg)
+    calls = count_commutators(monkeypatch)
+    rep = verify_centralizer(images)
+    r = cfg.hp.rank
+    assert len(on_whole_space(calls, cfg)) == len(images.named_ops()) * (r * r - r)
+    assert rep.to_json() == full_centralizer(images).to_json()
+    lines = [c.as_dict() for c in verify_braid_relations(images).checks if c.id.startswith("R2:")]
+    assert lines == whole_space_r2(images).as_dict()["checks"]
 
 
 @pytest.mark.parametrize("control", ["clean", "koszul"])

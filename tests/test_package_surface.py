@@ -20,7 +20,7 @@ ALLOWED = {
     "rho_images": "negative control (the unshifted action), and a perfbench tracer target",
     "with_unsigned_swaps": "negative control (plain swaps in place of signed ones)",
     "commutant_dimension": "oracle that a perfbench tracer target pins until a benchmark change drops it",
-    "s_action_on_paths": "seminormal-form prediction; its production caller waits on ROADMAP item 2",
+    "s_action_on_paths": "seminormal-form prediction; its production caller waits on ROADMAP item 4",
     "module_to_json": "documented serialization of a realized module",
 }
 

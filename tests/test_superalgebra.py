@@ -2,9 +2,10 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superbraid.linalg import GradedSpace, LinearOp
-from superbraid.modules import module_tensor_config
+from superbraid.modules import module_tensor_config, realize_module
 from superbraid.partitions import HookProfile, rectangle
 from superbraid.superalgebra import (
     TensorConfig,
@@ -23,6 +24,7 @@ from superbraid.superalgebra import (
 )
 
 from casimir_oracle import coproduct_casimir, coproduct_unit, koszul_tensor_op, unit_embeddings
+from transport_oracle import lift
 from weight_oracle import rectangle_pairing
 
 HPS = [HookProfile(n, m) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
@@ -383,3 +385,66 @@ def test_root_count():
     roots = positive_roots(hp)
     assert len(roots) == 6
     assert sum(unit_parity(i, j, hp) for i, j in roots) == 4
+
+
+TRANSPORT_HPS = [HookProfile(1, 1), HookProfile(2, 1), HookProfile(1, 2)]
+
+
+def transport_pool(hp):
+    # every module here has odd basis vectors, so every gap can be odd
+    return [natural_factor(hp), realize_module((2,), hp), realize_module((1, 1), hp)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hp_at=st.integers(0, len(TRANSPORT_HPS) - 1),
+    picks=st.lists(st.integers(0, 2), min_size=3, max_size=4),
+    legs=st.data(),
+    corrupt=st.sampled_from([None, "parity", "koszul"]),
+)
+def test_transport_lemma_against_relabelled_local_operators(hp_at, picks, legs, corrupt):
+    # the whole-space split Casimir, its commutator with a unit and each unit
+    # action are the local operators of TensorConfig.local relabelled, with
+    # factors between the legs seen only through their parity.  'koszul'
+    # reads the factors left of the first leg, so its split Casimir is local
+    # only at p = 0, and a unit on a factor between the legs no longer
+    # commutes with it
+    hp = TRANSPORT_HPS[hp_at]
+    pool = transport_pool(hp)
+    config = TensorConfig([pool[k] for k in picks], hp)
+    assume(config.dim <= 400)
+    k = config.n_factors
+    p = legs.draw(st.integers(0, k - 2))
+    q = legs.draw(st.integers(p + 1, k - 1))
+    i, j = legs.draw(st.tuples(st.integers(1, hp.rank), st.integers(1, hp.rank)))
+    _, local, where = config.local([p, q])
+    whole = config.split_casimir_op(p, q, corrupt)
+    gamma = local.split_casimir_op(where[p], where[q], corrupt)
+    local_like = corrupt != "koszul" or p == 0
+    assert (lift(config, [p, q], local, gamma).cols == whole.cols) == local_like
+    commutator = gamma.commutator(local.act_unit(i, j))
+    lifted = lift(config, [p, q], local, commutator, left_sign=unit_parity(i, j, hp))
+    if corrupt != "koszul":
+        assert lifted.cols == whole.commutator(config.act_unit(i, j)).cols
+    units = LinearOp(config.space)
+    for t in range(k):
+        _, one, _ = config.local([t])
+        units = units + lift(config, [t], one, one.act_unit(i, j), left_sign=unit_parity(i, j, hp))
+    assert units.cols == config.act_unit(i, j).cols
+    if k == 4 and corrupt is None:
+        # split Casimirs on disjoint pairs commute, for every interleaving
+        for a, b, c, d in ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 1, 3)):
+            assert not config.split_casimir_op(a, b).commutator(config.split_casimir_op(c, d)).cols
+
+
+def test_local_config_layout():
+    # legs in order, one carrier per gap, and one config per key
+    hp = HookProfile(2, 1)
+    config = module_tensor_config((2,), (1,), 4, hp)
+    key, local, where = config.local([0, 2, 4])
+    assert where == {0: 0, 2: 2, 4: 4} and local.n_factors == 5
+    assert [f.dim for f in local.factors] == [config.factors[0].dim, 2, 3, 2, 3]
+    assert key == (0, None, 2, None, 2)
+    assert config.local([0, 3, 4])[1] is not local
+    assert config.local([0, 3, 5]) == (key, local, {0: 0, 3: 2, 5: 4})
+    assert config.local([2, 3])[0] == config.local([3, 4])[0] == (2, 2)
