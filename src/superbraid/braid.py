@@ -20,16 +20,6 @@ identities on the concrete space, never symbolically: each check reports a
 witness entry when a residual operator fails to vanish, since sign bugs
 are the dominant failure mode and a witness localizes them.
 
-The images need not be integral: kappa_V / 2 is a half-integer whenever
-kappa_V = n - m is odd, and realized boundary modules can carry fractional
-entries.  Products of such operators run on Fraction arithmetic, several
-times slower than on ints.  So the defining relations are checked on the
-images multiplied by s, the lcm of the denominators of x, y, z and z_0.
-With t fixed every relation is homogeneous in (x, y, z, z_0), so each
-scaled residual is exactly s^deg times the unscaled one, deg being its
-degree: it vanishes exactly when the unscaled one does, and its witness
-divided by s^deg is the unscaled witness, at the same entry.
-
 Each report line is proved by the cheapest exact argument whose premise
 is checked first, falling back to the direct residual, so a report is the
 same line for line, witnesses included, as if every line were a residual.
@@ -77,8 +67,9 @@ even.  ``tests/transport_oracle.py`` relabels local operators for the
 desk-scale tests of these statements.  The suites use the lemma so:
 
 - Centralizer: each Gamma of an image, and each swap that is
-  ``signed_swap``, is decided against the simple units on the local config
-  of its two legs, once per module pair and gap (:func:`verify_centralizer`).
+  ``signed_swap``, is decided against the Cartan and the simple units on
+  the local config of its two legs, once per module pair and gap
+  (:func:`verify_centralizer`).
 - R2: [z_0+..+z_i, x_j] expands into commutators of the Gammas on the
   pairs of the prefix M, N, v_1 .. v_i with those of x_j.  Disjoint pairs
   commute, a pair commutes with itself, and the rest group exactly, on the
@@ -98,7 +89,6 @@ images, and reads the plain lines off that report after checking the
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -129,17 +119,14 @@ class Check:
         return out
 
 
-def zero_check(check_id: str, residual: LinearOp, config: TensorConfig, scale: int = 1) -> Check:
+def zero_check(check_id: str, residual: LinearOp, config: TensorConfig) -> Check:
     """Pass when ``residual`` vanishes; otherwise its largest entry is the
     witness, with row and column decoded to one basis index per factor of
-    ``config``, the space the residual acts on.  ``residual`` is ``scale``
-    times the operator checked, so the witness value is divided by it; a
-    positive scale leaves the largest entry where it was."""
+    ``config``, the space the residual acts on."""
     wit = residual.max_entry_witness()
     if wit is None:
         return Check(check_id, True)
     i, j, v = wit
-    v = Fraction(v, scale)
     return Check(
         check_id,
         False,
@@ -322,25 +309,6 @@ def m_sums(pair: dict) -> dict:
     return out
 
 
-def cleared_denominators(images: GeneratorImages) -> tuple:
-    """``(s, images with x, y, z and z_0 multiplied by s)``, where ``s`` is
-    the least common multiple of the denominators of their entries, so every
-    scaled entry is an int; ``t`` is integral already and stays as it is.
-    When ``s == 1`` the images are returned as they are, not copied: the
-    shifted images at gl(2|1) are one such case."""
-    polys = [images.z0, *images.x.values(), *images.y.values(), *images.z.values()]
-    s = math.lcm(1, *{v.denominator for op in polys for col in op.cols.values() for v in col.values()})
-    if s == 1:
-        return s, images
-    return s, replace(
-        images,
-        x={i: op.scaled(s) for i, op in images.x.items()},
-        y={i: op.scaled(s) for i, op in images.y.items()},
-        z={i: op.scaled(s) for i, op in images.z.items()},
-        z0=images.z0.scaled(s),
-    )
-
-
 def summed_from_parts(images: GeneratorImages) -> set:
     """The names of the images that equal the exact sum of
     ``config.split_casimir_op(p, q)`` over their recorded ``parts``, up to
@@ -382,14 +350,15 @@ class LocalProofs:
     def __init__(self, config: TensorConfig):
         self.config = config
         r = config.hp.rank
-        self.simple = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if abs(i - j) == 1]
+        # the units decided locally: the Cartan E(i,i) and the simple E(i,i±1)
+        self.units = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if abs(i - j) <= 1]
         self.modules = list({id(f): f for f in config.factors}.values())
         # the lemma's premise: it trades signs by the parity each unit moves
         self.graded = all(f.units_graded() for f in self.modules)
         self._memo: dict = {}
 
     def units_commuting(self, pair: tuple, swap: bool = False) -> set:
-        """The simple units ``E(i,i±1)`` whose action commutes with the split
+        """The units of :attr:`units` whose action commutes with the split
         Casimir on the factor ``pair``, or with the swap of it when ``swap``
         (then the pair is adjacent); none when a factor is not graded."""
         if not self.graded:
@@ -399,7 +368,7 @@ class LocalProofs:
         if memo_key not in self._memo:
             a, b = where[pair[0]], where[pair[1]]
             op = local.signed_swap(a) if swap else local.split_casimir_op(a, b)
-            self._memo[memo_key] = {u for u in self.simple if not op.commutator(local.act_unit(*u)).cols}
+            self._memo[memo_key] = {u for u in self.units if not op.commutator(local.act_unit(*u)).cols}
         return self._memo[memo_key]
 
     def _relator_vanishes(self, q: tuple, e: int) -> bool:
@@ -443,18 +412,12 @@ class LocalProofs:
 def verify_braid_relations(images: GeneratorImages) -> Report:
     """Exhaustive exact check of the defining relations on the given space.
 
-    The checks run on ``s x``, ``s y``, ``s z`` and ``s z_0``, with ``s``
-    from :func:`cleared_denominators`, so every product is on ints.  With
-    ``t`` fixed each relation is homogeneous of some degree ``deg`` in
-    ``(x, y, z, z_0)``: 0 for the ``sym:`` checks, 2 for the ``R2``
-    commutators and 1 for the rest, where ``m(i,j) = split-casimir`` compares
-    against ``s Gamma``.  So each residual is exactly ``s^deg`` times the
-    unscaled one: it vanishes exactly when that one does, and dividing its
-    witness by ``s^deg`` gives the unscaled witness at the same entry.
+    Each residual is taken on the images as built, in the one exact form
+    of :mod:`superbraid.linalg`.
     An ``R2`` line ``[z_0+..+z_i, x_j]`` (or ``y_j``) passes when every
     image in it is the sum of its ``parts`` up to a scalar
-    (:func:`summed_from_parts`, on the unscaled images) and the commutator
-    of those sums vanishes by local 4T relators
+    (:func:`summed_from_parts`) and the commutator of those sums vanishes
+    by local 4T relators
     (:meth:`LocalProofs.bracket_vanishes`), so a passing line takes no
     commutator on the whole space.  Otherwise the line is its residual:
     the one of the line for ``i - 1`` plus ``[z_i, x_j]`` (the commutator
@@ -468,33 +431,32 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
     summed = summed_from_parts(images)
     local = LocalProofs(images.config)
-    s, images = cleared_denominators(images)
     config = images.config
     d = images.d
     t, x, y, z = images.t, images.x, images.y, images.z
 
-    def check(check_id: str, residual: LinearOp, deg: int) -> None:
-        rep.add(zero_check(check_id, residual, config, s**deg))
+    def check(check_id: str, residual: LinearOp) -> None:
+        rep.add(zero_check(check_id, residual, config))
 
     perms = {i: op.signed_permutation() for i, op in t.items()}
 
-    def check_commutes(check_id: str, op: LinearOp, i: int, residual, deg: int) -> None:
+    def check_commutes(check_id: str, op: LinearOp, i: int, residual) -> None:
         # [op, t_i] = 0 by relabelling when t_i is a signed permutation;
         # otherwise, or when it fails, the residual gives the witness
         if perms[i] is not None and op.commutes_with_signed_permutation(perms[i]):
             rep.add(Check(check_id, True))
         else:
-            check(check_id, residual(), deg)
+            check(check_id, residual())
 
     for i in range(1, d):
-        check(f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space), 0)
+        check(f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space))
     for i in range(1, d - 1):
         lhs = t[i] @ t[i + 1] @ t[i]
         rhs = t[i + 1] @ t[i] @ t[i + 1]
-        check(f"sym:braid(t{i},t{i + 1})", lhs - rhs, 0)
+        check(f"sym:braid(t{i},t{i + 1})", lhs - rhs)
     for i in range(1, d):
         for j in range(i + 2, d):
-            check_commutes(f"sym:[t{i},t{j}]", t[j], i, lambda: t[i].commutator(t[j]), 0)
+            check_commutes(f"sym:[t{i},t{j}]", t[j], i, lambda: t[i].commutator(t[j]))
 
     fams = {"x": x, "y": y, "z": z}
     for name, fam in fams.items():
@@ -506,7 +468,7 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             for j in range(1, d):
                 if i in (j, j + 1):
                     continue
-                check_commutes(f"R1:[{name}{i},t{j}]", op, j, lambda: op.commutator(t[j]), 1)
+                check_commutes(f"R1:[{name}{i},t{j}]", op, j, lambda: op.commutator(t[j]))
 
     prefixes: dict = {}  # i -> z_0 + .. + z_i, summed when a residual needs it
     for j in range(1, d + 1):
@@ -531,12 +493,12 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
                     # exact by bilinearity: [P + z_i, x_j] = [P, x_j] + [z_i, x_j]
                     residual = before + z[i].commutator(fam[j])
                 residuals[name] = residual
-                check(check_id, residual, 2)
+                check(check_id, residual)
 
     for i in range(1, d):
         for name, fam in (("x", x), ("y", y)):
             op = fam[i] + fam[i + 1]
-            check_commutes(f"R3:[t{i},{name}{i}+{name}{i + 1}]", op, i, lambda: t[i].commutator(op), 1)
+            check_commutes(f"R3:[t{i},{name}{i}+{name}{i + 1}]", op, i, lambda: t[i].commutator(op))
 
     # m_{i,i+1} = x_{i+1} - t_i x_i t_i from m_ops, and its y counterpart
     pair = m_ops(images)
@@ -545,19 +507,19 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     for name, m in (("x", mx), ("y", my)):
         for i in range(1, d - 1):
             lhs = sandwich(t[i], sandwich(t[i + 1], m[i]))
-            check(f"R4:{name},i={i}", lhs - m[i + 1], 1)
+            check(f"R4:{name},i={i}", lhs - m[i + 1])
 
     for i in range(1, d):
-        check(f"R5:i={i}", mx[i] - my[i], 1)
+        check(f"R5:i={i}", mx[i] - my[i])
 
     msum = m_sums(pair)
     for j in range(1, d + 1):
         m_j = msum.get(j, LinearOp(config.space))
-        check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - m_j), 1)
+        check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - m_j))
 
     for (i, j), op in sorted(pair.items()):
         gamma = config.split_casimir_op(v_position(i), v_position(j))
-        check(f"m({i},{j})=split-casimir", op - gamma.scaled(s), 1)
+        check(f"m({i},{j})=split-casimir", op - gamma)
     return rep
 
 
@@ -591,21 +553,18 @@ def verify_centralizer(images: GeneratorImages) -> Report:
     in ``(i, j)`` order, each proved by the cheapest exact argument whose
     premise holds.
 
-    - Simple units ``E(i,i±1)``, by linearity: ``[X, E]`` is the sum of
-      ``[Gamma, E]`` over the split Casimirs ``Gamma`` that ``X`` is summed
-      from (``images.parts``), so the line passes when (a) ``X`` is their
-      exact sum, up to a scalar (:func:`summed_from_parts`), and (b) each of
-      them commutes with ``E``, decided on the local config of its two legs
+    - Cartan units ``E(i,i)`` and simple units ``E(i,i±1)``, by linearity:
+      ``[X, E]`` is the sum of ``[Gamma, E]`` over the split Casimirs
+      ``Gamma`` that ``X`` is summed from (``images.parts``), so the line
+      passes when (a) ``X`` is their exact sum, up to a scalar
+      (:func:`summed_from_parts`), and (b) each of them commutes with ``E``,
+      decided on the local config of its two legs
       (:meth:`LocalProofs.units_commuting`) once per module pair and gap:
       ``M (x) N``, ``M (x) V``, ``N (x) V`` and ``V (x) V``, with a parity
       carrier between legs that are not adjacent (the module docstring's
-      transport lemma).  A swap ``t_i`` that equals ``signed_swap`` on its
-      factors is decided on ``V (x) V`` the same way.
-    - Cartan units ``E(i,i)``: when each ``act_unit(i,i)`` is diagonal,
-      every basis index is keyed by its tuple of diagonal entries, and all
-      ``r`` lines pass when every entry of ``X`` joins two indices with
-      equal keys (:meth:`LinearOp.commutes_with_diagonals`); otherwise each
-      residual is read off ``X``'s entries as ``X[k,b] (D_b - D_k)``.
+      transport lemma, which holds for any unit; ``E(i,i)`` is even).  A
+      swap ``t_i`` that equals ``signed_swap`` on its factors is decided on
+      ``V (x) V`` the same way.
     - Other units ``E(a,c)``, in order of ``|a-c|``: when every factor's
       unit matrices satisfy ``E(a,c) = [E(a,b), E(b,c)]`` for the
       neighbour ``b = c ∓ 1`` of ``c`` towards ``a`` (checked once per
@@ -616,18 +575,14 @@ def verify_centralizer(images: GeneratorImages) -> Report:
 
     Any other line is the direct residual ``X.commutator(E)``, so every
     failing line carries the witness the full ``r^2`` check would give.
-    A passing report takes no commutator on the whole space, and builds
-    the whole-space units only for the Cartan diagonals.  Only each
-    line's :class:`Check` is kept, never its residual.
+    A passing report takes no commutator on the whole space and builds no
+    whole-space unit.  Only each line's :class:`Check` is kept, never its
+    residual.
     """
     rep = Report("centralizer")
     config = images.config
     r = config.hp.rank
-    unit = config.act_unit
     local = LocalProofs(config)
-    diagonals = {i: unit(i, i).diagonal() for i in range(1, r + 1)}
-    # the weight of each basis index, read off the Cartan units
-    keys = None if None in diagonals.values() else list(zip(*diagonals.values()))
     units = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
     bracket = {}
     for a, c in units:
@@ -642,23 +597,20 @@ def verify_centralizer(images: GeneratorImages) -> Report:
     for name, op in images.named_ops():
         proved = set()
         if name in summed:
-            proved = set(local.simple)
+            proved = set(local.units)
             for pair in images.parts[name]:
                 proved &= local.units_commuting(pair)
         elif name in swaps and op.cols == config.signed_swap(swaps[name]).cols:
             pos = swaps[name]
             proved = local.units_commuting((pos, pos + 1), swap=True)
-        cartan = keys is not None and op.commutes_with_diagonals(keys)
         lines = {}
         for i, j in order:
             check_id = f"[{name},E({i},{j})]"
             b = bracket.get((i, j))
-            if (i, j) in proved or (i == j and cartan) or (b is not None and lines[(i, b)].ok and lines[(b, j)].ok):
+            if (i, j) in proved or (b is not None and lines[(i, b)].ok and lines[(b, j)].ok):
                 lines[(i, j)] = Check(check_id, True)
-            elif i == j and diagonals[i] is not None:
-                lines[(i, j)] = zero_check(check_id, op.commutator_with_diagonal(diagonals[i]), config)
             else:
-                lines[(i, j)] = zero_check(check_id, op.commutator(unit(i, j)), config)
+                lines[(i, j)] = zero_check(check_id, op.commutator(config.act_unit(i, j)), config)
         for key in units:
             rep.add(lines[key])
     return rep

@@ -136,13 +136,12 @@ def z_values(path: Path) -> list:
     return [content(step_box(path[i - 1], path[i])) for i in range(1, len(path))]
 
 
-def z0_value(path_or_vertex, a: int, p: int, b: int, q: int) -> int:
+def z0_value(t0: Partition, a: int, p: int, b: int, q: int) -> int:
     """Boundary eigenvalue q*a*b + sum over rows below p of (2c - (a-p+b-q)).
 
-    The sum runs over the boxes of the level-0 vertex lying in rows p + 1
-    and below.
+    The sum runs over the boxes of the level-0 vertex ``t0`` lying in rows
+    p + 1 and below.
     """
-    t0 = path_or_vertex[0] if path_or_vertex and isinstance(path_or_vertex[0], tuple) else path_or_vertex
     below, _ = box_sets(tuple(t0), p, a)
     shift = a - p + b - q
     return q * a * b + sum(2 * content(x) - shift for x in below)
@@ -261,7 +260,7 @@ def predicted_tuples(g: BratteliGraph, lam: Partition) -> dict:
     out = {}
     for path in paths_to(g, lam):
         out[path] = (
-            Fraction(z0_value(path, g.a, g.p, g.b, g.q)),
+            Fraction(z0_value(path[0], g.a, g.p, g.b, g.q)),
             *[Fraction(c) for c in z_values(path)],
         )
     return out

@@ -160,9 +160,10 @@ def _verify_braid(args, cap: int) -> Report:
     The plain images differ from the shifted ones by scalars, kappa_V / 2 on
     each x_i and y_i and kappa_V on each z_i.  R1-R3, R5 and the ``sym``
     lines are equal outright; R4, R6 and ``m(i,j)`` differ by multiples of
-    t_i^2 - 1, through m_{i,i+1} = x_{i+1} - t_i x_i t_i.  Each witness is
-    divided by its own scale s^deg, so once every ``sym:t{i}^2=1`` line
-    passes the plain lines are the shifted ones, witnesses included.
+    t_i^2 - 1, through m_{i,i+1} = x_{i+1} - t_i x_i t_i.  So once every
+    ``sym:t{i}^2=1`` line passes, each plain residual is the shifted one as
+    an operator, and the plain lines are the shifted ones, witnesses
+    included.
     """
     config = _config(args, cap)
     rep = Report(f"braid n={args.n} m={args.m} d={args.d}")

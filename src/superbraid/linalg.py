@@ -20,11 +20,8 @@ all go through it (:func:`op_sum` adds many operators, and
 :meth:`LinearOp.add_entry` is the single-entry insert.  A commutator goes
 through it one column at a time, both products' columns into one
 accumulator, with no product operators built.
-Some commutators need no products at all: with a diagonal operator each
-entry is only scaled (:meth:`LinearOp.commutator_with_diagonal`), whether
-an operator commutes with a family of diagonals is a comparison of keys
-(:meth:`LinearOp.commutes_with_diagonals`), and whether it commutes with a
-signed permutation is a relabelling of its entries
+Whether an operator commutes with a signed permutation needs no product
+at all: it is a relabelling of its entries
 (:meth:`LinearOp.commutes_with_signed_permutation`).  A product ``T X T``
 with a signed permutation ``T`` is such a relabelling too
 (:meth:`LinearOp.sandwiched`).
@@ -178,44 +175,6 @@ class LinearOp:
             if acc:
                 cols[j] = acc
         return LinearOp(self.space, cols)
-
-    def diagonal(self) -> Optional[list]:
-        """The diagonal as a dense list when self is diagonal, else None."""
-        diag = [0] * self.space.dim
-        for j, col in self.cols.items():
-            if len(col) != 1 or j not in col:
-                return None
-            diag[j] = col[j]
-        return diag
-
-    def commutator_with_diagonal(self, diag: Sequence) -> "LinearOp":
-        """``self.commutator(D)`` for ``D`` diagonal with dense diagonal
-        ``diag``, with no product: entry ``(k, j)`` is
-        ``self[k, j] * (diag[j] - diag[k])``."""
-        cols = {}
-        for j, col in self.cols.items():
-            dj = diag[j]
-            acc = {}
-            for k, v in col.items():
-                nv = v * (dj - diag[k])
-                if nv:
-                    acc[k] = nv.numerator if nv.denominator == 1 else nv
-            if acc:
-                cols[j] = acc
-        return LinearOp(self.space, cols)
-
-    def commutes_with_diagonals(self, keys: Sequence) -> bool:
-        """Whether self commutes with diagonal operators ``D_1 .. D_r``,
-        given ``keys[b] = (D_1[b], .., D_r[b])`` per basis index ``b``, in
-        one pass over the entries: entry ``(k, j)`` of ``[self, D_i]`` is
-        ``self[k, j] (D_i[j] - D_i[k])``, so all ``r`` commutators vanish
-        exactly when every entry joins two indices with equal keys."""
-        for j, col in self.cols.items():
-            kj = keys[j]
-            for k in col:
-                if keys[k] != kj:
-                    return False
-        return True
 
     def signed_permutation(self) -> Optional[dict]:
         """``{j: (row, sign)}`` when self sends each basis vector ``e_j`` to

