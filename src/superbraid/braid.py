@@ -23,17 +23,13 @@ are the dominant failure mode and a witness localizes them.
 Each report line is proved by the cheapest exact argument whose premise
 is checked first, falling back to the direct residual, so a report is the
 same line for line, witnesses included, as if every line were a residual.
-A commutator [X, t_i] with a swap vanishes exactly when t_i X t_i^-1 = X,
-and for a signed permutation t_i that is a relabelling of X's entries, so
-R1, R3 and the commuting swaps are compared entry by entry, with no
-arithmetic; the conjugations t X t of m_{i,j}, R4 and the Hecke lines are
-relabellings too (:func:`sandwich`).
-
-The centralizer and R2 lines rest on the split Casimirs each image is
-summed from (``GeneratorImages.parts``, checked by
-:func:`summed_from_parts`): a commutator of sums is the sum of the
-commutators of their Gammas, and a scalar drops out of it.  Each of those
-is decided on a local config whose size does not grow with d.
+The centralizer and relation lines rest on the split Casimirs each image is
+summed from, plus a scalar (``GeneratorImages.parts``, checked by
+:func:`summed_from_parts`), and on the swaps being ``signed_swap``: each
+identity of Gammas, swaps and units they need is decided on a local config
+whose size does not grow with d.  A conjugation t X t by a signed
+permutation, in a Hecke line or a residual, is a relabelling of X's
+entries (:func:`sandwich`).
 
 Transport lemma.  ``act_unit(i, j)`` sums E_ij on each factor t with the
 Koszul sign (-1)^(|E_ij| * parity of the factors left of t), and
@@ -77,6 +73,15 @@ desk-scale tests of these statements.  The suites use the lemma so:
   Gamma(c,e) + Gamma(j,e)] = 0 (Kohno 1987; Drinfeld 1990), one for each
   part (c, j) of x_j and other factor e of the prefix, each decided on its
   three legs (:meth:`LocalProofs.bracket_vanishes`).
+- Braid lines: an image summed from its parts is its parts form, the
+  multiset of its pairs with its scalar.  The swap t_i has t_i^2 = 1 and
+  t_i Gamma(p,q) t_i = Gamma on the pair {s(p), s(q)}, with s
+  interchanging the legs v_i and v_{i+1}, each decided on the legs of both
+  (:meth:`LocalProofs.conjugates`), so conjugating by t_i relabels a parts
+  form.  R1 and R3 pass when the form is fixed by it.  The m_{i,j} are
+  forms too, and R4, R5, R6 and m(i,j) pass when the form of their
+  residual is zero.  The sym lines are words in the swaps, decided on their
+  legs (:meth:`LocalProofs.swap_words_agree`; :func:`verify_braid_relations`).
 
 The plain images differ from the shifted ones only by scalars, and those
 cancel in every defining relation once each t_i^2 = 1: in commutators, in
@@ -88,6 +93,7 @@ images, and reads the plain lines off that report after checking the
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -172,8 +178,9 @@ class GeneratorImages:
     constant shift (x, y by half the natural Casimir scalar, z by the full
     one) under which the boundary eigenvalues become box contents.
     ``parts`` maps an image's name (as in :meth:`named_ops`) to the factor
-    pairs ``(p, q)`` whose split Casimirs it was summed from, keys only:
-    the relation suites check that claim (:func:`summed_from_parts`) before
+    pairs ``(p, q)`` whose split Casimirs it was summed from, keys only,
+    with no scalar: the suites check that the image is their sum plus a
+    scalar, and read that scalar off (:func:`summed_from_parts`), before
     they rely on it.
     """
 
@@ -309,10 +316,10 @@ def m_sums(pair: dict) -> dict:
     return out
 
 
-def summed_from_parts(images: GeneratorImages) -> set:
-    """The names of the images that equal the exact sum of
-    ``config.split_casimir_op(p, q)`` over their recorded ``parts``, up to
-    a multiple of the identity, which no commutator sees.  Each Gamma is
+def summed_from_parts(images: GeneratorImages) -> dict:
+    """``{name: c}`` for the images that equal the exact sum of
+    ``config.split_casimir_op(p, q)`` over their recorded ``parts`` plus
+    ``c`` times the identity.  Each Gamma is
     built once: the images are taken in order of the last factor of their
     parts, and a Gamma is dropped when no later image lists it, so one
     accumulator and the Gammas of one last factor are alive at a time."""
@@ -321,7 +328,7 @@ def summed_from_parts(images: GeneratorImages) -> set:
     names = sorted(images.parts, key=lambda name: max(q for _, q in images.parts[name]))
     uses = Counter(pair for name in names for pair in images.parts[name])
     built: dict = {}
-    out = set()
+    out = {}
     for name in names:
         cols: dict = {}
         for pair in images.parts[name]:
@@ -336,8 +343,33 @@ def summed_from_parts(images: GeneratorImages) -> set:
         # the scalar op - sum would be, read off entry (0, 0)
         shift = op.cols.get(0, {}).get(0, 0) - cols.get(0, {}).get(0, 0)
         if cols == (op.plus_scalar(-shift) if shift else op).cols:
-            out.add(name)
+            out[name] = shift
     return out
+
+
+def _combine(*terms) -> Optional[dict]:
+    """The parts form of the sum of ``c * X`` over the ``(c, f)`` terms, for
+    ``X`` of parts form ``f``, or None when a term's form is None (not
+    known).  A parts form maps each factor pair ``(p, q)`` to the
+    coefficient of its split Casimir, and ``()`` to that of the identity;
+    no coefficient is zero, so ``{}`` is the zero operator."""
+    out: dict = {}
+    for c, f in terms:
+        if f is None:
+            return None
+        for key, v in f.items():
+            nv = out.get(key, 0) + c * v
+            if nv:
+                out[key] = nv
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _swapped(legs: tuple, pos: int) -> tuple:
+    """The increasing ``legs`` with ``pos`` and ``pos + 1`` interchanged."""
+    swap = {pos: pos + 1, pos + 1: pos}
+    return tuple(sorted(swap.get(p, p) for p in legs))
 
 
 class LocalProofs:
@@ -369,6 +401,48 @@ class LocalProofs:
             a, b = where[pair[0]], where[pair[1]]
             op = local.signed_swap(a) if swap else local.split_casimir_op(a, b)
             self._memo[memo_key] = {u for u in self.units if not op.commutator(local.act_unit(*u)).cols}
+        return self._memo[memo_key]
+
+    def swap_words_agree(self, lhs: tuple, rhs: tuple) -> bool:
+        """Whether the products of the swaps ``signed_swap(p)`` over the
+        positions ``p`` of ``lhs`` and over those of ``rhs``, in order, are
+        equal, decided on the local config of their legs ``p, p + 1``; no
+        when a factor is not graded."""
+        if not self.graded:
+            return False
+        key, local, where = self.config.local(sorted({q for p in lhs + rhs for q in (p, p + 1)}))
+        words = tuple(tuple(where[p] for p in word) for word in (lhs, rhs))
+        memo_key = ("words", key, words)
+        if memo_key not in self._memo:
+            products = []
+            for word in words:
+                op = LinearOp.identity(local.space)
+                for a in word:
+                    op = op @ local.signed_swap(a)
+                products.append(op.cols)
+            self._memo[memo_key] = products[0] == products[1]
+        return self._memo[memo_key]
+
+    def conjugates(self, pos: int, legs: tuple) -> bool:
+        """Whether the swap ``t = signed_swap(pos)`` has ``t t = 1`` and, for
+        a factor pair ``legs``, ``t Gamma(legs) t = Gamma(legs')``, with
+        ``legs'`` the pair with ``pos`` and ``pos + 1`` interchanged; decided
+        on the local config of the legs of both (the transport lemma's
+        relabelling), and no when a factor is not graded.  For ``legs = ()``
+        it is ``t t = 1`` alone, which conjugates the identity to itself."""
+        if not self.swap_words_agree((pos, pos), ()):
+            return False
+        if not legs:
+            return True
+        key, local, where = self.config.local(sorted({pos, pos + 1, *legs}))
+        a, pair = where[pos], tuple(where[p] for p in legs)
+        memo_key = ("conjugates", key, a, pair)
+        if memo_key not in self._memo:
+            # a pair the swap fixes (off its legs, or on both) is its own image
+            image = _swapped(pair, a)
+            gamma = local.split_casimir_op(*pair)
+            other = gamma if image == pair else local.split_casimir_op(*image)
+            self._memo[memo_key] = sandwich(local.signed_swap(a), gamma).cols == other.cols
         return self._memo[memo_key]
 
     def _relator_vanishes(self, q: tuple, e: int) -> bool:
@@ -412,21 +486,38 @@ class LocalProofs:
 def verify_braid_relations(images: GeneratorImages) -> Report:
     """Exhaustive exact check of the defining relations on the given space.
 
-    Each residual is taken on the images as built, in the one exact form
-    of :mod:`superbraid.linalg`.
-    An ``R2`` line ``[z_0+..+z_i, x_j]`` (or ``y_j``) passes when every
-    image in it is the sum of its ``parts`` up to a scalar
-    (:func:`summed_from_parts`) and the commutator of those sums vanishes
-    by local 4T relators
-    (:meth:`LocalProofs.bracket_vanishes`), so a passing line takes no
-    commutator on the whole space.  Otherwise the line is its residual:
-    the one of the line for ``i - 1`` plus ``[z_i, x_j]`` (the commutator
-    is bilinear), zero when that line was proved, and the commutator with
-    the whole prefix sum for ``i = j``.
-    When ``t_i`` is a signed permutation (checked once per call), the R1,
-    R3 and ``sym:[ti,tj]`` lines on it pass by relabelling
-    (:meth:`LinearOp.commutes_with_signed_permutation`); a line the
-    relabelling does not prove is the commutator, for the witness.
+    Each line passes by a certificate whose premises are checked first, or
+    is its residual, taken on the images as built in the one exact form of
+    :mod:`superbraid.linalg`, so a failing line carries the residual's
+    witness.
+
+    - Parts forms.  An image that is the exact sum of its ``parts`` plus a
+      scalar (:func:`summed_from_parts`) has as its parts form the
+      multiset of those factor pairs and the scalar (:func:`_combine`).  A
+      swap ``t_i`` that is ``signed_swap`` on its factors (checked once per
+      call) conjugates a parts form by relabelling its pairs, with
+      ``v_i`` and ``v_{i+1}`` interchanged, once ``t_i^2 = 1`` and
+      ``t_i Gamma(p,q) t_i`` is the relabelled ``Gamma`` for each of them,
+      decided on the local config of their legs
+      (:meth:`LocalProofs.conjugates`).  R1 and R3 pass when the form is
+      fixed by the relabelling, as ``[X, t] = (X - t X t) t``.  The
+      ``m_{i,j}`` are forms too, built as :func:`m_ops` builds the
+      operators, and an R4, R5, R6 or ``m(i,j)`` line passes when the
+      form of its residual is zero.
+    - The ``sym`` lines are words in the swaps that are ``signed_swap``,
+      decided on the local config of their legs
+      (:meth:`LocalProofs.swap_words_agree`).
+    - An ``R2`` line ``[z_0+..+z_i, x_j]`` (or ``y_j``) passes when every
+      image in it is the sum of its ``parts`` up to a scalar and the
+      commutator of those sums vanishes by local 4T relators
+      (:meth:`LocalProofs.bracket_vanishes`).  Otherwise the line is its
+      residual: the one of the line for ``i - 1`` plus ``[z_i, x_j]`` (the
+      commutator is bilinear), zero when that line was proved, and the
+      commutator with the whole prefix sum for ``i = j``.
+
+    So a passing report takes no product, builds no ``m_ops`` and builds no
+    split Casimir on the whole space but those :func:`summed_from_parts`
+    sums.
     """
     rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
     summed = summed_from_parts(images)
@@ -438,37 +529,51 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     def check(check_id: str, residual: LinearOp) -> None:
         rep.add(zero_check(check_id, residual, config))
 
-    perms = {i: op.signed_permutation() for i, op in t.items()}
-
-    def check_commutes(check_id: str, op: LinearOp, i: int, residual) -> None:
-        # [op, t_i] = 0 by relabelling when t_i is a signed permutation;
-        # otherwise, or when it fails, the residual gives the witness
-        if perms[i] is not None and op.commutes_with_signed_permutation(perms[i]):
+    def line(check_id: str, proved: bool, residual) -> None:
+        # a line no certificate proves is its residual, for the witness
+        if proved:
             rep.add(Check(check_id, True))
         else:
             check(check_id, residual())
 
+    # the premises: the parts form of each image summed from its parts, and
+    # the swaps that are signed_swap
+    form = {name: _combine((1, Counter(images.parts[name])), (c, {(): 1})) for name, c in summed.items()}
+    swaps = {i for i, op in t.items() if op.cols == config.signed_swap(v_position(i)).cols}
+
+    def conj(f: Optional[dict], i: int) -> Optional[dict]:
+        # the parts form of t_i X t_i, for X of form f
+        pos = v_position(i)
+        if f is None or i not in swaps or not all(local.conjugates(pos, key) for key in f):
+            return None
+        return {_swapped(key, pos): v for key, v in f.items()}
+
+    def fixed(f: Optional[dict], i: int) -> bool:
+        return _combine((1, conj(f, i)), (-1, f)) == {}
+
     for i in range(1, d):
-        check(f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space))
+        pos = v_position(i)
+        proved = i in swaps and local.swap_words_agree((pos, pos), ())
+        line(f"sym:t{i}^2=1", proved, lambda: t[i] @ t[i] - LinearOp.identity(config.space))
     for i in range(1, d - 1):
-        lhs = t[i] @ t[i + 1] @ t[i]
-        rhs = t[i + 1] @ t[i] @ t[i + 1]
-        check(f"sym:braid(t{i},t{i + 1})", lhs - rhs)
+        pos = v_position(i)
+        proved = {i, i + 1} <= swaps and local.swap_words_agree((pos, pos + 1, pos), (pos + 1, pos, pos + 1))
+        line(f"sym:braid(t{i},t{i + 1})", proved, lambda: t[i] @ t[i + 1] @ t[i] - t[i + 1] @ t[i] @ t[i + 1])
     for i in range(1, d):
         for j in range(i + 2, d):
-            check_commutes(f"sym:[t{i},t{j}]", t[j], i, lambda: t[i].commutator(t[j]))
+            p, q = v_position(i), v_position(j)
+            proved = {i, j} <= swaps and local.swap_words_agree((p, q), (q, p))
+            line(f"sym:[t{i},t{j}]", proved, lambda: t[i].commutator(t[j]))
 
-    fams = {"x": x, "y": y, "z": z}
-    for name, fam in fams.items():
+    for name, fam in (("x", x), ("y", y), ("z", z)):
         indices = sorted(fam)
         if name == "z":
             indices = [0] + indices
         for i in indices:
             op = images.z0 if i == 0 else fam[i]
             for j in range(1, d):
-                if i in (j, j + 1):
-                    continue
-                check_commutes(f"R1:[{name}{i},t{j}]", op, j, lambda: op.commutator(t[j]))
+                if i not in (j, j + 1):
+                    line(f"R1:[{name}{i},t{j}]", fixed(form.get(f"{name}{i}"), j), lambda: op.commutator(t[j]))
 
     prefixes: dict = {}  # i -> z_0 + .. + z_i, summed when a residual needs it
     for j in range(1, d + 1):
@@ -478,7 +583,7 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             prefix_parts = [pair for name in names for pair in images.parts[name]]
             for name, fam in (("x", x), ("y", y)):
                 check_id = f"R2:[z0+..+z{i},{name}{j}]"
-                if summed.issuperset((*names, f"{name}{j}")) and local.bracket_vanishes(
+                if summed.keys() >= {*names, f"{name}{j}"} and local.bracket_vanishes(
                     prefix_parts, images.parts[f"{name}{j}"]
                 ):
                     rep.add(Check(check_id, True))
@@ -497,29 +602,67 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
 
     for i in range(1, d):
         for name, fam in (("x", x), ("y", y)):
-            op = fam[i] + fam[i + 1]
-            check_commutes(f"R3:[t{i},{name}{i}+{name}{i + 1}]", op, i, lambda: t[i].commutator(op))
+            f = _combine((1, form.get(f"{name}{i}")), (1, form.get(f"{name}{i + 1}")))
+            line(f"R3:[t{i},{name}{i}+{name}{i + 1}]", fixed(f, i), lambda: t[i].commutator(fam[i] + fam[i + 1]))
 
-    # m_{i,i+1} = x_{i+1} - t_i x_i t_i from m_ops, and its y counterpart
-    pair = m_ops(images)
-    mx = {i: pair[(i, i + 1)] for i in range(1, d)}
-    my = {i: y[i + 1] - sandwich(t[i], y[i]) for i in range(1, d)}
-    for name, m in (("x", mx), ("y", my)):
+    # the parts forms of x_{i+1} - t_i x_i t_i and its y counterpart, and of
+    # m_{i,j} by the word of m_ops: m_{j-1,j} conjugated by t_i .. t_{j-2} .. t_i
+    mf = {
+        name: {i: _combine((1, form.get(f"{name}{i + 1}")), (-1, conj(form.get(f"{name}{i}"), i))) for i in range(1, d)}
+        for name in ("x", "y")
+    }
+    pair = {(i, i + 1): mf["x"][i] for i in range(1, d)}
+    for j in range(2, d + 1):
+        for i in range(j - 2, 0, -1):
+            f = pair[(j - 1, j)]
+            for k in (*range(i, j - 1), *range(j - 3, i - 1, -1)):
+                f = conj(f, k)
+            pair[(i, j)] = f
+
+    @functools.cache
+    def whole() -> dict:
+        # the operators of those forms, built when a line falls back
+        ops = m_ops(images)
+        return {
+            "pair": ops,
+            "x": {i: ops[(i, i + 1)] for i in range(1, d)},
+            "y": {i: y[i + 1] - sandwich(t[i], y[i]) for i in range(1, d)},
+            "sum": m_sums(ops),
+        }
+
+    for name in ("x", "y"):
         for i in range(1, d - 1):
-            lhs = sandwich(t[i], sandwich(t[i + 1], m[i]))
-            check(f"R4:{name},i={i}", lhs - m[i + 1])
+            f = _combine((1, conj(conj(mf[name][i], i + 1), i)), (-1, mf[name][i + 1]))
+            line(
+                f"R4:{name},i={i}",
+                f == {},
+                lambda: sandwich(t[i], sandwich(t[i + 1], whole()[name][i])) - whole()[name][i + 1],
+            )
 
     for i in range(1, d):
-        check(f"R5:i={i}", mx[i] - my[i])
+        proved = _combine((1, mf["x"][i]), (-1, mf["y"][i])) == {}
+        line(f"R5:i={i}", proved, lambda: whole()["x"][i] - whole()["y"][i])
 
-    msum = m_sums(pair)
     for j in range(1, d + 1):
-        m_j = msum.get(j, LinearOp(config.space))
-        check(f"R6:z{j}=x{j}+y{j}-m{j}", z[j] - (x[j] + y[j] - m_j))
+        f = _combine(
+            (1, form.get(f"z{j}")),
+            (-1, form.get(f"x{j}")),
+            (-1, form.get(f"y{j}")),
+            *((1, pair[(i, j)]) for i in range(1, j)),
+        )
+        line(
+            f"R6:z{j}=x{j}+y{j}-m{j}",
+            f == {},
+            lambda: z[j] - (x[j] + y[j] - whole()["sum"].get(j, LinearOp(config.space))),
+        )
 
-    for (i, j), op in sorted(pair.items()):
-        gamma = config.split_casimir_op(v_position(i), v_position(j))
-        check(f"m({i},{j})=split-casimir", op - gamma)
+    for (i, j), f in sorted(pair.items()):
+        gamma = (v_position(i), v_position(j))
+        line(
+            f"m({i},{j})=split-casimir",
+            _combine((1, f), (-1, {gamma: 1})) == {},
+            lambda: whole()["pair"][(i, j)] - config.split_casimir_op(*gamma),
+        )
     return rep
 
 

@@ -20,10 +20,8 @@ all go through it (:func:`op_sum` adds many operators, and
 :meth:`LinearOp.add_entry` is the single-entry insert.  A commutator goes
 through it one column at a time, both products' columns into one
 accumulator, with no product operators built.
-Whether an operator commutes with a signed permutation needs no product
-at all: it is a relabelling of its entries
-(:meth:`LinearOp.commutes_with_signed_permutation`).  A product ``T X T``
-with a signed permutation ``T`` is such a relabelling too
+A product ``T X T`` with a signed permutation ``T`` needs no product at
+all: it is a relabelling of the entries of ``X``
 (:meth:`LinearOp.sandwiched`).
 The matrix of an operator restricted to a subspace is again a
 :class:`LinearOp`, on the subspace's coordinate space.
@@ -190,26 +188,6 @@ class LinearOp:
         if len(perm) != self.space.dim or len({k for k, _ in perm.values()}) != len(perm):
             return None
         return perm
-
-    def commutes_with_signed_permutation(self, perm: dict) -> bool:
-        """Whether ``self`` commutes with the signed permutation ``P`` that
-        ``perm`` describes (:meth:`signed_permutation`), by relabelling
-        alone: ``[self, P] = 0`` exactly when ``P self P^-1 = self``, and
-        ``P self P^-1`` moves entry ``(k, j)`` to ``(row_k, row_j)`` times
-        ``sign_k sign_j``.  That relabelling is a bijection of entries, so
-        it equals self when every moved entry is found in a column of the
-        same size."""
-        cols = self.cols
-        for j, col in cols.items():
-            pj, sj = perm[j]
-            target = cols.get(pj)
-            if target is None or len(target) != len(col):
-                return False
-            for k, v in col.items():
-                pk, sk = perm[k]
-                if target.get(pk) != (v if sj == sk else -v):
-                    return False
-        return True
 
     def sandwiched(self, perm: dict) -> "LinearOp":
         """``T @ self @ T`` for the signed permutation ``T`` that ``perm``

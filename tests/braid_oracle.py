@@ -1,18 +1,22 @@
-"""The ``verify braid`` report as two relation passes, and the R2 lines as
-whole-space commutators, kept as test oracles.
+"""The ``verify braid`` report as two relation passes, and the relation
+suite with every line a residual on the whole space, kept as test oracles.
 
 The command runs ``verify_braid_relations`` once, on the shifted images, and
 reports each line twice, since the plain lines equal the shifted ones once
 every t_i^2 = 1.  Here the plain lines come from their own pass on the
 :func:`unshifted` images, so both must give the same lines, witnesses
-included.  ``verify_braid_relations`` proves its R2 lines from local 4T
-relators; :func:`whole_space_r2` takes each as the commutator of the prefix
-sum with the image, as the suite did before.
+included.  ``verify_braid_relations`` proves its lines from the split
+Casimirs each image is summed from, on local configs; :func:`whole_space_braid`
+takes every line as its residual on the whole space, each conjugation
+``t X t`` as two products, and :func:`whole_space_r2` does so for the R2
+lines alone.
 """
 
 from dataclasses import replace
+from functools import reduce
 
-from superbraid.braid import Report, unshifted, verify_braid_relations, zero_check
+from superbraid.braid import Report, unshifted, v_position, verify_braid_relations, zero_check
+from superbraid.linalg import LinearOp
 
 
 def two_pass_braid(images):
@@ -38,4 +42,57 @@ def whole_space_r2(images):
                 rx, ry = rx + z[i].commutator(images.x[j]), ry + z[i].commutator(images.y[j])
             rep.add(zero_check(f"R2:[z0+..+z{i},x{j}]", rx, config))
             rep.add(zero_check(f"R2:[z0+..+z{i},y{j}]", ry, config))
+    return rep
+
+
+def whole_space_braid(images):
+    """The report of ``verify_braid_relations`` with every line its residual
+    on the whole space, in the suite's order: the ``sym`` lines, R1 as
+    ``[X, t_j]``, R2 (:func:`whole_space_r2`), R3, R4 and R5 on
+    ``m_{i,i+1} = x_{i+1} - t_i x_i t_i`` and its y counterpart, R6 on
+    ``m_j``, the sum of the ``m_{i,j}``, and ``m_{i,j}`` against the split
+    Casimir, where ``m_{i,j}`` is ``m_{j-1,j}`` conjugated by the
+    transposition word ``t_i .. t_{j-2} .. t_i`` as one product."""
+    config, d = images.config, images.d
+    t, x, y = images.t, images.x, images.y
+    rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
+
+    def check(check_id, residual):
+        rep.add(zero_check(check_id, residual, config))
+
+    for i in range(1, d):
+        check(f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space))
+    for i in range(1, d - 1):
+        check(f"sym:braid(t{i},t{i + 1})", t[i] @ t[i + 1] @ t[i] - t[i + 1] @ t[i] @ t[i + 1])
+    for i in range(1, d):
+        for j in range(i + 2, d):
+            check(f"sym:[t{i},t{j}]", t[i].commutator(t[j]))
+    for name, fam in (("x", x), ("y", y), ("z", {0: images.z0, **images.z})):
+        for i in sorted(fam):
+            for j in range(1, d):
+                if i not in (j, j + 1):
+                    check(f"R1:[{name}{i},t{j}]", fam[i].commutator(t[j]))
+    rep.checks += whole_space_r2(images).checks
+    for i in range(1, d):
+        for name, fam in (("x", x), ("y", y)):
+            check(f"R3:[t{i},{name}{i}+{name}{i + 1}]", t[i].commutator(fam[i] + fam[i + 1]))
+    m = {name: {i: fam[i + 1] - t[i] @ fam[i] @ t[i] for i in range(1, d)} for name, fam in (("x", x), ("y", y))}
+    for name in ("x", "y"):
+        for i in range(1, d - 1):
+            check(f"R4:{name},i={i}", t[i] @ t[i + 1] @ m[name][i] @ t[i + 1] @ t[i] - m[name][i + 1])
+    for i in range(1, d):
+        check(f"R5:i={i}", m["x"][i] - m["y"][i])
+    pair = {}
+    for j in range(2, d + 1):
+        pair[(j - 1, j)] = m["x"][j - 1]
+        for i in range(j - 2, 0, -1):
+            word = reduce(LinearOp.__matmul__, [t[k] for k in (*range(i, j - 1), *range(j - 3, i - 1, -1))])
+            pair[(i, j)] = word @ pair[(j - 1, j)] @ word
+    for j in range(1, d + 1):
+        m_j = LinearOp(config.space)
+        for i in range(1, j):
+            m_j = m_j + pair[(i, j)]
+        check(f"R6:z{j}=x{j}+y{j}-m{j}", images.z[j] - (x[j] + y[j] - m_j))
+    for (i, j), op in sorted(pair.items()):
+        check(f"m({i},{j})=split-casimir", op - config.split_casimir_op(v_position(i), v_position(j)))
     return rep

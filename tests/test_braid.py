@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import superbraid.braid as braid
 from superbraid.braid import (
     POS_M,
     POS_N,
@@ -26,7 +27,7 @@ from superbraid.modules import module_tensor_config
 from superbraid.partitions import HookProfile
 from superbraid.superalgebra import TensorConfig, natural_casimir_scalar, natural_factor
 
-from braid_oracle import whole_space_r2
+from braid_oracle import whole_space_braid, whole_space_r2
 from casimir_oracle import casimir_difference_images
 from centralizer_oracle import full_centralizer
 
@@ -350,6 +351,62 @@ def test_braid_relations_match_without_relabelling(name, control, monkeypatch):
     assert reports == [verify_braid_relations(acting).to_json() for acting in (images, unshifted(images))]
 
 
+def braid_matching_whole_space(images):
+    """The braid report on ``images``, after asserting that it and the one
+    on ``unshifted(images)`` are the oracle's, byte for byte."""
+    reports = [verify_braid_relations(acting) for acting in (images, unshifted(images))]
+    for rep, acting in zip(reports, (images, unshifted(images))):
+        assert rep.to_json() == whole_space_braid(acting).to_json()
+    return reports[0]
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
+def test_braid_relations_match_whole_space_oracle(name, control):
+    # every line proved from parts forms, or taken as a residual where a
+    # premise fails, against the residuals on the whole space; every control
+    # fails but the unsigned swaps where there are none
+    images = shortcut_images(name, control)
+    assert braid_matching_whole_space(images).ok == (control == "clean" or control == "unsigned" and images.d < 2)
+
+
+def one_sided_swap(self, pos):
+    # signed_swap with the sign (-1)^|v| of the left component alone: it
+    # squares to -1 on v (x) w with v odd and w even
+    out = LinearOp(self.space)
+    for idx in range(self.dim):
+        comps = self.decode(idx)
+        a, b = comps[pos], comps[pos + 1]
+        new = idx + (b - a) * (self.strides[pos] - self.strides[pos + 1])
+        out.add_entry(new, idx, -1 if self.factors[pos].space.parities[a] else 1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "case", ["x2-clean", "x2-koszul", "x1-clean", "x1-koszul", "entry-two-swap", "scalar", "one-sided-swap"]
+)
+def test_changed_images_match_whole_space_oracle(case, monkeypatch):
+    # premises that fail one image or swap at a time: images off their
+    # parts, a swap that is no signed permutation, an image whose scalar is
+    # off by 1 (its parts form differs from the others' in the scalar
+    # alone), and swaps that are signed_swap but no involution, on the
+    # local configs too
+    if case == "entry-two-swap":
+        cases = [entry_two_swap_images()]
+    elif case == "scalar":
+        images = shortcut_images("gl21_d2", "clean")
+        cases = [replace(images, x={**images.x, 1: images.x[1].plus_scalar(1)})]
+    elif case == "one-sided-swap":
+        monkeypatch.setattr(TensorConfig, "signed_swap", one_sided_swap)
+        cases = [rho_prime_images(module_tensor_config((1,), (1,), 3, HP11))]
+    else:
+        change, control = case.split("-")
+        names = ["gl21_d2"] if change == "x2" else ["gl21_d2", "paper_d1"]
+        cases = [off_parts_images(name, control, change) for name in names]
+    for images in cases:
+        assert not braid_matching_whole_space(images).ok
+
+
 @pytest.mark.parametrize("control", CONTROLS)
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
 def test_r2_lines_match_whole_space_oracle(name, control):
@@ -362,6 +419,19 @@ def test_r2_lines_match_whole_space_oracle(name, control):
         assert lines == expected
         # the split Casimir controls fail every R2 line
         assert all(c["status"] == ("fail" if control in ("parity", "koszul") else "pass") for c in expected)
+
+
+def test_conjugation_certificate_needs_an_involution(monkeypatch):
+    # conjugates(pos, ()) is t t = 1, which is what conjugates the scalar of
+    # a parts form to itself; a swap with a one-sided sign fails it, and so
+    # every conjugation by it is unproved
+    pos = v_position(1)
+    pairs = [(), (POS_M, POS_N), (POS_M, pos), (pos, pos + 1), (pos + 1, pos + 2)]
+    local = LocalProofs(module_tensor_config((1,), (1,), 3, HP11))
+    assert all(local.conjugates(pos, pair) for pair in pairs)
+    monkeypatch.setattr(TensorConfig, "signed_swap", one_sided_swap)
+    local = LocalProofs(module_tensor_config((1,), (1,), 3, HP11))
+    assert not any(local.conjugates(pos, pair) for pair in pairs)
 
 
 def test_r2_grouping_needs_every_term():
@@ -436,22 +506,47 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
 def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
-    # every centralizer and R2 line of a clean config is proved locally, and
-    # the centralizer builds no unit on the whole space
+    # every centralizer and braid line of a clean config is proved locally:
+    # neither suite builds a unit, takes a commutator or a product, or builds
+    # a split Casimir on the whole space but those summed_from_parts sums,
+    # and the braid suite takes no sandwich and builds no m_ops
     images = shortcut_images(name, "clean")
+    whole = images.config
     calls = count_commutators(monkeypatch)
-    units = []
-    act_unit = TensorConfig.act_unit
+    built = []  # (what, config or space) of each call counted
+    summing = []  # nonempty while summed_from_parts runs
 
-    def counted(self, i, j):
-        units.append(self)
-        return act_unit(self, i, j)
+    def counted(what, fn, on=lambda *args: None):
+        def wrapped(*args, **kwargs):
+            if not summing:
+                built.append((what, on(*args)))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(TensorConfig, "act_unit", counted)
+        return wrapped
+
+    def summed(images):
+        summing.append(True)
+        try:
+            return summed_from_parts(images)
+        finally:
+            summing.pop()
+
+    summed_from_parts = braid.summed_from_parts
+    monkeypatch.setattr(braid, "summed_from_parts", summed)
+    monkeypatch.setattr(TensorConfig, "act_unit", counted("act_unit", TensorConfig.act_unit, lambda cfg, *_: cfg))
+    split = counted("split_casimir_op", TensorConfig.split_casimir_op, lambda cfg, *_: cfg)
+    monkeypatch.setattr(TensorConfig, "split_casimir_op", split)
+    matmul = counted("@", LinearOp.__matmul__, lambda a, b: a.space)
+    monkeypatch.setattr(LinearOp, "__matmul__", matmul)
+    monkeypatch.setattr(braid, "sandwich", counted("sandwich", braid.sandwich, lambda t, op: t.space))
+    monkeypatch.setattr(braid, "m_ops", counted("m_ops", braid.m_ops))
     assert verify_centralizer(images).ok
     assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
-    assert calls and not on_whole_space(calls, images.config)
-    assert units and not [cfg for cfg in units if cfg is images.config]
+    assert calls and not on_whole_space(calls, whole)
+    # the counters are live: local units and split Casimirs, and local
+    # products and sandwiches where there are swaps
+    assert {what for what, _ in built} == {"act_unit", "split_casimir_op", *["@", "sandwich"] * (images.d > 1)}
+    assert not [what for what, on in built if on is None or on is whole or on is whole.space]
 
 
 def off_bracket_config(entry):
@@ -534,15 +629,21 @@ def test_image_off_its_parts_is_computed_directly(control, monkeypatch):
             assert {"[x1,E(1,1)]", "[x1,E(2,2)]"} <= failed
 
 
-def test_swap_with_an_entry_two_falls_back(monkeypatch):
-    # t_1 with one entry doubled is no signed permutation: every R1, R3 and
-    # sym line on it is the commutator, as with the relabelling declined
+@functools.cache
+def entry_two_swap_images():
+    # gl(1|1), d = 4, with one entry of t_1 doubled
     images = rho_prime_images(module_tensor_config((1,), (1,), 4, HP11))
     t1 = images.t[1]
     i, j, v = next(t1.entries())
-    bad = t1 + LinearOp.from_entries(t1.space, [(i, j, v)])
+    return replace(images, t={**images.t, 1: t1 + LinearOp.from_entries(t1.space, [(i, j, v)])})
+
+
+def test_swap_with_an_entry_two_falls_back(monkeypatch):
+    # t_1 with one entry doubled is no signed permutation: every R1, R3 and
+    # sym line on it is the commutator, as with the relabelling declined
+    images = entry_two_swap_images()
+    bad = images.t[1]
     assert bad.signed_permutation() is None
-    images = replace(images, t={**images.t, 1: bad})
     calls = count_commutators(monkeypatch)
     rep = verify_braid_relations(images)
     lines = [c.id for c in rep.checks if c.id.endswith(",t1]") or c.id.startswith(("R3:[t1,", "sym:[t1,"))]
