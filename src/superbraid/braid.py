@@ -24,12 +24,16 @@ Each report line is proved by the cheapest exact argument whose premise
 is checked first, falling back to the direct residual, so a report is the
 same line for line, witnesses included, as if every line were a residual.
 The centralizer and relation lines rest on the split Casimirs each image is
-summed from, plus a scalar (``GeneratorImages.parts``, checked by
-:func:`summed_from_parts`), and on the swaps being ``signed_swap``: each
-identity of Gammas, swaps and units they need is decided on a local config
-whose size does not grow with d.  A conjugation t X t by a signed
-permutation, in a Hecke line or a residual, is a relabelling of X's
-entries (:func:`sandwich`).
+summed from, plus a scalar (``GeneratorImages.parts``), and on the swaps
+being ``signed_swap``: each identity of Gammas, swaps and units they need
+is decided on a local config whose size does not grow with d.  The images
+of :func:`rho_prime_images` are held as those parts (:class:`SummedImages`)
+and built only when something reads them, so the parts premise holds for
+them by construction; any other image is first compared with the sum of
+its parts (:func:`summed_from_parts`).  So a passing braid or centralizer
+report on them builds no image and no split Casimir on the whole space.  A
+conjugation t X t by a signed permutation, in a Hecke line or a residual,
+is a relabelling of X's entries (:func:`sandwich`).
 
 Transport lemma.  ``act_unit(i, j)`` sums E_ij on each factor t with the
 Koszul sign (-1)^(|E_ij| * parity of the factors left of t), and
@@ -96,6 +100,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -170,37 +175,133 @@ class Report:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
+class SummedImages(Mapping):
+    """The shifted x_i, y_i, z_i and z_0 by name, each held as the factor
+    pairs ``(p, q)`` of the split Casimirs it is the sum of (:attr:`parts`),
+    as in the module docstring, and built on first read.
+
+    A read of x_i, y_i or z_i builds all three, sharing the Gammas of the
+    pairs (v_k, v_i), and keeps them; z_0 is built alone.  Every Gamma is
+    ``config.split_casimir_op(p, q, corrupt=corrupt)``, so with ``corrupt``
+    None each image is by construction the sum of its parts.  Membership
+    and iteration read :attr:`parts` alone and build nothing.
+    """
+
+    def __init__(self, config: TensorConfig, d: int, corrupt: Optional[str] = None):
+        self.config = config
+        self.corrupt = corrupt
+        self.parts = {"z0": ((POS_M, POS_N),)}
+        for i in range(1, d + 1):
+            pos = v_position(i)
+            pairs = tuple((v_position(k), pos) for k in range(1, i))
+            self.parts[f"x{i}"] = ((POS_M, pos), *pairs)
+            self.parts[f"y{i}"] = ((POS_N, pos), *pairs)
+            self.parts[f"z{i}"] = ((POS_M, pos), (POS_N, pos), *pairs)
+        self._built: dict = {}
+
+    def _build(self, i: int) -> None:
+        # z_0 for i = 0, else x_i, y_i and z_i together
+        def gamma(p1: int, p2: int) -> LinearOp:
+            return self.config.split_casimir_op(p1, p2, corrupt=self.corrupt)
+
+        if not i:
+            self._built["z0"] = gamma(POS_M, POS_N)
+            return
+        pos = v_position(i)
+        cross = [gamma(v_position(k), pos) for k in range(1, i)]
+        gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
+        x = op_sum([gm, *cross])
+        self._built.update({f"x{i}": x, f"y{i}": op_sum([gn, *cross]), f"z{i}": op_sum([x, gn])})
+
+    def __getitem__(self, name: str) -> LinearOp:
+        if name not in self._built:
+            if name not in self.parts:
+                raise KeyError(name)
+            self._build(int(name[1:]))
+        return self._built[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self.parts
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+
+class _Family(Mapping):
+    """``{i: image}`` for i = 1 .. d of one family, ``x``, ``y`` or ``z``,
+    read through to :attr:`GeneratorImages.ops` when an image is read."""
+
+    def __init__(self, ops: Mapping, family: str, d: int):
+        self.ops, self.family, self.d = ops, family, d
+
+    def __getitem__(self, i: int) -> LinearOp:
+        if i not in range(1, self.d + 1):
+            raise KeyError(i)
+        return self.ops[f"{self.family}{i}"]
+
+    def __iter__(self):
+        return iter(range(1, self.d + 1))
+
+    def __len__(self) -> int:
+        return self.d
+
+
 @dataclass
 class GeneratorImages:
     """Operators for t_i, x_i, y_i, z_i and z_0 on a two-boundary space.
 
-    ``shifted`` records whether the polynomial generators carry the
-    constant shift (x, y by half the natural Casimir scalar, z by the full
-    one) under which the boundary eigenvalues become box contents.
-    ``parts`` maps an image's name (as in :meth:`named_ops`) to the factor
-    pairs ``(p, q)`` whose split Casimirs it was summed from, keys only,
-    with no scalar: the suites check that the image is their sum plus a
-    scalar, and read that scalar off (:func:`summed_from_parts`), before
-    they rely on it.
+    ``ops`` maps the name of each polynomial generator, ``z0``, ``x1`` ..
+    ``xd``, ``y1`` .. and ``z1`` .., to its image.  ``x``, ``y`` and ``z``
+    are views ``{i: image}`` of it, and ``z0`` is its ``z0``; each reads an
+    image only when the image itself is read.  :func:`rho_prime_images`
+    gives a :class:`SummedImages`, which builds an image on first read;
+    :func:`unshifted` gives a plain dict, as a test's
+    ``dataclasses.replace`` may.  ``shifted`` records whether the polynomial generators carry
+    the constant shift (x, y by half the natural Casimir scalar, z by the
+    full one) under which the boundary eigenvalues become box contents.
+    ``parts`` maps an image's name to the factor pairs ``(p, q)`` whose
+    split Casimirs it is summed from, keys only, with no scalar: the suites
+    rely on that only where :func:`summed_from_parts` confirms it.
     """
 
     config: TensorConfig
     d: int
     t: dict
-    x: dict
-    y: dict
-    z: dict
-    z0: LinearOp
+    ops: Mapping
     shifted: bool
     parts: dict
 
+    @property
+    def x(self) -> Mapping:
+        return _Family(self.ops, "x", self.d)
+
+    @property
+    def y(self) -> Mapping:
+        return _Family(self.ops, "y", self.d)
+
+    @property
+    def z(self) -> Mapping:
+        return _Family(self.ops, "z", self.d)
+
+    @property
+    def z0(self) -> LinearOp:
+        return self.ops["z0"]
+
+    def names(self) -> list:
+        """The generator names in report order: z0, the t's, x's, y's, z's."""
+        indices = range(1, self.d + 1)
+        return ["z0", *(f"t{i}" for i in sorted(self.t)), *(f"{f}{i}" for f in "xyz" for i in indices)]
+
+    def op(self, name: str) -> LinearOp:
+        """The image named ``name``, as :meth:`names` names it."""
+        return self.t[int(name[1:])] if name[0] == "t" else self.ops[name]
+
     def named_ops(self) -> list:
-        out = [("z0", self.z0)]
-        out += [(f"t{i}", self.t[i]) for i in sorted(self.t)]
-        out += [(f"x{i}", self.x[i]) for i in sorted(self.x)]
-        out += [(f"y{i}", self.y[i]) for i in sorted(self.y)]
-        out += [(f"z{i}", self.z[i]) for i in sorted(self.z)]
-        return out
+        """``(name, image)`` for every generator, each image built."""
+        return [(name, self.op(name)) for name in self.names()]
 
 
 def rho_images(config: TensorConfig) -> GeneratorImages:
@@ -209,9 +310,10 @@ def rho_images(config: TensorConfig) -> GeneratorImages:
 
 
 def rho_prime_images(config: TensorConfig, corrupt_gamma: Optional[str] = None) -> GeneratorImages:
-    """The shifted action, under which boundary eigenvalues are contents,
-    assembled from split Casimirs (module docstring); :func:`unshifted` adds
-    the constants back.
+    """The shifted action, under which boundary eigenvalues are contents:
+    the swaps, and a :class:`SummedImages` that sums each polynomial
+    generator from its split Casimirs (module docstring) when it is first
+    read; :func:`unshifted` adds the constants back.
 
     With ``corrupt_gamma`` ('parity' or 'koszul') every split Casimir is
     built with a wrong sign, which serves as a negative control for the
@@ -220,42 +322,18 @@ def rho_prime_images(config: TensorConfig, corrupt_gamma: Optional[str] = None) 
     d = config.n_factors - 2
     if d < 0:
         raise ValueError("config must contain the two boundary factors")
-
-    def gamma(p1: int, p2: int) -> LinearOp:
-        return config.split_casimir_op(p1, p2, corrupt=corrupt_gamma)
-
-    x = {}
-    y = {}
-    z = {}
-    parts = {"z0": ((POS_M, POS_N),)}
-    for i in range(1, d + 1):
-        pos = v_position(i)
-        cross = [gamma(v_position(k), pos) for k in range(1, i)]
-        gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
-        x[i] = op_sum([gm, *cross])
-        y[i] = op_sum([gn, *cross])
-        z[i] = op_sum([x[i], gn])
-        pairs = tuple((v_position(k), pos) for k in range(1, i))
-        parts[f"x{i}"] = ((POS_M, pos), *pairs)
-        parts[f"y{i}"] = ((POS_N, pos), *pairs)
-        parts[f"z{i}"] = ((POS_M, pos), (POS_N, pos), *pairs)
-    z0 = gamma(POS_M, POS_N)
+    ops = SummedImages(config, d, corrupt_gamma)
     t = {i: config.signed_swap(v_position(i)) for i in range(1, d)}
-    return GeneratorImages(config, d, t, x, y, z, z0, True, parts)
+    return GeneratorImages(config, d, t, ops, True, dict(ops.parts))
 
 
 def unshifted(images: GeneratorImages) -> GeneratorImages:
     """The plain images from the shifted ones: x_i and y_i up by kappa_V / 2,
-    z_i by kappa_V; t and z_0 are shared."""
+    z_i by kappa_V; t and z_0 are shared.  Each image is built."""
     kv = natural_casimir_scalar(images.config.hp)
-    half = Fraction(kv, 2)
-    return replace(
-        images,
-        x={i: op.plus_scalar(half) for i, op in images.x.items()},
-        y={i: op.plus_scalar(half) for i, op in images.y.items()},
-        z={i: op.plus_scalar(kv) for i, op in images.z.items()},
-        shifted=False,
-    )
+    shift = {"x": Fraction(kv, 2), "y": Fraction(kv, 2), "z": kv}
+    ops = {name: op if name == "z0" else op.plus_scalar(shift[name[0]]) for name, op in images.ops.items()}
+    return replace(images, ops=ops, shifted=False)
 
 
 def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
@@ -319,16 +397,24 @@ def m_sums(pair: dict) -> dict:
 def summed_from_parts(images: GeneratorImages) -> dict:
     """``{name: c}`` for the images that equal the exact sum of
     ``config.split_casimir_op(p, q)`` over their recorded ``parts`` plus
-    ``c`` times the identity.  Each Gamma is
-    built once: the images are taken in order of the last factor of their
+    ``c`` times the identity.
+
+    An image of a :class:`SummedImages` built with no ``corrupt`` mode, on
+    ``images.config`` itself, with the same pairs as ``images.parts`` is that
+    sum by construction, with ``c = 0``, and is neither built nor read.
+    Every other image is compared with the sum.  Each Gamma of it is built
+    once: those images are taken in order of the last factor of their
     parts, and a Gamma is dropped when no later image lists it, so one
     accumulator and the Gammas of one last factor are alive at a time."""
     config = images.config
-    ops = dict(images.named_ops())
-    names = sorted(images.parts, key=lambda name: max(q for _, q in images.parts[name]))
+    ops = images.ops
+    out = {}
+    if isinstance(ops, SummedImages) and ops.corrupt is None and ops.config is config:
+        out = {name: 0 for name, pairs in images.parts.items() if ops.parts.get(name) == pairs}
+    rest = [name for name in images.parts if name not in out]
+    names = sorted(rest, key=lambda name: max(q for _, q in images.parts[name]))
     uses = Counter(pair for name in names for pair in images.parts[name])
     built: dict = {}
-    out = {}
     for name in names:
         cols: dict = {}
         for pair in images.parts[name]:
@@ -492,7 +578,8 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     witness.
 
     - Parts forms.  An image that is the exact sum of its ``parts`` plus a
-      scalar (:func:`summed_from_parts`) has as its parts form the
+      scalar (:func:`summed_from_parts`; by construction for a
+      :class:`SummedImages`) has as its parts form the
       multiset of those factor pairs and the scalar (:func:`_combine`).  A
       swap ``t_i`` that is ``signed_swap`` on its factors (checked once per
       call) conjugates a parts form by relabelling its pairs, with
@@ -515,9 +602,10 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
       commutator is bilinear), zero when that line was proved, and the
       commutator with the whole prefix sum for ``i = j``.
 
-    So a passing report takes no product, builds no ``m_ops`` and builds no
-    split Casimir on the whole space but those :func:`summed_from_parts`
-    sums.
+    An image is read only inside a residual.  So a passing report on the
+    images of :func:`rho_prime_images` takes no product, builds no
+    ``m_ops``, builds no image and builds no split Casimir on the whole
+    space.
     """
     rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
     summed = summed_from_parts(images)
@@ -565,15 +653,12 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             proved = {i, j} <= swaps and local.swap_words_agree((p, q), (q, p))
             line(f"sym:[t{i},t{j}]", proved, lambda: t[i].commutator(t[j]))
 
-    for name, fam in (("x", x), ("y", y), ("z", z)):
-        indices = sorted(fam)
-        if name == "z":
-            indices = [0] + indices
-        for i in indices:
-            op = images.z0 if i == 0 else fam[i]
+    for family in "xyz":
+        for i in range(0 if family == "z" else 1, d + 1):
+            name = f"{family}{i}"
             for j in range(1, d):
                 if i not in (j, j + 1):
-                    line(f"R1:[{name}{i},t{j}]", fixed(form.get(f"{name}{i}"), j), lambda: op.commutator(t[j]))
+                    line(f"R1:[{name},t{j}]", fixed(form.get(name), j), lambda: images.ops[name].commutator(t[j]))
 
     prefixes: dict = {}  # i -> z_0 + .. + z_i, summed when a residual needs it
     for j in range(1, d + 1):
@@ -700,7 +785,8 @@ def verify_centralizer(images: GeneratorImages) -> Report:
       ``[X, E]`` is the sum of ``[Gamma, E]`` over the split Casimirs
       ``Gamma`` that ``X`` is summed from (``images.parts``), so the line
       passes when (a) ``X`` is their exact sum, up to a scalar
-      (:func:`summed_from_parts`), and (b) each of them commutes with ``E``,
+      (:func:`summed_from_parts`; by construction for a
+      :class:`SummedImages`), and (b) each of them commutes with ``E``,
       decided on the local config of its two legs
       (:meth:`LocalProofs.units_commuting`) once per module pair and gap:
       ``M (x) N``, ``M (x) V``, ``N (x) V`` and ``V (x) V``, with a parity
@@ -718,9 +804,11 @@ def verify_centralizer(images: GeneratorImages) -> Report:
 
     Any other line is the direct residual ``X.commutator(E)``, so every
     failing line carries the witness the full ``r^2`` check would give.
-    A passing report takes no commutator on the whole space and builds no
-    whole-space unit.  Only each line's :class:`Check` is kept, never its
-    residual.
+    An image is read only for such a residual, or a swap to compare it with
+    ``signed_swap``.  So a passing report on the images of
+    :func:`rho_prime_images` takes no commutator on the whole space and
+    builds no whole-space unit, image or split Casimir.  Only each line's
+    :class:`Check` is kept, never its residual.
     """
     rep = Report("centralizer")
     config = images.config
@@ -737,13 +825,13 @@ def verify_centralizer(images: GeneratorImages) -> Report:
     swaps = {f"t{i}": v_position(i) for i in images.t}
 
     order = sorted(units, key=lambda u: abs(u[0] - u[1]))
-    for name, op in images.named_ops():
+    for name in images.names():
         proved = set()
         if name in summed:
             proved = set(local.units)
             for pair in images.parts[name]:
                 proved &= local.units_commuting(pair)
-        elif name in swaps and op.cols == config.signed_swap(swaps[name]).cols:
+        elif name in swaps and images.op(name).cols == config.signed_swap(swaps[name]).cols:
             pos = swaps[name]
             proved = local.units_commuting((pos, pos + 1), swap=True)
         lines = {}
@@ -753,7 +841,7 @@ def verify_centralizer(images: GeneratorImages) -> Report:
             if (i, j) in proved or (b is not None and lines[(i, b)].ok and lines[(b, j)].ok):
                 lines[(i, j)] = Check(check_id, True)
             else:
-                lines[(i, j)] = zero_check(check_id, op.commutator(config.act_unit(i, j)), config)
+                lines[(i, j)] = zero_check(check_id, images.op(name).commutator(config.act_unit(i, j)), config)
         for key in units:
             rep.add(lines[key])
     return rep

@@ -9,14 +9,50 @@ included.  ``verify_braid_relations`` proves its lines from the split
 Casimirs each image is summed from, on local configs; :func:`whole_space_braid`
 takes every line as its residual on the whole space, each conjugation
 ``t X t`` as two products, and :func:`whole_space_r2` does so for the R2
-lines alone.
+lines alone.  ``rho_prime_images`` builds an image from its split Casimirs
+on first read; :func:`eager_images` builds every image at once, as a plain
+dict, so its images take the suites' direct sum-and-compare premise.
 """
 
 from dataclasses import replace
 from functools import reduce
 
-from superbraid.braid import Report, unshifted, v_position, verify_braid_relations, zero_check
-from superbraid.linalg import LinearOp
+from superbraid.braid import (
+    POS_M,
+    POS_N,
+    GeneratorImages,
+    Report,
+    unshifted,
+    v_position,
+    verify_braid_relations,
+    zero_check,
+)
+from superbraid.linalg import LinearOp, op_sum
+
+
+def eager_images(config, corrupt_gamma=None):
+    """The shifted images with every image summed from its split Casimirs
+    up front, each built with ``corrupt=corrupt_gamma``."""
+    d = config.n_factors - 2
+
+    def gamma(p1, p2):
+        return config.split_casimir_op(p1, p2, corrupt=corrupt_gamma)
+
+    ops = {"z0": gamma(POS_M, POS_N)}
+    parts = {"z0": ((POS_M, POS_N),)}
+    for i in range(1, d + 1):
+        pos = v_position(i)
+        cross = [gamma(v_position(k), pos) for k in range(1, i)]
+        gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
+        ops[f"x{i}"] = op_sum([gm, *cross])
+        ops[f"y{i}"] = op_sum([gn, *cross])
+        ops[f"z{i}"] = op_sum([ops[f"x{i}"], gn])
+        pairs = tuple((v_position(k), pos) for k in range(1, i))
+        parts[f"x{i}"] = ((POS_M, pos), *pairs)
+        parts[f"y{i}"] = ((POS_N, pos), *pairs)
+        parts[f"z{i}"] = ((POS_M, pos), (POS_N, pos), *pairs)
+    t = {i: config.signed_swap(v_position(i)) for i in range(1, d)}
+    return GeneratorImages(config, d, t, ops, True, parts)
 
 
 def two_pass_braid(images):

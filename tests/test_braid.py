@@ -27,7 +27,7 @@ from superbraid.modules import module_tensor_config
 from superbraid.partitions import HookProfile
 from superbraid.superalgebra import TensorConfig, natural_casimir_scalar, natural_factor
 
-from braid_oracle import whole_space_braid, whole_space_r2
+from braid_oracle import eager_images, whole_space_braid, whole_space_r2
 from casimir_oracle import casimir_difference_images
 from centralizer_oracle import full_centralizer
 
@@ -326,7 +326,7 @@ def shortcut_images(name, control):
     if control == "off-weight":
         # z_0 plus a raising unit moves weight, so the Cartan lines fail
         images = rho_prime_images(cfg)
-        return replace(images, z0=images.z0 + cfg.act_unit(1, 2))
+        return replace(images, ops={**images.ops, "z0": images.z0 + cfg.act_unit(1, 2)})
     return rho_prime_images(cfg, corrupt_gamma=None if control == "clean" else control)
 
 
@@ -395,7 +395,7 @@ def test_changed_images_match_whole_space_oracle(case, monkeypatch):
         cases = [entry_two_swap_images()]
     elif case == "scalar":
         images = shortcut_images("gl21_d2", "clean")
-        cases = [replace(images, x={**images.x, 1: images.x[1].plus_scalar(1)})]
+        cases = [replace(images, ops={**images.ops, "x1": images.x[1].plus_scalar(1)})]
     elif case == "one-sided-swap":
         monkeypatch.setattr(TensorConfig, "signed_swap", one_sided_swap)
         cases = [rho_prime_images(module_tensor_config((1,), (1,), 3, HP11))]
@@ -506,33 +506,29 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
 def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
-    # every centralizer and braid line of a clean config is proved locally:
-    # neither suite builds a unit, takes a commutator or a product, or builds
-    # a split Casimir on the whole space but those summed_from_parts sums,
-    # and the braid suite takes no sandwich and builds no m_ops
-    images = shortcut_images(name, "clean")
+    # every centralizer and braid line of fresh clean images is proved
+    # locally: neither suite builds or reads an image, builds a unit or a
+    # split Casimir, or takes a commutator or a product on the whole space,
+    # and the braid suite takes no sandwich and builds no m_ops.  The
+    # unshifted images are plain dicts, so their premise is the exact sum,
+    # which builds whole split Casimirs and nothing else on the whole space
+    alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
+    images = rho_prime_images(module_tensor_config(alpha, beta, d, hp))
     whole = images.config
     calls = count_commutators(monkeypatch)
     built = []  # (what, config or space) of each call counted
-    summing = []  # nonempty while summed_from_parts runs
 
     def counted(what, fn, on=lambda *args: None):
         def wrapped(*args, **kwargs):
-            if not summing:
-                built.append((what, on(*args)))
+            built.append((what, on(*args)))
             return fn(*args, **kwargs)
 
         return wrapped
 
-    def summed(images):
-        summing.append(True)
-        try:
-            return summed_from_parts(images)
-        finally:
-            summing.pop()
+    def on_whole(entries):
+        return {what for what, on in entries if on is None or on is whole or on is whole.space}
 
-    summed_from_parts = braid.summed_from_parts
-    monkeypatch.setattr(braid, "summed_from_parts", summed)
+    monkeypatch.setattr(braid.SummedImages, "_build", counted("image", braid.SummedImages._build, lambda *_: whole))
     monkeypatch.setattr(TensorConfig, "act_unit", counted("act_unit", TensorConfig.act_unit, lambda cfg, *_: cfg))
     split = counted("split_casimir_op", TensorConfig.split_casimir_op, lambda cfg, *_: cfg)
     monkeypatch.setattr(TensorConfig, "split_casimir_op", split)
@@ -540,13 +536,67 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     monkeypatch.setattr(LinearOp, "__matmul__", matmul)
     monkeypatch.setattr(braid, "sandwich", counted("sandwich", braid.sandwich, lambda t, op: t.space))
     monkeypatch.setattr(braid, "m_ops", counted("m_ops", braid.m_ops))
-    assert verify_centralizer(images).ok
-    assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
+    assert verify_centralizer(images).ok and verify_braid_relations(images).ok
     assert calls and not on_whole_space(calls, whole)
     # the counters are live: local units and split Casimirs, and local
     # products and sandwiches where there are swaps
     assert {what for what, _ in built} == {"act_unit", "split_casimir_op", *["@", "sandwich"] * (images.d > 1)}
-    assert not [what for what, on in built if on is None or on is whole or on is whole.space]
+    assert not on_whole(built)
+    built.clear()
+    plain = unshifted(images)
+    # the image counter is live: z_0, and x_i, y_i and z_i together for each i
+    assert [what for what, _ in built if what == "image"] == ["image"] * (images.d + 1)
+    built.clear()
+    calls.clear()
+    half = Fraction(natural_casimir_scalar(hp), 2)
+    shifts = {"z0": 0, **{f"{f}{i}": c for f, c in (("x", half), ("y", half), ("z", 2 * half)) for i in plain.x}}
+    assert braid.summed_from_parts(plain) == shifts
+    assert verify_braid_relations(plain).ok
+    assert not on_whole_space(calls, whole)
+    assert on_whole(built) == {"split_casimir_op"}
+
+
+@pytest.mark.parametrize("control", ["clean", "parity", "koszul"])
+@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
+def test_images_match_eager_oracle(name, control):
+    # each image built on first read, in any order, is the one the eager
+    # assembly gives, and so is each unshifted image
+    alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
+    cfg = module_tensor_config(alpha, beta, d, hp)
+    corrupt = None if control == "clean" else control
+    images, oracle = rho_prime_images(cfg, corrupt), eager_images(cfg, corrupt)
+    assert images.parts == oracle.parts and images.names() == oracle.names()
+    for name, op in reversed(oracle.named_ops()):
+        assert images.op(name).cols == op.cols
+    for name, op in unshifted(oracle).named_ops():
+        assert unshifted(images).op(name).cols == op.cols
+
+
+def moved_images(case):
+    """Images of gl(2|1), d = 2, whose container is not what
+    ``summed_from_parts`` may take as summed by construction: built with a
+    corrupt mode, on another config than the images', or with other pairs
+    than the images' ``parts``.  The other config has one more entry in the
+    left boundary's E(1,3), so its Gammas on M differ; the other pairs
+    record x_2 as y_2's."""
+    if case in ("parity", "koszul"):
+        return rho_prime_images(module_tensor_config((1,), (1,), 2, HP21), corrupt_gamma=case)
+    images = rho_prime_images(module_tensor_config((1,), (1,), 2, HP21))
+    if case == "config":
+        return replace(images, config=off_bracket_config((1, 2, 1)))
+    return replace(images, parts={**images.parts, "x2": images.parts["y2"]})
+
+
+@pytest.mark.parametrize("case", ["parity", "koszul", "config", "parts"])
+def test_premise_by_construction_needs_each_binding(case):
+    # the images such a container holds are compared with their sums, as
+    # those of a plain dict are, and the reports are the oracles'
+    images = moved_images(case)
+    summed = braid.summed_from_parts(images)
+    assert summed == braid.summed_from_parts(replace(images, ops=dict(images.ops)))
+    assert summed.keys() < images.parts.keys()
+    assert verify_braid_relations(images).to_json() == whole_space_braid(images).to_json()
+    assert verify_centralizer(images).to_json() == full_centralizer(images).to_json()
 
 
 def off_bracket_config(entry):
@@ -598,8 +648,8 @@ def off_parts_images(name, control, change):
     images = shortcut_images(name, "clean")
     source = shortcut_images(name, control)
     if change == "x2":
-        return replace(images, x={**images.x, 2: source.y[2]})
-    return replace(images, x={**images.x, 1: source.x[1] + images.config.act_unit(1, 2)})
+        return replace(images, ops={**images.ops, "x2": source.y[2]})
+    return replace(images, ops={**images.ops, "x1": source.x[1] + images.config.act_unit(1, 2)})
 
 
 @pytest.mark.parametrize("control", ["clean", "koszul"])

@@ -15,6 +15,7 @@ from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS,
 from superbraid.modules import ConstructionError, module_tensor_config
 from superbraid.partitions import HookProfile, is_hook
 from superbraid.schur import MultiplicityError, partitions_of
+from superbraid.superalgebra import TensorConfig
 
 from braid_oracle import two_pass_braid
 
@@ -180,6 +181,36 @@ def test_verify_braid_matches_two_pass_oracle(capsys, monkeypatch, control, n, m
     assert code == (EXIT_OK if control == "clean" else EXIT_CHECK_FAILED)
     if (n, m, d) == (2, 1, 4):
         assert len(expected) == 140
+
+
+MULTIPLICITY_ARGS = ["--a", "2", "--p", "2", "--b", "2", "--q", "1", "--n", "2", "--m", "1", "--d", "3"]
+
+
+@pytest.mark.parametrize("kind,built,eager", [("hecke", 11, 12), ("spectra", 10, 10), ("irreducible", 10, 10)])
+def test_image_suites_build_no_more_split_casimirs(capsys, monkeypatch, kind, built, eager):
+    # on the multiplicity benchmark workload each suite builds the images it
+    # reads from whole-space split Casimirs: 2 + 3 + 4 for x_i, y_i and z_i
+    # at i = 1, 2, 3, one for z_0, and hecke's d - 1 for the t_i lines.
+    # When every image was built with the images, the suites made 12, 10
+    # and 10 calls; hecke reads no z_0
+    configs, calls = [], []
+    rectangles = cli._rectangles_config
+
+    def recorded(*args):
+        configs.append(rectangles(*args))
+        return configs[-1]
+
+    split = TensorConfig.split_casimir_op
+
+    def counted(config, *args, **kwargs):
+        calls.extend(c for c in configs if c is config)
+        return split(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_rectangles_config", recorded)
+    monkeypatch.setattr(TensorConfig, "split_casimir_op", counted)
+    code, _, _ = run(capsys, "verify", kind, *MULTIPLICITY_ARGS)
+    assert code == EXIT_OK and len(configs) == 1
+    assert len(calls) == built <= eager
 
 
 def test_verify_braid_refuses_swaps_that_are_not_involutions(capsys, monkeypatch):
