@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
+
 from .linalg import (
     GradedSpace,
     NotInvariantError,
@@ -266,36 +268,44 @@ def predicted_tuples(g: BratteliGraph, lam: Partition) -> dict:
     return out
 
 
-def _joint_eigenspaces(g: BratteliGraph, config, images, lam: Partition, notes: list) -> tuple:
-    """``(tuples, mult, spaces)`` for the top vertex ``lam``.
+def _joint_eigenspaces(g: BratteliGraph, config, images, lam: Partition, joint: dict) -> tuple:
+    """``(tuples, mult, spaces, notes)`` for the top vertex ``lam``, counted
+    on the first call and kept in ``joint``, which maps each top vertex of
+    ``g`` on ``config`` and ``images`` to its entry.
 
     ``tuples`` are the predicted ``(z_0, z_1..z_d)`` tuples in path order,
     ``mult`` the space of highest weight vectors, and ``spaces`` the joint
     eigenspace of ``z_0..z_d`` for each tuple, in the coordinates of
-    ``mult``; ``spaces`` is None when they could not be counted.  Each
-    failed precondition of the spectral claim is appended to ``notes``, so
-    ``notes`` stays empty exactly when the ``k`` spaces are one-dimensional
-    and their vectors, in path order, form a joint eigenbasis.
+    ``mult``; ``spaces`` is None when they could not be counted.  ``notes``
+    holds each failed precondition of the spectral claim, so it is empty
+    exactly when the ``k`` spaces are one-dimensional and their vectors, in
+    path order, form a joint eigenbasis.
     """
+    lam = tuple(lam)
+    if lam in joint:
+        return joint[lam]
     tuples = list(predicted_tuples(g, lam).values())
-    mult = highest_weight_vectors(config, hook_to_weight(tuple(lam), g.hp))
+    mult = highest_weight_vectors(config, hook_to_weight(lam, g.hp))
+    notes = []
+    spaces = None
     if len(set(tuples)) != len(tuples):
         notes.append("predicted tuples not distinct")
     if mult.dim != len(tuples):
         notes.append(f"multiplicity {mult.dim} != path count {len(tuples)}")
-        return tuples, mult, None
-    ops = [images.z0] + [images.z[i] for i in range(1, g.d + 1)]
-    try:
-        spaces = simultaneous_eigenspaces(ops, mult, tuples)
-    except NotInvariantError as exc:  # report, do not crash the suite
-        notes.append(f"eigenspace count failed: {exc}")
-        return tuples, mult, None
-    if any(space.dim != 1 for space in spaces):
-        notes.append("joint eigenspace of dimension != 1")
-    return tuples, mult, spaces
+    else:
+        ops = [images.z0] + [images.z[i] for i in range(1, g.d + 1)]
+        try:
+            spaces = simultaneous_eigenspaces(ops, mult, tuples)
+        except NotInvariantError as exc:  # report, do not crash the suite
+            notes.append(f"eigenspace count failed: {exc}")
+        else:
+            if any(space.dim != 1 for space in spaces):
+                notes.append("joint eigenspace of dimension != 1")
+    joint[lam] = (tuples, mult, spaces, tuple(notes))
+    return joint[lam]
 
 
-def spectral_match(g: BratteliGraph, config, images) -> list:
+def spectral_match(g: BratteliGraph, config, images, joint: Optional[dict] = None) -> list:
     """Joint spectrum of (z_0, z_1..z_d) on every multiplicity space.
 
     For each top-level vertex the predicted tuples must be distinct, the
@@ -305,16 +315,20 @@ def spectral_match(g: BratteliGraph, config, images) -> list:
     eigenvectors with distinct tuples are linearly independent, so the
     ``k`` of them form a basis, on which the operators act diagonally,
     commute, and have exactly the predicted joint spectrum.
+
+    ``joint`` keeps each vertex's eigenspaces for later calls on the same
+    graph, config and images, such as :func:`irreducibility_check`; the
+    CLI passes its run workspace's (``cli.Workspace``).
     """
+    joint = {} if joint is None else joint
     records = []
     for lam in g.level(g.d):
-        notes: list = []
-        tuples, mult, spaces = _joint_eigenspaces(g, config, images, lam, notes)
+        tuples, mult, spaces, notes = _joint_eigenspaces(g, config, images, lam, joint)
         record = {
             "partition": list(lam),
             "paths": len(tuples),
             "multiplicity_dim": mult.dim,
-            "notes": notes,
+            "notes": list(notes),
         }
         if spaces is not None:
             record["eigenspace_dims"] = [space.dim for space in spaces]
@@ -323,7 +337,9 @@ def spectral_match(g: BratteliGraph, config, images) -> list:
     return records
 
 
-def irreducibility_check(g: BratteliGraph, config, images, lam: Partition) -> dict:
+def irreducibility_check(
+    g: BratteliGraph, config, images, lam: Partition, joint: Optional[dict] = None
+) -> dict:
     """Commutant dimension of the quotient-algebra generators on one space,
     counted as components in the joint ``z``-eigenbasis.
 
@@ -341,10 +357,10 @@ def irreducibility_check(g: BratteliGraph, config, images, lam: Partition) -> di
     component certifies absolute irreducibility, as the dimension of a
     commutant does not change under field extension.  A vertex where the
     spectral claim fails has no such basis and fails with a note saying
-    why; there is no other route to a verdict.
+    why; there is no other route to a verdict.  ``joint`` is as in
+    :func:`spectral_match`.
     """
-    notes: list = []
-    _, mult, spaces = _joint_eigenspaces(g, config, images, lam, notes)
+    _, mult, spaces, notes = _joint_eigenspaces(g, config, images, lam, {} if joint is None else joint)
     dim = None
     if not notes:
         eigenbasis = Subspace(GradedSpace((0,) * mult.dim), [space.vectors[0] for space in spaces])
@@ -354,7 +370,7 @@ def irreducibility_check(g: BratteliGraph, config, images, lam: Partition) -> di
         "partition": list(lam),
         "multiplicity_dim": mult.dim,
         "commutant_dim": dim,
-        "notes": notes,
+        "notes": list(notes),
         "ok": dim == 1,
     }
 

@@ -17,7 +17,15 @@ from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
 from . import bratteli
-from .braid import Report, Check, rho_prime_images, verify_braid_relations, verify_centralizer, verify_hecke_relations
+from .braid import (
+    Check,
+    GeneratorImages,
+    Report,
+    rho_prime_images,
+    verify_braid_relations,
+    verify_centralizer,
+    verify_hecke_relations,
+)
 from .linalg import LinalgError
 from .modules import (
     CapExceededError,
@@ -45,6 +53,7 @@ from .superalgebra import (
     casimir_pairing,
     pairing_eps,
     psi_pairing_report,
+    TensorConfig,
     two_rho,
 )
 
@@ -85,16 +94,45 @@ def _graph(args, d: int) -> bratteli.BratteliGraph:
     return bratteli.build_graph(args.a, args.p, args.b, args.q, hp, d, strict=args.strict_params)
 
 
-def _config(args, cap: int, alpha=(1,), beta=(1,)):
-    """``L(alpha) (x) L(beta) (x) V^d`` at gl(n|m); both boundaries default to ``V``."""
-    return module_tensor_config(alpha, beta, args.d, HookProfile(args.n, args.m), cap)
+class Workspace(NamedTuple):
+    """What the suites of one run share at one parameter set: the config,
+    its images, and for each top vertex the joint ``z``-eigenspaces that
+    :func:`bratteli.spectral_match` and :func:`bratteli.irreducibility_check`
+    read (``joint``, filled by whichever suite counts them first)."""
+
+    config: TensorConfig
+    images: GeneratorImages
+    joint: dict
 
 
-def _rectangles_config(args, cap: int):
-    """``L(a^p) (x) L(b^q) (x) V^d``, built after the rectangle check and before any graph."""
+# The run workspace: one slot, key -> Workspace.  A new key replaces the
+# slot, so the objects of one parameter set are held at a time.
+_WORKSPACE: dict = {}
+
+
+def _workspace(args, cap: int, alpha=(1,), beta=(1,)) -> Workspace:
+    """The workspace of ``L(alpha) (x) L(beta) (x) V^d`` at gl(n|m), built
+    on a miss; both boundaries default to ``V``.
+
+    The key is everything the objects depend on, the cap included, so a run
+    under a smaller cap is refused as a fresh build would be.  The old slot
+    is dropped before the new one is built.
+    """
+    key = (alpha, beta, args.n, args.m, args.d, cap)
+    ws = _WORKSPACE.get(key)
+    if ws is None:
+        _WORKSPACE.clear()
+        config = module_tensor_config(alpha, beta, args.d, HookProfile(args.n, args.m), cap)
+        ws = _WORKSPACE[key] = Workspace(config, rho_prime_images(config), {})
+    return ws
+
+
+def _rectangles(args, cap: int) -> Workspace:
+    """The workspace of ``L(a^p) (x) L(b^q) (x) V^d``, read after the
+    rectangle check and before any graph."""
     hp = HookProfile(args.n, args.m)
     check_rectangle_params(args.a, args.p, args.b, args.q, hp, strict=args.strict_params)
-    return _config(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
+    return _workspace(args, cap, rectangle(args.a, args.p), rectangle(args.b, args.q))
 
 
 def _hooks_up_to(args, hp: HookProfile):
@@ -165,9 +203,8 @@ def _verify_braid(args, cap: int) -> Report:
     an operator, and the plain lines are the shifted ones, witnesses
     included.
     """
-    config = _config(args, cap)
     rep = Report(f"braid n={args.n} m={args.m} d={args.d}")
-    checks = verify_braid_relations(rho_prime_images(config)).checks
+    checks = verify_braid_relations(_workspace(args, cap).images).checks
     for check in checks:
         if check.id.endswith("^2=1") and not check.ok:
             raise ConstructionError(f"{check.id} fails: the plain lines are not the shifted ones")
@@ -178,7 +215,7 @@ def _verify_braid(args, cap: int) -> Report:
 
 
 def _verify_centralizer(args, cap: int) -> Report:
-    return verify_centralizer(rho_prime_images(_config(args, cap)))
+    return verify_centralizer(_workspace(args, cap).images)
 
 
 def _verify_hecke(args, cap: int) -> Report:
@@ -190,7 +227,7 @@ def _verify_hecke(args, cap: int) -> Report:
             rel = ()
         if len(rel) != 4:
             raise CombinatoricsError("--check-params needs four integers a,p,b,q")
-    return verify_hecke_relations(rho_prime_images(_rectangles_config(args, cap)), *rel)
+    return verify_hecke_relations(_rectangles(args, cap).images, *rel)
 
 
 def _verify_casimir(args, cap: int) -> Report:
@@ -229,21 +266,20 @@ def _verify_pieri(args, cap: int) -> Report:
 
 
 def _verify_spectra(args, cap: int) -> Report:
-    config = _rectangles_config(args, cap)
+    ws = _rectangles(args, cap)
     g = _graph(args, args.d)
     rep = Report(f"spectra a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
-    for rec in bratteli.spectral_match(g, config, rho_prime_images(config)):
+    for rec in bratteli.spectral_match(g, ws.config, ws.images, ws.joint):
         rep.add(_check(f"spectrum:{rec['partition']}", rec["ok"], rec))
     return rep
 
 
 def _verify_irreducible(args, cap: int) -> Report:
-    config = _rectangles_config(args, cap)
+    ws = _rectangles(args, cap)
     g = _graph(args, args.d)
-    images = rho_prime_images(config)
     rep = Report(f"irreducible a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
     for lam in g.level(g.d):
-        rec = bratteli.irreducibility_check(g, config, images, lam)
+        rec = bratteli.irreducibility_check(g, ws.config, ws.images, lam, ws.joint)
         rep.add(_check(f"commutant:{rec['partition']}", rec["ok"], rec))
     return rep
 

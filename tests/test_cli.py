@@ -1,16 +1,19 @@
 import argparse
 import contextlib
 import functools
+import gc
 import io
+import itertools
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbraid import cli, modules
-from superbraid.braid import rho_prime_images, unshifted, verify_braid_relations, with_unsigned_swaps
+from superbraid import bratteli, cli, modules
+from superbraid.braid import rho_images, rho_prime_images, unshifted, verify_braid_relations, with_unsigned_swaps
 from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, _hooks_up_to, main
 from superbraid.modules import ConstructionError, module_tensor_config
 from superbraid.partitions import HookProfile, is_hook
@@ -192,25 +195,140 @@ def test_image_suites_build_no_more_split_casimirs(capsys, monkeypatch, kind, bu
     # reads from whole-space split Casimirs: 2 + 3 + 4 for x_i, y_i and z_i
     # at i = 1, 2, 3, one for z_0, and hecke's d - 1 for the t_i lines.
     # When every image was built with the images, the suites made 12, 10
-    # and 10 calls; hecke reads no z_0
-    configs, calls = [], []
-    rectangles = cli._rectangles_config
-
-    def recorded(*args):
-        configs.append(rectangles(*args))
-        return configs[-1]
-
+    # and 10 calls; hecke reads no z_0.  Counted from an empty workspace
+    calls = []
     split = TensorConfig.split_casimir_op
 
     def counted(config, *args, **kwargs):
-        calls.extend(c for c in configs if c is config)
+        calls.append(config)
         return split(config, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_rectangles_config", recorded)
+    assert not cli._WORKSPACE
     monkeypatch.setattr(TensorConfig, "split_casimir_op", counted)
     code, _, _ = run(capsys, "verify", kind, *MULTIPLICITY_ARGS)
-    assert code == EXIT_OK and len(configs) == 1
-    assert len(calls) == built <= eager
+    (ws,) = cli._WORKSPACE.values()
+    assert code == EXIT_OK
+    assert sum(c is ws.config for c in calls) == built <= eager
+
+
+def outcome(*argv) -> tuple:
+    """Exit code, stdout and stderr of one ``main`` call, in whatever
+    workspace the process holds."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh(*argv) -> tuple:
+    """:func:`outcome` from an empty workspace, as a new process gives it."""
+    cli._WORKSPACE.clear()
+    return outcome(*argv)
+
+
+IMAGE_SUITES = ("hecke", "spectra", "irreducible")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("order", list(itertools.permutations(IMAGE_SUITES)))
+def test_image_suites_share_one_workspace(monkeypatch, order, fmt):
+    # in every order the three suites in one process give each report as a
+    # fresh process does, and together build 12 whole-space split Casimirs
+    # and 11 spaces of highest weight vectors, one per top vertex; suites
+    # that shared nothing built 11 + 10 + 10 = 31 and 2 x 11 = 22
+    argv = {kind: ("verify", kind, *MULTIPLICITY_ARGS, "--fmt", fmt) for kind in order}
+    expected = [fresh(*argv[kind]) for kind in order]
+    casimirs, hwvs = [], []
+    split = TensorConfig.split_casimir_op
+    hwv = bratteli.highest_weight_vectors
+
+    def counted(config, *args, **kwargs):
+        casimirs.append(config)
+        return split(config, *args, **kwargs)
+
+    def hwv_counted(*args):
+        hwvs.append(args)
+        return hwv(*args)
+
+    monkeypatch.setattr(TensorConfig, "split_casimir_op", counted)
+    monkeypatch.setattr(bratteli, "highest_weight_vectors", hwv_counted)
+    cli._WORKSPACE.clear()
+    assert [outcome(*argv[kind]) for kind in order] == expected
+    assert [code for code, _, _ in expected] == [EXIT_OK] * 3
+    (ws,) = cli._WORKSPACE.values()
+    assert sum(c is ws.config for c in casimirs) == 12
+    assert len(hwvs) == 11 == len(ws.joint)
+
+
+@pytest.mark.parametrize("order", [("spectra", "irreducible"), ("irreducible", "spectra")])
+def test_failed_spectra_notes_reach_the_next_suite(monkeypatch, order):
+    # on the unshifted images no vertex has its joint eigenbasis; a suite
+    # that reads another's eigenspaces also reads why they failed
+    monkeypatch.setattr(cli, "rho_prime_images", rho_images)
+    argv = {kind: ("verify", kind, *MULTIPLICITY_ARGS, "--fmt", "json") for kind in order}
+    expected = [fresh(*argv[kind]) for kind in order]
+    cli._WORKSPACE.clear()
+    assert [outcome(*argv[kind]) for kind in order] == expected
+    assert [code for code, _, _ in expected] == [EXIT_CHECK_FAILED] * 2
+    for _, out, _ in expected:
+        assert all(c["witness"]["notes"] != "[]" for c in json.loads(out)["checks"])
+
+
+def test_braid_and_centralizer_share_one_workspace(monkeypatch):
+    argv = ("--n", "2", "--m", "1", "--d", "3")
+    expected = [fresh("verify", kind, *argv) for kind in ("braid", "centralizer")]
+    built = []
+
+    def images(config):
+        built.append(rho_prime_images(config))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "rho_prime_images", images)
+    cli._WORKSPACE.clear()
+    assert outcome("verify", "braid", *argv) == expected[0]
+    (ws,) = cli._WORKSPACE.values()
+    assert outcome("verify", "centralizer", *argv) == expected[1]
+    assert list(cli._WORKSPACE.values()) == [ws] and len(built) == 1 and ws.images is built[0]
+    assert expected[0][0] == expected[1][0] == EXIT_OK
+
+
+def test_check_params_control_fails_after_a_passing_hecke(capsys):
+    # the quotient parameters are not in the workspace key: the must-fail
+    # control reads the images of the passing run and still fails
+    base = ["verify", "hecke", "--a", "1", "--p", "1", "--b", "1", "--q", "1",
+            "--n", "2", "--m", "1", "--d", "2"]
+    code, _, _ = run(capsys, *base)
+    assert code == EXIT_OK and len(cli._WORKSPACE) == 1
+    code, out, _ = run(capsys, *base, "--check-params", "2,1,1,1", "--fmt", "json")
+    assert code == EXIT_CHECK_FAILED and len(cli._WORKSPACE) == 1
+    assert out == (GOLDEN / "hecke_control_a1p1b1q1_n2m1_d2_params2111.json").read_text()
+
+
+@pytest.mark.parametrize("kind", ["hecke", "spectra"])
+def test_smaller_cap_after_a_cached_run_is_refused(kind):
+    # the cap is in the workspace key, so the 540-dim space is refused under
+    # a cap of 539 after a run that built it, with a fresh run's message
+    argv = ("verify", kind, *MULTIPLICITY_ARGS)
+    expected = fresh(*argv, "--cap", "539")
+    assert outcome(*argv)[0] == EXIT_OK
+    assert outcome(*argv, "--cap", "539") == expected
+    assert expected == (EXIT_USAGE, "", "dimension cap exceeded: ambient dimension 540 exceeds cap 539\n")
+
+
+@pytest.mark.parametrize("flag,value", [("--d", "2"), ("--q", "2"), ("--cap", "30000")])
+def test_new_parameters_replace_the_workspace(flag, value):
+    # one slot: a run at other parameters drops the old config and images,
+    # and its report is a fresh run's
+    changed = [*MULTIPLICITY_ARGS, "--cap", str(modules.DEFAULT_DIM_CAP)]
+    changed[changed.index(flag) + 1] = value
+    expected = fresh("verify", "spectra", *changed)
+    cli._WORKSPACE.clear()
+    assert outcome("verify", "spectra", *MULTIPLICITY_ARGS)[0] == EXIT_OK
+    old = weakref.ref(next(iter(cli._WORKSPACE.values())).config)
+    assert outcome("verify", "spectra", *changed) == expected
+    gc.collect()
+    assert old() is None and len(cli._WORKSPACE) == 1
+    assert expected[0] == EXIT_OK
 
 
 def test_verify_braid_refuses_swaps_that_are_not_involutions(capsys, monkeypatch):
