@@ -30,10 +30,9 @@ is decided on a local config whose size does not grow with d.  The images
 of :func:`rho_prime_images` are held as those parts (:class:`SummedImages`)
 and built only when something reads them, so the parts premise holds for
 them by construction; any other image is first compared with the sum of
-its parts (:func:`summed_from_parts`).  So a passing braid or centralizer
-report on them builds no image and no split Casimir on the whole space.  A
-conjugation t X t by a signed permutation, in a Hecke line or a residual,
-is a relabelling of X's entries (:func:`sandwich`).
+its parts (:func:`summed_from_parts`).  So a passing braid, centralizer or
+Hecke report on them builds no image and no split Casimir on the whole
+space.
 
 Transport lemma.  ``act_unit(i, j)`` sums E_ij on each factor t with the
 Koszul sign (-1)^(|E_ij| * parity of the factors left of t), and
@@ -86,6 +85,12 @@ desk-scale tests of these statements.  The suites use the lemma so:
   forms too, and R4, R5, R6 and m(i,j) pass when the form of their
   residual is zero.  The sym lines are words in the swaps, decided on their
   legs (:meth:`LocalProofs.swap_words_agree`; :func:`verify_braid_relations`).
+- Hecke lines: x_1 is Gamma(M, v_1) plus a scalar s, so (x_1 - a)(x_1 + p)
+  = 0 is (Gamma + s - a)(Gamma + s + p) = 0, decided on M (x) C (x) V, and
+  likewise for y_1 on N (x) V.  t_i = Gamma(v_i, v_{i+1}) is signed_swap =
+  Gamma on V (x) V, and x_{i+1} = t_i x_i t_i + t_i passes when the parts
+  form of x_{i+1}, less the relabelled one of x_i, is that Gamma alone
+  (:func:`verify_hecke_relations`).
 
 The plain images differ from the shifted ones only by scalars, and those
 cancel in every defining relation once each t_i^2 = 1: in commutators, in
@@ -105,7 +110,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import LinearOp, add_into, op_sum
+from .linalg import LinearOp, op_sum
 from .superalgebra import TensorConfig, natural_casimir_scalar
 
 POS_M = 0
@@ -180,11 +185,11 @@ class SummedImages(Mapping):
     pairs ``(p, q)`` of the split Casimirs it is the sum of (:attr:`parts`),
     as in the module docstring, and built on first read.
 
-    A read of x_i, y_i or z_i builds all three, sharing the Gammas of the
-    pairs (v_k, v_i), and keeps them; z_0 is built alone.  Every Gamma is
-    ``config.split_casimir_op(p, q, corrupt=corrupt)``, so with ``corrupt``
-    None each image is by construction the sum of its parts.  Membership
-    and iteration read :attr:`parts` alone and build nothing.
+    A read builds the one image read, as the sum of
+    ``config.split_casimir_op(p, q, corrupt=corrupt)`` over its parts, and
+    keeps it.  So with ``corrupt`` None each image is by construction the
+    sum of the parts it is recorded with.  Membership and iteration read
+    :attr:`parts` alone and build nothing.
     """
 
     def __init__(self, config: TensorConfig, d: int, corrupt: Optional[str] = None):
@@ -199,25 +204,10 @@ class SummedImages(Mapping):
             self.parts[f"z{i}"] = ((POS_M, pos), (POS_N, pos), *pairs)
         self._built: dict = {}
 
-    def _build(self, i: int) -> None:
-        # z_0 for i = 0, else x_i, y_i and z_i together
-        def gamma(p1: int, p2: int) -> LinearOp:
-            return self.config.split_casimir_op(p1, p2, corrupt=self.corrupt)
-
-        if not i:
-            self._built["z0"] = gamma(POS_M, POS_N)
-            return
-        pos = v_position(i)
-        cross = [gamma(v_position(k), pos) for k in range(1, i)]
-        gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
-        x = op_sum([gm, *cross])
-        self._built.update({f"x{i}": x, f"y{i}": op_sum([gn, *cross]), f"z{i}": op_sum([x, gn])})
-
     def __getitem__(self, name: str) -> LinearOp:
         if name not in self._built:
-            if name not in self.parts:
-                raise KeyError(name)
-            self._build(int(name[1:]))
+            gammas = [self.config.split_casimir_op(*pair, corrupt=self.corrupt) for pair in self.parts[name]]
+            self._built[name] = op_sum(gammas)
         return self._built[name]
 
     def __contains__(self, name) -> bool:
@@ -349,24 +339,17 @@ def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
     return replace(images, t=t)
 
 
-def sandwich(t: LinearOp, op: LinearOp) -> LinearOp:
-    """``t @ op @ t``: a relabelling of ``op``'s entries when ``t`` is a
-    signed permutation (:meth:`LinearOp.sandwiched`), else the products."""
-    perm = t.signed_permutation()
-    return t @ op @ t if perm is None else op.sandwiched(perm)
-
-
 def transposition_op(images: GeneratorImages, i: int, j: int) -> LinearOp:
     """Signed permutation interchanging natural-module copies i and j: the
     palindromic word t_i .. t_{j-2} t_{j-1} t_{j-2} .. t_i, built as
-    t_{j-1} sandwiched by t_{j-2}, then by t_{j-3}, .. and last by t_i."""
+    t_{j-1} conjugated by t_{j-2}, then by t_{j-3}, .. and last by t_i."""
     if i == j:
         return LinearOp.identity(images.config.space)
     if i > j:
         i, j = j, i
     op = images.t[j - 1]
     for k in range(j - 2, i - 1, -1):
-        op = sandwich(images.t[k], op)
+        op = images.t[k] @ op @ images.t[k]
     return op
 
 
@@ -374,15 +357,16 @@ def m_ops(images: GeneratorImages) -> dict:
     """The recursively defined elements m_{i,j} as operators.
 
     m_{i,i+1} = x_{i+1} - t_i x_i t_i; for j > i + 1 conjugate m_{j-1,j}
-    by the transposition (i, j-1).  Each conjugation is a :func:`sandwich`.
+    by the transposition (i, j-1).
     """
     d = images.d
     out = {}
     for i in range(1, d):
-        out[(i, i + 1)] = images.x[i + 1] - sandwich(images.t[i], images.x[i])
+        out[(i, i + 1)] = images.x[i + 1] - images.t[i] @ images.x[i] @ images.t[i]
     for j in range(2, d + 1):
         for i in range(j - 2, 0, -1):
-            out[(i, j)] = sandwich(transposition_op(images, i, j - 1), out[(j - 1, j)])
+            word = transposition_op(images, i, j - 1)
+            out[(i, j)] = word @ out[(j - 1, j)] @ word
     return out
 
 
@@ -402,29 +386,16 @@ def summed_from_parts(images: GeneratorImages) -> dict:
     An image of a :class:`SummedImages` built with no ``corrupt`` mode, on
     ``images.config`` itself, with the same pairs as ``images.parts`` is that
     sum by construction, with ``c = 0``, and is neither built nor read.
-    Every other image is compared with the sum.  Each Gamma of it is built
-    once: those images are taken in order of the last factor of their
-    parts, and a Gamma is dropped when no later image lists it, so one
-    accumulator and the Gammas of one last factor are alive at a time."""
+    Every other image is compared with the sum, built for it alone."""
     config = images.config
     ops = images.ops
     out = {}
     if isinstance(ops, SummedImages) and ops.corrupt is None and ops.config is config:
         out = {name: 0 for name, pairs in images.parts.items() if ops.parts.get(name) == pairs}
-    rest = [name for name in images.parts if name not in out]
-    names = sorted(rest, key=lambda name: max(q for _, q in images.parts[name]))
-    uses = Counter(pair for name in names for pair in images.parts[name])
-    built: dict = {}
-    for name in names:
-        cols: dict = {}
-        for pair in images.parts[name]:
-            gamma = built.get(pair)
-            if gamma is None:
-                gamma = built[pair] = config.split_casimir_op(*pair)
-            add_into(cols, gamma)
-            uses[pair] -= 1
-            if not uses[pair]:
-                del built[pair]
+    for name, pairs in images.parts.items():
+        if name in out:
+            continue
+        cols = op_sum([config.split_casimir_op(*pair) for pair in pairs]).cols
         op = ops[name]
         # the scalar op - sum would be, read off entry (0, 0)
         shift = op.cols.get(0, {}).get(0, 0) - cols.get(0, {}).get(0, 0)
@@ -528,7 +499,34 @@ class LocalProofs:
             image = _swapped(pair, a)
             gamma = local.split_casimir_op(*pair)
             other = gamma if image == pair else local.split_casimir_op(*image)
-            self._memo[memo_key] = sandwich(local.signed_swap(a), gamma).cols == other.cols
+            t = local.signed_swap(a)
+            self._memo[memo_key] = (t @ gamma @ t).cols == other.cols
+        return self._memo[memo_key]
+
+    def swap_is_gamma(self, pos: int) -> bool:
+        """Whether ``signed_swap(pos)`` is the split Casimir on the factors
+        ``pos`` and ``pos + 1``, decided on the local config of the two; no
+        when a factor is not graded."""
+        if not self.graded:
+            return False
+        key, local, where = self.config.local((pos, pos + 1))
+        memo_key = ("swap=gamma", key)
+        if memo_key not in self._memo:
+            a = where[pos]
+            self._memo[memo_key] = local.signed_swap(a).cols == local.split_casimir_op(a, a + 1).cols
+        return self._memo[memo_key]
+
+    def quadratic_vanishes(self, pair: tuple, c1, c2) -> bool:
+        """Whether ``(Gamma + c1)(Gamma + c2) = 0`` for the split Casimir on
+        the factor ``pair``, decided on the local config of its legs; no
+        when a factor is not graded."""
+        if not self.graded:
+            return False
+        key, local, where = self.config.local(pair)
+        memo_key = ("quadratic", key, c1, c2)
+        if memo_key not in self._memo:
+            gamma = local.split_casimir_op(where[pair[0]], where[pair[1]])
+            self._memo[memo_key] = not (gamma.plus_scalar(c1) @ gamma.plus_scalar(c2)).cols
         return self._memo[memo_key]
 
     def _relator_vanishes(self, q: tuple, e: int) -> bool:
@@ -569,75 +567,88 @@ class LocalProofs:
         return True
 
 
+class _Lines:
+    """A relation report, built one line at a time, and the premises its
+    certificates rest on, each checked once.
+
+    ``form`` maps each image that is the exact sum of its ``parts`` plus a
+    scalar (:func:`summed_from_parts`; by construction for a
+    :class:`SummedImages`) to its parts form, the multiset of those factor
+    pairs and the scalar (:func:`_combine`).  ``swaps`` holds each ``i``
+    whose ``t_i`` is ``signed_swap`` on its factors.  A line that no
+    certificate proves is its residual (:meth:`line`), so it carries the
+    residual's witness.
+    """
+
+    def __init__(self, images: GeneratorImages, title: str):
+        self.config = config = images.config
+        self.rep = Report(title)
+        self.local = LocalProofs(config)
+        summed = summed_from_parts(images)
+        self.form = {name: _combine((1, Counter(images.parts[name])), (c, {(): 1})) for name, c in summed.items()}
+        self.swaps = {i for i, op in images.t.items() if op.cols == config.signed_swap(v_position(i)).cols}
+
+    def line(self, check_id: str, proved: bool, residual) -> None:
+        """Add the line: passed when ``proved``, else the check that the
+        operator ``residual()`` vanishes."""
+        self.rep.add(Check(check_id, True) if proved else zero_check(check_id, residual(), self.config))
+
+    def conj(self, f: Optional[dict], i: int) -> Optional[dict]:
+        """The parts form of ``t_i X t_i``, for ``X`` of form ``f``: its pairs
+        relabelled, ``v_i`` and ``v_{i+1}`` interchanged, once ``t_i`` is a
+        swap of :attr:`swaps` and conjugates each of them
+        (:meth:`LocalProofs.conjugates`); None when not known."""
+        pos = v_position(i)
+        if f is None or i not in self.swaps or not all(self.local.conjugates(pos, key) for key in f):
+            return None
+        return {_swapped(key, pos): v for key, v in f.items()}
+
+    def fixed(self, f: Optional[dict], i: int) -> bool:
+        """Whether the form ``f`` is known and ``t_i`` conjugates it to itself."""
+        return _combine((1, self.conj(f, i)), (-1, f)) == {}
+
+    def step(self, name: str, i: int) -> Optional[dict]:
+        """The parts form of ``x_{i+1} - t_i x_i t_i`` for ``name`` "x", and
+        of its counterpart for "y"."""
+        form = self.form
+        return _combine((1, form.get(f"{name}{i + 1}")), (-1, self.conj(form.get(f"{name}{i}"), i)))
+
+
 def verify_braid_relations(images: GeneratorImages) -> Report:
     """Exhaustive exact check of the defining relations on the given space.
 
     Each line passes by a certificate whose premises are checked first, or
     is its residual, taken on the images as built in the one exact form of
     :mod:`superbraid.linalg`, so a failing line carries the residual's
-    witness.
+    witness.  The premises are those of :class:`_Lines`.
 
-    - Parts forms.  An image that is the exact sum of its ``parts`` plus a
-      scalar (:func:`summed_from_parts`; by construction for a
-      :class:`SummedImages`) has as its parts form the
-      multiset of those factor pairs and the scalar (:func:`_combine`).  A
-      swap ``t_i`` that is ``signed_swap`` on its factors (checked once per
-      call) conjugates a parts form by relabelling its pairs, with
-      ``v_i`` and ``v_{i+1}`` interchanged, once ``t_i^2 = 1`` and
-      ``t_i Gamma(p,q) t_i`` is the relabelled ``Gamma`` for each of them,
-      decided on the local config of their legs
-      (:meth:`LocalProofs.conjugates`).  R1 and R3 pass when the form is
-      fixed by the relabelling, as ``[X, t] = (X - t X t) t``.  The
+    - Parts forms.  A swap ``t_i`` that is ``signed_swap`` conjugates a
+      parts form by relabelling its pairs, with ``v_i`` and ``v_{i+1}``
+      interchanged, once ``t_i^2 = 1`` and ``t_i Gamma(p,q) t_i`` is the
+      relabelled ``Gamma`` for each of them, decided on the local config of
+      their legs (:meth:`LocalProofs.conjugates`).  R1 and R3 pass when the
+      form is fixed by the relabelling, as ``[X, t] = (X - t X t) t``.  The
       ``m_{i,j}`` are forms too, built as :func:`m_ops` builds the
-      operators, and an R4, R5, R6 or ``m(i,j)`` line passes when the
-      form of its residual is zero.
+      operators, and an R4, R5, R6 or ``m(i,j)`` line passes when the form
+      of its residual is zero.
     - The ``sym`` lines are words in the swaps that are ``signed_swap``,
       decided on the local config of their legs
       (:meth:`LocalProofs.swap_words_agree`).
     - An ``R2`` line ``[z_0+..+z_i, x_j]`` (or ``y_j``) passes when every
-      image in it is the sum of its ``parts`` up to a scalar and the
-      commutator of those sums vanishes by local 4T relators
-      (:meth:`LocalProofs.bracket_vanishes`).  Otherwise the line is its
-      residual: the one of the line for ``i - 1`` plus ``[z_i, x_j]`` (the
-      commutator is bilinear), zero when that line was proved, and the
-      commutator with the whole prefix sum for ``i = j``.
+      image in it has a parts form and the commutator of those sums
+      vanishes by local 4T relators (:meth:`LocalProofs.bracket_vanishes`).
+      Otherwise the line is the commutator with the prefix sum.
 
     An image is read only inside a residual.  So a passing report on the
     images of :func:`rho_prime_images` takes no product, builds no
     ``m_ops``, builds no image and builds no split Casimir on the whole
     space.
     """
-    rep = Report("braid relations" + (" (shifted)" if images.shifted else ""))
-    summed = summed_from_parts(images)
-    local = LocalProofs(images.config)
+    lines = _Lines(images, "braid relations" + (" (shifted)" if images.shifted else ""))
+    line, conj, fixed, form, swaps, local = lines.line, lines.conj, lines.fixed, lines.form, lines.swaps, lines.local
     config = images.config
     d = images.d
     t, x, y, z = images.t, images.x, images.y, images.z
-
-    def check(check_id: str, residual: LinearOp) -> None:
-        rep.add(zero_check(check_id, residual, config))
-
-    def line(check_id: str, proved: bool, residual) -> None:
-        # a line no certificate proves is its residual, for the witness
-        if proved:
-            rep.add(Check(check_id, True))
-        else:
-            check(check_id, residual())
-
-    # the premises: the parts form of each image summed from its parts, and
-    # the swaps that are signed_swap
-    form = {name: _combine((1, Counter(images.parts[name])), (c, {(): 1})) for name, c in summed.items()}
-    swaps = {i for i, op in t.items() if op.cols == config.signed_swap(v_position(i)).cols}
-
-    def conj(f: Optional[dict], i: int) -> Optional[dict]:
-        # the parts form of t_i X t_i, for X of form f
-        pos = v_position(i)
-        if f is None or i not in swaps or not all(local.conjugates(pos, key) for key in f):
-            return None
-        return {_swapped(key, pos): v for key, v in f.items()}
-
-    def fixed(f: Optional[dict], i: int) -> bool:
-        return _combine((1, conj(f, i)), (-1, f)) == {}
 
     for i in range(1, d):
         pos = v_position(i)
@@ -660,30 +671,20 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
                 if i not in (j, j + 1):
                     line(f"R1:[{name},t{j}]", fixed(form.get(name), j), lambda: images.ops[name].commutator(t[j]))
 
-    prefixes: dict = {}  # i -> z_0 + .. + z_i, summed when a residual needs it
+    @functools.cache
+    def prefix(i: int) -> LinearOp:
+        # z_0 + .. + z_i, summed when a residual needs it
+        return op_sum([images.z0, *(z[k] for k in range(1, i + 1))])
+
     for j in range(1, d + 1):
-        residuals: dict = {}  # family -> the residual of its line before, when known
         for i in range(j, d + 1):
             names = ["z0", *(f"z{k}" for k in range(1, i + 1))]
             prefix_parts = [pair for name in names for pair in images.parts[name]]
             for name, fam in (("x", x), ("y", y)):
-                check_id = f"R2:[z0+..+z{i},{name}{j}]"
-                if summed.keys() >= {*names, f"{name}{j}"} and local.bracket_vanishes(
+                proved = form.keys() >= {*names, f"{name}{j}"} and local.bracket_vanishes(
                     prefix_parts, images.parts[f"{name}{j}"]
-                ):
-                    rep.add(Check(check_id, True))
-                    residuals[name] = LinearOp(config.space)
-                    continue
-                before = residuals.get(name)
-                if before is None:
-                    if i not in prefixes:
-                        prefixes[i] = op_sum([images.z0, *(z[k] for k in range(1, i + 1))])
-                    residual = prefixes[i].commutator(fam[j])
-                else:
-                    # exact by bilinearity: [P + z_i, x_j] = [P, x_j] + [z_i, x_j]
-                    residual = before + z[i].commutator(fam[j])
-                residuals[name] = residual
-                check(check_id, residual)
+                )
+                line(f"R2:[z0+..+z{i},{name}{j}]", proved, lambda: prefix(i).commutator(fam[j]))
 
     for i in range(1, d):
         for name, fam in (("x", x), ("y", y)):
@@ -692,10 +693,7 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
 
     # the parts forms of x_{i+1} - t_i x_i t_i and its y counterpart, and of
     # m_{i,j} by the word of m_ops: m_{j-1,j} conjugated by t_i .. t_{j-2} .. t_i
-    mf = {
-        name: {i: _combine((1, form.get(f"{name}{i + 1}")), (-1, conj(form.get(f"{name}{i}"), i))) for i in range(1, d)}
-        for name in ("x", "y")
-    }
+    mf = {name: {i: lines.step(name, i) for i in range(1, d)} for name in ("x", "y")}
     pair = {(i, i + 1): mf["x"][i] for i in range(1, d)}
     for j in range(2, d + 1):
         for i in range(j - 2, 0, -1):
@@ -711,7 +709,7 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
         return {
             "pair": ops,
             "x": {i: ops[(i, i + 1)] for i in range(1, d)},
-            "y": {i: y[i + 1] - sandwich(t[i], y[i]) for i in range(1, d)},
+            "y": {i: y[i + 1] - t[i] @ y[i] @ t[i] for i in range(1, d)},
             "sum": m_sums(ops),
         }
 
@@ -721,7 +719,7 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             line(
                 f"R4:{name},i={i}",
                 f == {},
-                lambda: sandwich(t[i], sandwich(t[i + 1], whole()[name][i])) - whole()[name][i + 1],
+                lambda: t[i] @ t[i + 1] @ whole()[name][i] @ t[i + 1] @ t[i] - whole()[name][i + 1],
             )
 
     for i in range(1, d):
@@ -748,31 +746,60 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             _combine((1, f), (-1, {gamma: 1})) == {},
             lambda: whole()["pair"][(i, j)] - config.split_casimir_op(*gamma),
         )
-    return rep
+    return lines.rep
 
 
 def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: int) -> Report:
     """The quotient relations for boundary rectangles (a^p) and (b^q).
 
     Meaningful for the shifted images; the quadratic relations encode that
-    the boundary eigenvalues are the two possible added-box contents.
+    the boundary eigenvalues are the two possible added-box contents.  Each
+    line passes by a certificate on the premises of :class:`_Lines`, or is
+    its residual, as in :func:`verify_braid_relations`:
+
+    - ``(x1-a)(x1+p)=0`` passes when ``x_1`` has as its parts form one
+      split Casimir ``Gamma`` and a scalar ``s``, and ``(Gamma + s - a)
+      (Gamma + s + p) = 0`` on the local config of its legs, ``M (x) V``
+      with a parity carrier between them
+      (:meth:`LocalProofs.quadratic_vanishes`); the ``y_1`` line likewise,
+      on ``N (x) V``.
+    - ``t{i}=split-casimir(i,i+1)`` passes when ``t_i`` is ``signed_swap``
+      and ``signed_swap`` is that split Casimir on ``V (x) V``
+      (:meth:`LocalProofs.swap_is_gamma`).
+    - ``x{i+1}=t{i}x{i}t{i}+t{i}`` passes when, moreover, the form of
+      ``x_{i+1} - t_i x_i t_i`` (:meth:`_Lines.step`) is that split Casimir
+      alone; the ``y`` line likewise.
+
+    So a passing report on the images of :func:`rho_prime_images` reads no
+    image and takes no product, unit or split Casimir on the whole space.
     """
-    rep = Report(f"hecke relations a={a} p={p} b={b} q={q}")
-    config = images.config
-    d = images.d
-    if d < 1:
-        return rep
-    x1, y1 = images.x[1], images.y[1]
-    rep.add(zero_check(f"hecke:(x1-{a})(x1+{p})=0", x1.plus_scalar(-a) @ x1.plus_scalar(p), config))
-    rep.add(zero_check(f"hecke:(y1-{b})(y1+{q})=0", y1.plus_scalar(-b) @ y1.plus_scalar(q), config))
-    for i in range(1, d):
+    title = f"hecke relations a={a} p={p} b={b} q={q}"
+    if images.d < 1:
+        return Report(title)
+    lines = _Lines(images, title)
+    config, ops, form, local = images.config, images.ops, lines.form, lines.local
+    for name, c1, c2 in (("x", a, p), ("y", b, q)):
+        gen = f"{name}1"
+        proved = gen in form and len(images.parts[gen]) == 1
+        if proved:
+            s = form[gen].get((), 0)
+            proved = local.quadratic_vanishes(images.parts[gen][0], s - c1, s + c2)
+
+        def quadratic() -> LinearOp:
+            op = ops[gen]
+            return op.plus_scalar(-c1) @ op.plus_scalar(c2)
+
+        lines.line(f"hecke:({gen}-{c1})({gen}+{c2})=0", proved, quadratic)
+    for i in range(1, images.d):
         t = images.t[i]
-        for name, fam in (("x", images.x), ("y", images.y)):
-            residual = fam[i + 1] - (sandwich(t, fam[i]) + t)
-            rep.add(zero_check(f"hecke:{name}{i + 1}=t{i}{name}{i}t{i}+t{i}", residual, config))
-        gamma = config.split_casimir_op(v_position(i), v_position(i + 1))
-        rep.add(zero_check(f"hecke:t{i}=split-casimir({i},{i + 1})", t - gamma, config))
-    return rep
+        gamma = (v_position(i), v_position(i + 1))
+        is_gamma = i in lines.swaps and local.swap_is_gamma(gamma[0])
+        for name in ("x", "y"):
+            proved = is_gamma and lines.step(name, i) == {gamma: 1}
+            line_id = f"hecke:{name}{i + 1}=t{i}{name}{i}t{i}+t{i}"
+            lines.line(line_id, proved, lambda: ops[f"{name}{i + 1}"] - (t @ ops[f"{name}{i}"] @ t + t))
+        lines.line(f"hecke:t{i}=split-casimir({i},{i + 1})", is_gamma, lambda: t - config.split_casimir_op(*gamma))
+    return lines.rep
 
 
 def verify_centralizer(images: GeneratorImages) -> Report:

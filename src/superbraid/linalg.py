@@ -20,9 +20,6 @@ all go through it (:func:`op_sum` adds many operators, and
 :meth:`LinearOp.add_entry` is the single-entry insert.  A commutator goes
 through it one column at a time, both products' columns into one
 accumulator, with no product operators built.
-A product ``T X T`` with a signed permutation ``T`` needs no product at
-all: it is a relabelling of the entries of ``X``
-(:meth:`LinearOp.sandwiched`).
 The matrix of an operator restricted to a subspace is again a
 :class:`LinearOp`, on the subspace's coordinate space.
 :class:`RowReducer` holds the one elimination loop; only :class:`Subspace`,
@@ -143,9 +140,6 @@ class LinearOp:
     def __sub__(self, other: "LinearOp") -> "LinearOp":
         return self._plus_scaled(other, -1)
 
-    def scaled(self, c: Rational) -> "LinearOp":
-        return LinearOp(self.space)._plus_scaled(self, c)
-
     def plus_scalar(self, c: Rational) -> "LinearOp":
         """self + c * identity."""
         return self + LinearOp.identity(self.space, c)
@@ -172,35 +166,6 @@ class LinearOp:
                     _add_scaled(acc, col, -v)
             if acc:
                 cols[j] = acc
-        return LinearOp(self.space, cols)
-
-    def signed_permutation(self) -> Optional[dict]:
-        """``{j: (row, sign)}`` when self sends each basis vector ``e_j`` to
-        ``sign * e_row`` with ``sign = ±1`` and distinct rows, else None."""
-        perm = {}
-        for j, col in self.cols.items():
-            if len(col) != 1:
-                return None
-            ((k, v),) = col.items()
-            if v != 1 and v != -1:
-                return None
-            perm[j] = (k, v)
-        if len(perm) != self.space.dim or len({k for k, _ in perm.values()}) != len(perm):
-            return None
-        return perm
-
-    def sandwiched(self, perm: dict) -> "LinearOp":
-        """``T @ self @ T`` for the signed permutation ``T`` that ``perm``
-        describes (:meth:`signed_permutation`), by relabelling alone: ``T``
-        sends ``e_j`` to ``sign_j e_(row_j)``, so column ``j`` of the product
-        is column ``row_j`` of self with each entry ``(k, v)`` moved to row
-        ``row_k`` as ``sign_j sign_k v``.  No inverse is taken, so ``T`` need
-        not be an involution."""
-        cols = {}
-        for j, (pj, sj) in perm.items():
-            col = self.cols.get(pj)
-            if col:
-                cols[j] = {perm[k][0]: v if perm[k][1] == sj else -v for k, v in col.items()}
         return LinearOp(self.space, cols)
 
     def apply(self, vec: Vector) -> Vector:

@@ -1,5 +1,6 @@
 """The ``verify braid`` report as two relation passes, and the relation
-suite with every line a residual on the whole space, kept as test oracles.
+and Hecke suites with every line a residual on the whole space, kept as
+test oracles.
 
 The command runs ``verify_braid_relations`` once, on the shifted images, and
 reports each line twice, since the plain lines equal the shifted ones once
@@ -9,7 +10,8 @@ included.  ``verify_braid_relations`` proves its lines from the split
 Casimirs each image is summed from, on local configs; :func:`whole_space_braid`
 takes every line as its residual on the whole space, each conjugation
 ``t X t`` as two products, and :func:`whole_space_r2` does so for the R2
-lines alone.  ``rho_prime_images`` builds an image from its split Casimirs
+lines alone.  :func:`whole_space_hecke` does so for the Hecke lines, which
+``verify_hecke_relations`` proves on local configs too.  ``rho_prime_images`` builds an image from its split Casimirs
 on first read; :func:`eager_images` builds every image at once, as a plain
 dict, so its images take the suites' direct sum-and-compare premise.
 """
@@ -131,4 +133,27 @@ def whole_space_braid(images):
         check(f"R6:z{j}=x{j}+y{j}-m{j}", images.z[j] - (x[j] + y[j] - m_j))
     for (i, j), op in sorted(pair.items()):
         check(f"m({i},{j})=split-casimir", op - config.split_casimir_op(v_position(i), v_position(j)))
+    return rep
+
+
+def whole_space_hecke(images, a, p, b, q):
+    """The report of ``verify_hecke_relations`` with every line its
+    residual on the whole space, in the suite's order: the quadratics on
+    ``x_1`` and ``y_1``, then for each ``i`` the lines
+    ``x_{i+1} - t_i x_i t_i - t_i``, its y counterpart and
+    ``t_i - Gamma(v_i, v_{i+1})``."""
+    rep = Report(f"hecke relations a={a} p={p} b={b} q={q}")
+    config = images.config
+    if images.d < 1:
+        return rep
+    x1, y1 = images.x[1], images.y[1]
+    rep.add(zero_check(f"hecke:(x1-{a})(x1+{p})=0", x1.plus_scalar(-a) @ x1.plus_scalar(p), config))
+    rep.add(zero_check(f"hecke:(y1-{b})(y1+{q})=0", y1.plus_scalar(-b) @ y1.plus_scalar(q), config))
+    for i in range(1, images.d):
+        t = images.t[i]
+        for name, fam in (("x", images.x), ("y", images.y)):
+            residual = fam[i + 1] - (t @ fam[i] @ t + t)
+            rep.add(zero_check(f"hecke:{name}{i + 1}=t{i}{name}{i}t{i}+t{i}", residual, config))
+        gamma = config.split_casimir_op(v_position(i), v_position(i + 1))
+        rep.add(zero_check(f"hecke:t{i}=split-casimir({i},{i + 1})", t - gamma, config))
     return rep

@@ -16,6 +16,8 @@ from superbraid.braid import POS_M, POS_N, v_position
 from superbraid.linalg import GradedSpace, LinalgError, LinearOp
 from superbraid.superalgebra import index_parity, natural_casimir_scalar
 
+from op_helpers import scaled
+
 
 class NotHomogeneousError(LinalgError):
     """Operator mixes parities and a homogeneous one was required."""
@@ -95,7 +97,7 @@ def coproduct_casimir(config, embeddings, positions):
         for j in range(1, r + 1):
             d_ij = coproduct_unit(config, embeddings, positions, i, j)
             term = d_ij @ coproduct_unit(config, embeddings, positions, j, i)
-            out = out + (term.scaled(Fraction(-1)) if index_parity(j, config.hp) else term)
+            out = out + (scaled(term, Fraction(-1)) if index_parity(j, config.hp) else term)
     return out
 
 
@@ -111,7 +113,7 @@ def casimir_difference_images(config):
     k_m = [coproduct_casimir(config, emb, [POS_M] + vs[:i]) for i in range(d + 1)]
     k_n = [coproduct_casimir(config, emb, [POS_N] + vs[:i]) for i in range(d + 1)]
     k_mn = [coproduct_casimir(config, emb, [POS_M, POS_N] + vs[:i]) for i in range(d + 1)]
-    x = {i: (k_m[i] - k_m[i - 1]).scaled(half) for i in range(1, d + 1)}
-    y = {i: (k_n[i] - k_n[i - 1]).scaled(half) for i in range(1, d + 1)}
-    z = {i: (k_mn[i] - k_mn[i - 1]).scaled(half).plus_scalar(kv * half) for i in range(1, d + 1)}
-    return x, y, z, (k_mn[0] - k_m[0] - k_n[0]).scaled(half)
+    x = {i: scaled(k_m[i] - k_m[i - 1], half) for i in range(1, d + 1)}
+    y = {i: scaled(k_n[i] - k_n[i - 1], half) for i in range(1, d + 1)}
+    z = {i: scaled(k_mn[i] - k_mn[i - 1], half).plus_scalar(kv * half) for i in range(1, d + 1)}
+    return x, y, z, scaled(k_mn[0] - k_m[0] - k_n[0], half)

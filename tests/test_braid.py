@@ -27,7 +27,7 @@ from superbraid.modules import module_tensor_config
 from superbraid.partitions import HookProfile
 from superbraid.superalgebra import TensorConfig, natural_casimir_scalar, natural_factor
 
-from braid_oracle import eager_images, whole_space_braid, whole_space_r2
+from braid_oracle import eager_images, whole_space_braid, whole_space_hecke, whole_space_r2
 from casimir_oracle import casimir_difference_images
 from centralizer_oracle import full_centralizer
 
@@ -342,15 +342,6 @@ def test_centralizer_matches_full_oracle(name, control):
         assert [c.ok for c in rep.checks if c.id in ("[z0,E(1,1)]", "[z0,E(2,2)]")] == [False, False]
 
 
-@pytest.mark.parametrize("control", CONTROLS)
-@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
-def test_braid_relations_match_without_relabelling(name, control, monkeypatch):
-    images = shortcut_images(name, control)
-    reports = [verify_braid_relations(acting).to_json() for acting in (images, unshifted(images))]
-    monkeypatch.setattr(LinearOp, "signed_permutation", lambda self: None)
-    assert reports == [verify_braid_relations(acting).to_json() for acting in (images, unshifted(images))]
-
-
 def braid_matching_whole_space(images):
     """The braid report on ``images``, after asserting that it and the one
     on ``unshifted(images)`` are the oracle's, byte for byte."""
@@ -368,6 +359,34 @@ def test_braid_relations_match_whole_space_oracle(name, control):
     # fails but the unsigned swaps where there are none
     images = shortcut_images(name, control)
     assert braid_matching_whole_space(images).ok == (control == "clean" or control == "unsigned" and images.d < 2)
+
+
+def hecke_params(name):
+    """The quotient parameters a, p, b, q of the boundary rectangles of
+    ``name``, the mismatched control 2, 1, 1, 1, and the two boundaries'
+    parameters interchanged."""
+    alpha, beta = SHORTCUT_CONFIGS[name][:2]
+    own = (alpha[0], len(alpha), beta[0], len(beta))
+    return [own, (2, 1, 1, 1), own[2:] + own[:2]]
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+@pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
+def test_hecke_relations_match_whole_space_oracle(name, control):
+    # every Hecke line proved from parts forms on local configs, or taken as
+    # a residual where a premise fails, against the residuals on the whole
+    # space, on the shifted and the unshifted images and at parameters that
+    # do not fit the boundaries
+    images = shortcut_images(name, control)
+    for acting in (images, unshifted(images)):
+        for params in hecke_params(name):
+            assert verify_hecke_relations(acting, *params).to_json() == whole_space_hecke(acting, *params).to_json()
+    # every control fails but the unsigned swaps where there are none, and
+    # the swap lines hold under every control but the unsigned swaps
+    own = verify_hecke_relations(images, *hecke_params(name)[0])
+    assert own.ok == (control == "clean" or control == "unsigned" and images.d < 2)
+    swap_lines = [c.ok for c in own.checks if c.id.startswith("hecke:t")]
+    assert swap_lines == [control != "unsigned"] * (images.d - 1)
 
 
 def one_sided_swap(self, pos):
@@ -405,6 +424,8 @@ def test_changed_images_match_whole_space_oracle(case, monkeypatch):
         cases = [off_parts_images(name, control, change) for name in names]
     for images in cases:
         assert not braid_matching_whole_space(images).ok
+        for params in ((1, 1, 1, 1), (2, 1, 1, 1), (4, 3, 2, 2)):
+            assert verify_hecke_relations(images, *params).to_json() == whole_space_hecke(images, *params).to_json()
 
 
 @pytest.mark.parametrize("control", CONTROLS)
@@ -432,6 +453,21 @@ def test_conjugation_certificate_needs_an_involution(monkeypatch):
     monkeypatch.setattr(TensorConfig, "signed_swap", one_sided_swap)
     local = LocalProofs(module_tensor_config((1,), (1,), 3, HP11))
     assert not any(local.conjugates(pos, pair) for pair in pairs)
+
+
+def test_hecke_certificates_are_decided_on_their_legs(monkeypatch):
+    # at gl(2|2) the boxes that V adds to M = L(2) have contents 2 and -1,
+    # and to N = L(1,1) contents 1 and -2, so each quadratic holds for its
+    # own boundary alone; signed_swap is Gamma on V (x) V, a swap with a
+    # one-sided sign is not
+    cfg = module_tensor_config((2,), (1, 1), 2, HookProfile(2, 2))
+    local = LocalProofs(cfg)
+    m, n = (POS_M, v_position(1)), (POS_N, v_position(1))
+    assert local.quadratic_vanishes(m, -2, 1) and local.quadratic_vanishes(n, -1, 2)
+    assert not local.quadratic_vanishes(m, -1, 2) and not local.quadratic_vanishes(n, -2, 1)
+    assert local.swap_is_gamma(v_position(1))
+    monkeypatch.setattr(TensorConfig, "signed_swap", one_sided_swap)
+    assert not LocalProofs(cfg).swap_is_gamma(v_position(1))
 
 
 def test_r2_grouping_needs_every_term():
@@ -506,12 +542,12 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
 def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
-    # every centralizer and braid line of fresh clean images is proved
-    # locally: neither suite builds or reads an image, builds a unit or a
+    # every centralizer, braid and Hecke line of fresh clean images is
+    # proved locally: no suite builds or reads an image, builds a unit or a
     # split Casimir, or takes a commutator or a product on the whole space,
-    # and the braid suite takes no sandwich and builds no m_ops.  The
-    # unshifted images are plain dicts, so their premise is the exact sum,
-    # which builds whole split Casimirs and nothing else on the whole space
+    # and the braid suite builds no m_ops.  The unshifted images are plain
+    # dicts, so their premise is the exact sum, which builds whole split
+    # Casimirs and nothing else on the whole space
     alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
     images = rho_prime_images(module_tensor_config(alpha, beta, d, hp))
     whole = images.config
@@ -528,24 +564,30 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     def on_whole(entries):
         return {what for what, on in entries if on is None or on is whole or on is whole.space}
 
-    monkeypatch.setattr(braid.SummedImages, "_build", counted("image", braid.SummedImages._build, lambda *_: whole))
+    read = counted("image", braid.SummedImages.__getitem__, lambda *_: whole)
+    monkeypatch.setattr(braid.SummedImages, "__getitem__", read)
     monkeypatch.setattr(TensorConfig, "act_unit", counted("act_unit", TensorConfig.act_unit, lambda cfg, *_: cfg))
     split = counted("split_casimir_op", TensorConfig.split_casimir_op, lambda cfg, *_: cfg)
     monkeypatch.setattr(TensorConfig, "split_casimir_op", split)
     matmul = counted("@", LinearOp.__matmul__, lambda a, b: a.space)
     monkeypatch.setattr(LinearOp, "__matmul__", matmul)
-    monkeypatch.setattr(braid, "sandwich", counted("sandwich", braid.sandwich, lambda t, op: t.space))
     monkeypatch.setattr(braid, "m_ops", counted("m_ops", braid.m_ops))
     assert verify_centralizer(images).ok and verify_braid_relations(images).ok
     assert calls and not on_whole_space(calls, whole)
     # the counters are live: local units and split Casimirs, and local
-    # products and sandwiches where there are swaps
-    assert {what for what, _ in built} == {"act_unit", "split_casimir_op", *["@", "sandwich"] * (images.d > 1)}
+    # products where there are swaps
+    assert {what for what, _ in built} == {"act_unit", "split_casimir_op", *["@"] * (images.d > 1)}
     assert not on_whole(built)
     built.clear()
+    calls.clear()
+    # hecke decides its quadratics and swaps on local configs alone
+    assert verify_hecke_relations(images, *hecke_params(name)[0]).ok
+    assert {what for what, _ in built} == {"split_casimir_op", "@"}
+    assert not on_whole(built) and not on_whole_space(calls, whole)
+    built.clear()
     plain = unshifted(images)
-    # the image counter is live: z_0, and x_i, y_i and z_i together for each i
-    assert [what for what, _ in built if what == "image"] == ["image"] * (images.d + 1)
+    # the image counter is live: one read of each image
+    assert [what for what, _ in built if what == "image"] == ["image"] * (3 * images.d + 1)
     built.clear()
     calls.clear()
     half = Fraction(natural_casimir_scalar(hp), 2)
@@ -689,16 +731,13 @@ def entry_two_swap_images():
 
 
 def test_swap_with_an_entry_two_falls_back(monkeypatch):
-    # t_1 with one entry doubled is no signed permutation: every R1, R3 and
-    # sym line on it is the commutator, as with the relabelling declined
+    # t_1 with one entry doubled is not signed_swap: every R1, R3 and sym
+    # line on it is the commutator, and no line on the other swaps is
     images = entry_two_swap_images()
     bad = images.t[1]
-    assert bad.signed_permutation() is None
     calls = count_commutators(monkeypatch)
     rep = verify_braid_relations(images)
     lines = [c.id for c in rep.checks if c.id.endswith(",t1]") or c.id.startswith(("R3:[t1,", "sym:[t1,"))]
     assert len([c for c in calls if bad in c]) == len(lines) == 10
     swaps = [images.t[2], images.t[3]]
     assert not [c for c in calls if bad not in c and any(x is t for x in c for t in swaps)]
-    monkeypatch.setattr(LinearOp, "signed_permutation", lambda self: None)
-    assert rep.to_json() == verify_braid_relations(images).to_json()

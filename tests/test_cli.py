@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbraid import bratteli, cli, modules
+from superbraid import bratteli, braid, cli, modules
 from superbraid.braid import rho_images, rho_prime_images, unshifted, verify_braid_relations, with_unsigned_swaps
 from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, _hooks_up_to, main
 from superbraid.modules import ConstructionError, module_tensor_config
@@ -189,26 +189,34 @@ def test_verify_braid_matches_two_pass_oracle(capsys, monkeypatch, control, n, m
 MULTIPLICITY_ARGS = ["--a", "2", "--p", "2", "--b", "2", "--q", "1", "--n", "2", "--m", "1", "--d", "3"]
 
 
-@pytest.mark.parametrize("kind,built,eager", [("hecke", 11, 12), ("spectra", 10, 10), ("irreducible", 10, 10)])
-def test_image_suites_build_no_more_split_casimirs(capsys, monkeypatch, kind, built, eager):
+@pytest.mark.parametrize("kind,built", [("hecke", 0), ("spectra", 10), ("irreducible", 11)])
+def test_image_suites_build_no_more_split_casimirs(capsys, monkeypatch, kind, built):
     # on the multiplicity benchmark workload each suite builds the images it
-    # reads from whole-space split Casimirs: 2 + 3 + 4 for x_i, y_i and z_i
-    # at i = 1, 2, 3, one for z_0, and hecke's d - 1 for the t_i lines.
-    # When every image was built with the images, the suites made 12, 10
-    # and 10 calls; hecke reads no z_0.  Counted from an empty workspace
-    calls = []
+    # reads, each from its own whole-space split Casimirs: one for z_0, then
+    # 2 + 3 + 4 for z_i at i = 1, 2, 3, and irreducible's x_1 one more.
+    # Hecke proves every line on local configs and reads no image.  Counted
+    # from an empty workspace
+    read = {"hecke": [], "spectra": ["z0", "z1", "z2", "z3"], "irreducible": ["z0", "z1", "z2", "z3", "x1"]}[kind]
+    calls, names = [], []
     split = TensorConfig.split_casimir_op
+    getitem = braid.SummedImages.__getitem__
 
     def counted(config, *args, **kwargs):
         calls.append(config)
         return split(config, *args, **kwargs)
 
+    def counted_read(images, name):
+        names.append(name)
+        return getitem(images, name)
+
     assert not cli._WORKSPACE
     monkeypatch.setattr(TensorConfig, "split_casimir_op", counted)
+    monkeypatch.setattr(braid.SummedImages, "__getitem__", counted_read)
     code, _, _ = run(capsys, "verify", kind, *MULTIPLICITY_ARGS)
     (ws,) = cli._WORKSPACE.values()
     assert code == EXIT_OK
-    assert sum(c is ws.config for c in calls) == built <= eager
+    assert sum(c is ws.config for c in calls) == built
+    assert list(dict.fromkeys(names)) == read
 
 
 def outcome(*argv) -> tuple:
@@ -233,9 +241,10 @@ IMAGE_SUITES = ("hecke", "spectra", "irreducible")
 @pytest.mark.parametrize("order", list(itertools.permutations(IMAGE_SUITES)))
 def test_image_suites_share_one_workspace(monkeypatch, order, fmt):
     # in every order the three suites in one process give each report as a
-    # fresh process does, and together build 12 whole-space split Casimirs
-    # and 11 spaces of highest weight vectors, one per top vertex; suites
-    # that shared nothing built 11 + 10 + 10 = 31 and 2 x 11 = 22
+    # fresh process does, and together build 11 whole-space split Casimirs,
+    # those of the z_i and x_1, and 11 spaces of highest weight vectors, one
+    # per top vertex; suites that shared nothing built 0 + 10 + 11 = 21 and
+    # 2 x 11 = 22
     argv = {kind: ("verify", kind, *MULTIPLICITY_ARGS, "--fmt", fmt) for kind in order}
     expected = [fresh(*argv[kind]) for kind in order]
     casimirs, hwvs = [], []
@@ -256,7 +265,7 @@ def test_image_suites_share_one_workspace(monkeypatch, order, fmt):
     assert [outcome(*argv[kind]) for kind in order] == expected
     assert [code for code, _, _ in expected] == [EXIT_OK] * 3
     (ws,) = cli._WORKSPACE.values()
-    assert sum(c is ws.config for c in casimirs) == 12
+    assert sum(c is ws.config for c in casimirs) == 11
     assert len(hwvs) == 11 == len(ws.joint)
 
 

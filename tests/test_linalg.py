@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superbraid.bratteli import build_graph, predicted_tuples
-from superbraid.braid import rho_prime_images, sandwich
+from superbraid.braid import rho_prime_images
 from superbraid.linalg import (
     GradedSpace,
     LinalgError,
@@ -24,6 +24,7 @@ from superbraid.partitions import HookProfile, hook_to_weight
 
 from casimir_oracle import NotHomogeneousError, koszul_tensor_op, tensor_space
 from commutant_oracle import commutant_dimension_by_equations
+from op_helpers import scaled
 
 V11 = GradedSpace((0, 1))
 
@@ -86,7 +87,7 @@ def test_koszul_composition_rule(su, sw, pa, pb, pa2, pb2, seed):
     a, a2 = homogeneous_op(su, pa, rng), homogeneous_op(su, pa2, rng)
     b, b2 = homogeneous_op(sw, pb, rng), homogeneous_op(sw, pb2, rng)
     lhs = koszul_tensor_op(a, b) @ koszul_tensor_op(a2, b2)
-    rhs = koszul_tensor_op(a @ a2, b @ b2).scaled(Fraction((-1) ** (pb * pa2)))
+    rhs = scaled(koszul_tensor_op(a @ a2, b @ b2), Fraction((-1) ** (pb * pa2)))
     assert (lhs - rhs).max_entry_witness() is None
 
 
@@ -291,7 +292,7 @@ def test_operator_arithmetic_exactness():
     s2 = GradedSpace((0, 0))
     a = op(s2, [(0, 0, Fraction(1, 3)), (1, 0, 1)])
     b = op(s2, [(0, 0, Fraction(2, 3))])
-    c = (a + b).scaled(3)
+    c = scaled(a + b, 3)
     assert c.cols[0][0] == 3
     assert (a - a).max_entry_witness() is None
     assert a.plus_scalar(Fraction(-1, 3)).cols[0].get(0) is None
@@ -348,8 +349,8 @@ def test_operator_arithmetic_matches_dense_oracle(k, seed):
     cases = [
         (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(da, db)]),
         (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(da, db)]),
-        (a.scaled(c), [[c * x for x in r] for r in da]),
-        (a.scaled(0), [[0] * k for _ in range(k)]),
+        (scaled(a, c), [[c * x for x in r] for r in da]),
+        (scaled(a, 0), [[0] * k for _ in range(k)]),
         (a.plus_scalar(c), [[x + (c if i == j else 0) for j, x in enumerate(r)]
                             for i, r in enumerate(da)]),
         (a @ b, ab),
@@ -385,7 +386,7 @@ def test_commutator_matches_product_difference(k, seed):
     split = rng.randrange(1, k)
     a = random_op(range(k))
     zero = LinearOp(space)
-    commuting = a.scaled(rng.choice(vals)).plus_scalar(rng.choice(vals))
+    commuting = scaled(a, rng.choice(vals)).plus_scalar(rng.choice(vals))
     pairs = [
         (random_op(range(split)), random_op(range(split, k))),
         (a, zero),
@@ -398,66 +399,6 @@ def test_commutator_matches_product_difference(k, seed):
         assert_stores_no_zero(got)
         assert_canonical(got)
     assert a.commutator(commuting).cols == {}
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 6), st.integers())
-def test_signed_permutation_is_read_off_or_refused(k, seed):
-    # a random signed permutation and its powers are read off as one, and
-    # each operator that is none is refused
-    rng = random.Random(seed)
-    space = GradedSpace((0,) * k)
-    rows = list(range(k))
-    rng.shuffle(rows)
-    signs = [rng.choice([1, -1]) for _ in range(k)]
-    p = op(space, [(rows[j], j, signs[j]) for j in range(k)])
-    assert p.signed_permutation() == {j: (rows[j], signs[j]) for j in range(k)}
-    square = {j: (rows[rows[j]], signs[j] * signs[rows[j]]) for j in range(k)}
-    assert (p @ p).signed_permutation() == square
-    assert LinearOp.identity(space, -1).signed_permutation() == {j: (j, -1) for j in range(k)}
-    j = rng.randrange(k)
-    refused = [
-        p + op(space, [(rows[j], j, signs[j])]),  # an entry 2 or -2
-        p - op(space, [(rows[j], j, signs[j])]),  # a column missing
-        p + op(space, [(rows[j - 1], j, 1)]),  # two entries in a column
-        op(space, [(rows[0], i, 1) for i in range(k)]),  # one row for every column
-    ]
-    assert [x.signed_permutation() for x in refused] == [None] * 4
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 6), st.integers())
-def test_sandwich_by_relabelling_matches_products(k, seed):
-    # T X T read off by relabelling, against the two products: for a random
-    # signed permutation, a signed k-cycle (no involution once k > 2), its
-    # square and a product of the two; the operators the premise refuses
-    # go through the products
-    rng = random.Random(seed)
-    space = GradedSpace((0,) * k)
-    vals = [-2, -1, 1, 2, Fraction(1, 2)]
-    rows = list(range(k))
-    rng.shuffle(rows)
-    signs = [rng.choice([1, -1]) for _ in range(k)]
-    p = op(space, [(rows[j], j, signs[j]) for j in range(k)])
-    cycle = op(space, [((j + 1) % k, j, rng.choice([1, -1])) for j in range(k)])
-    if k > 2:
-        assert (cycle @ cycle).cols != LinearOp.identity(space).cols
-    x = op(space, [(i, j, rng.choice(vals)) for i in range(k) for j in range(k) if rng.random() < 0.5])
-    for t in (p, cycle, cycle @ cycle, p @ cycle):
-        perm = t.signed_permutation()
-        assert perm is not None
-        want = (t @ x @ t).cols
-        assert x.sandwiched(perm).cols == want
-        assert sandwich(t, x).cols == want
-    j = rng.randrange(k)
-    refused = [
-        p + op(space, [(rows[j], j, signs[j])]),  # an entry 2 or -2
-        p - op(space, [(rows[j], j, signs[j])]),  # a column missing
-        op(space, [(rows[0], i, 1) for i in range(k)]),  # one row for every column
-    ]
-    for t in refused:
-        assert t.signed_permutation() is None
-        assert sandwich(t, x).cols == (t @ x @ t).cols
 
 
 @settings(max_examples=80, deadline=None)

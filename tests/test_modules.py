@@ -24,6 +24,7 @@ from superbraid.partitions import HookProfile, hook_to_weight, is_hook
 from superbraid.schur import partitions_of
 from superbraid.superalgebra import casimir_pairing, natural_casimir_scalar, unit_parity
 
+from op_helpers import scaled
 from schur_oracle import hook_dimension, hook_tableau_weights
 
 HP11 = HookProfile(1, 1)
@@ -294,12 +295,12 @@ def test_realized_units_satisfy_supercommutators(lam, hp):
     for (i, j), a in units.items():
         for (k, l), b in units.items():
             sign = -1 if unit_parity(i, j, hp) and unit_parity(k, l, hp) else 1
-            lhs = a @ b - (b @ a).scaled(Fraction(sign))
+            lhs = a @ b - scaled(b @ a, Fraction(sign))
             rhs = LinearOp(a.space)
             if j == k:
                 rhs = rhs + units[(i, l)]
             if l == i:
-                rhs = rhs - units[(k, j)].scaled(Fraction(sign))
+                rhs = rhs - scaled(units[(k, j)], Fraction(sign))
             assert (lhs - rhs).max_entry_witness() is None, ((i, j), (k, l))
 
 

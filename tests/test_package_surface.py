@@ -23,7 +23,6 @@ ALLOWED = {
     "commutant_dimension": "oracle that a perfbench tracer target pins until a benchmark change drops it",
     "s_action_on_paths": "seminormal-form prediction; its production caller waits on ROADMAP item 4",
     "module_to_json": "documented serialization of a realized module",
-    "LinearOp.scaled": "exact operator arithmetic that the test oracles use",
     "GeneratorImages.named_ops": "every image built, by name: the perfbench tracer counts their nonzeros, and the centralizer oracle reads it",
 }
 

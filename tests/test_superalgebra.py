@@ -24,6 +24,7 @@ from superbraid.superalgebra import (
 )
 
 from casimir_oracle import coproduct_casimir, coproduct_unit, koszul_tensor_op, unit_embeddings
+from op_helpers import scaled
 from transport_oracle import lift
 from weight_oracle import rectangle_pairing
 
@@ -194,12 +195,12 @@ def test_bracket_closure_on_tensor_square():
                             b = config.act_unit(k, l)
                             pb = unit_parity(k, l, hp)
                             sign = Fraction((-1) ** (pa * pb))
-                            lhs = (a @ b) - (b @ a).scaled(sign)
+                            lhs = (a @ b) - scaled(b @ a, sign)
                             rhs = LinearOp(config.space)
                             if j == k:
                                 rhs = rhs + config.act_unit(i, l)
                             if l == i:
-                                rhs = rhs - config.act_unit(k, j).scaled(sign)
+                                rhs = rhs - scaled(config.act_unit(k, j), sign)
                             assert (lhs - rhs).max_entry_witness() is None, (hp, power, i, j, k, l)
 
 
@@ -233,7 +234,7 @@ def test_coproduct_casimir_split():
         both = coproduct_casimir(config, emb, (0, 1))
         assert (both - config.casimir_op()).max_entry_witness() is None
         delta = both - coproduct_casimir(config, emb, (0,)) - coproduct_casimir(config, emb, (1,))
-        gamma2 = config.split_casimir_op(0, 1).scaled(Fraction(2))
+        gamma2 = scaled(config.split_casimir_op(0, 1), Fraction(2))
         assert (delta - gamma2).max_entry_witness() is None
 
 
