@@ -23,16 +23,16 @@ are the dominant failure mode and a witness localizes them.
 Each report line is proved by the cheapest exact argument whose premise
 is checked first, falling back to the direct residual, so a report is the
 same line for line, witnesses included, as if every line were a residual.
-The centralizer and relation lines rest on the split Casimirs each image is
-summed from, plus a scalar (``GeneratorImages.parts``), and on the swaps
-being ``signed_swap``: each identity of Gammas, swaps and units they need
-is decided on a local config whose size does not grow with d.  The images
-of :func:`rho_prime_images` are held as those parts (:class:`SummedImages`)
-and built only when something reads them, so the parts premise holds for
-them by construction; any other image is first compared with the sum of
-its parts (:func:`summed_from_parts`).  So a passing braid, centralizer or
-Hecke report on them builds no image and no split Casimir on the whole
-space.
+The centralizer and relation lines rest on each image being its
+definition: a swap t_i is ``signed_swap``, and any other image is the sum of
+the split Casimirs on its factor pairs (``GeneratorImages.parts``) plus a
+scalar.  Each identity of Gammas, swaps and units they need is decided on a
+local config whose size does not grow with d.  The images of
+:func:`rho_prime_images`, swaps included, are held by name and built only
+when something reads them (:class:`SummedImages`), so the premise holds for
+them by construction; any other image is first compared with its definition
+(:func:`summed_from_parts`).  So a passing braid, centralizer or Hecke
+report on them builds no swap, image or split Casimir on the whole space.
 
 Transport lemma.  ``act_unit(i, j)`` sums E_ij on each factor t with the
 Koszul sign (-1)^(|E_ij| * parity of the factors left of t), and
@@ -180,89 +180,119 @@ class Report:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
-class SummedImages(Mapping):
-    """The shifted x_i, y_i, z_i and z_0 by name, each held as the factor
-    pairs ``(p, q)`` of the split Casimirs it is the sum of (:attr:`parts`),
-    as in the module docstring, and built on first read.
+@functools.cache
+def generator_names(d: int) -> tuple:
+    """Every generator's name in report order: ``z0``, ``t1`` .. ``t{d-1}``,
+    then ``x1`` .. ``xd``, ``y1`` .. and ``z1`` ..."""
+    return ("z0", *(f"t{i}" for i in range(1, d)), *(f"{f}{i}" for f in "xyz" for i in range(1, d + 1)))
 
-    A read builds the one image read, as the sum of
-    ``config.split_casimir_op(p, q, corrupt=corrupt)`` over its parts, and
-    keeps it.  So with ``corrupt`` None each image is by construction the
-    sum of the parts it is recorded with.  Membership and iteration read
-    :attr:`parts` alone and build nothing.
+
+@functools.cache
+def generator_parts(d: int) -> dict:
+    """The factor pairs ``(p, q)`` of the split Casimirs each polynomial
+    generator's image is the sum of, less its scalar (module docstring), by
+    name: ``z0``, ``x_i``, ``y_i`` and ``z_i``."""
+    parts = {"z0": ((POS_M, POS_N),)}
+    for i in range(1, d + 1):
+        pos = v_position(i)
+        pairs = tuple((v_position(k), pos) for k in range(1, i))
+        parts[f"x{i}"] = ((POS_M, pos), *pairs)
+        parts[f"y{i}"] = ((POS_N, pos), *pairs)
+        parts[f"z{i}"] = ((POS_M, pos), (POS_N, pos), *pairs)
+    return parts
+
+
+class SummedImages(Mapping):
+    """Every generator image by name (:func:`generator_names`), the swaps and
+    the shifted polynomial generators, each built on first read and kept:
+    ``t_i`` as ``config.signed_swap(v_i)``, and any other image as the sum
+    of ``config.split_casimir_op(p, q, corrupt=corrupt)`` over its factor
+    pairs (:func:`generator_parts`).  So with ``corrupt`` None each image is
+    by construction its definition.  Membership and iteration read the
+    names alone and build nothing.
     """
 
-    def __init__(self, config: TensorConfig, d: int, corrupt: Optional[str] = None):
+    def __init__(self, config: TensorConfig, corrupt: Optional[str] = None):
         self.config = config
         self.corrupt = corrupt
-        self.parts = {"z0": ((POS_M, POS_N),)}
-        for i in range(1, d + 1):
-            pos = v_position(i)
-            pairs = tuple((v_position(k), pos) for k in range(1, i))
-            self.parts[f"x{i}"] = ((POS_M, pos), *pairs)
-            self.parts[f"y{i}"] = ((POS_N, pos), *pairs)
-            self.parts[f"z{i}"] = ((POS_M, pos), (POS_N, pos), *pairs)
+        self.names = generator_names(config.n_factors - 2)
+        self.parts = generator_parts(config.n_factors - 2)
         self._built: dict = {}
 
     def __getitem__(self, name: str) -> LinearOp:
         if name not in self._built:
-            gammas = [self.config.split_casimir_op(*pair, corrupt=self.corrupt) for pair in self.parts[name]]
-            self._built[name] = op_sum(gammas)
+            if name in self.parts:
+                gammas = [self.config.split_casimir_op(*pair, corrupt=self.corrupt) for pair in self.parts[name]]
+                self._built[name] = op_sum(gammas)
+            elif name in self.names:
+                self._built[name] = self.config.signed_swap(v_position(int(name[1:])))
+            else:
+                raise KeyError(name)
         return self._built[name]
 
     def __contains__(self, name) -> bool:
-        return name in self.parts
+        return name in self.names
 
     def __iter__(self):
-        return iter(self.parts)
+        return iter(self.names)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.names)
 
 
 class _Family(Mapping):
-    """``{i: image}`` for i = 1 .. d of one family, ``x``, ``y`` or ``z``,
-    read through to :attr:`GeneratorImages.ops` when an image is read."""
+    """``{i: image}`` for i = 1 .. n of one family, ``t``, ``x``, ``y`` or
+    ``z``, read through to :attr:`GeneratorImages.ops` when an image is
+    read."""
 
-    def __init__(self, ops: Mapping, family: str, d: int):
-        self.ops, self.family, self.d = ops, family, d
+    def __init__(self, ops: Mapping, family: str, n: int):
+        self.ops, self.family, self.n = ops, family, max(n, 0)
 
     def __getitem__(self, i: int) -> LinearOp:
-        if i not in range(1, self.d + 1):
+        if i not in range(1, self.n + 1):
             raise KeyError(i)
         return self.ops[f"{self.family}{i}"]
 
     def __iter__(self):
-        return iter(range(1, self.d + 1))
+        return iter(range(1, self.n + 1))
 
     def __len__(self) -> int:
-        return self.d
+        return self.n
 
 
 @dataclass
 class GeneratorImages:
     """Operators for t_i, x_i, y_i, z_i and z_0 on a two-boundary space.
 
-    ``ops`` maps the name of each polynomial generator, ``z0``, ``x1`` ..
-    ``xd``, ``y1`` .. and ``z1`` .., to its image.  ``x``, ``y`` and ``z``
-    are views ``{i: image}`` of it, and ``z0`` is its ``z0``; each reads an
-    image only when the image itself is read.  :func:`rho_prime_images`
-    gives a :class:`SummedImages`, which builds an image on first read;
-    :func:`unshifted` gives a plain dict, as a test's
-    ``dataclasses.replace`` may.  ``shifted`` records whether the polynomial generators carry
-    the constant shift (x, y by half the natural Casimir scalar, z by the
-    full one) under which the boundary eigenvalues become box contents.
-    ``parts`` maps an image's name to the factor pairs ``(p, q)`` whose
-    split Casimirs it is summed from, keys only, with no scalar: the suites
-    rely on that only where :func:`summed_from_parts` confirms it.
+    ``ops`` maps each generator's name (:func:`generator_names`) to its
+    image.  ``t``, ``x``, ``y`` and ``z`` are views ``{i: image}`` of it,
+    and ``z0`` is its ``z0``; each reads an image only when the image
+    itself is read.  :func:`rho_prime_images` gives a :class:`SummedImages`,
+    which builds an image on first read; :func:`unshifted` gives a plain
+    dict, as a test's ``dataclasses.replace`` may.  ``shifted`` records
+    whether the polynomial generators carry the constant shift (x, y by half
+    the natural Casimir scalar, z by the full one) under which the boundary
+    eigenvalues become box contents.  ``d`` and ``parts``
+    (:func:`generator_parts`) follow from ``config``: the suites rely on an
+    image being its definition only where :func:`summed_from_parts`
+    confirms it.
     """
 
     config: TensorConfig
-    d: int
-    t: dict
     ops: Mapping
     shifted: bool
-    parts: dict
+
+    @property
+    def d(self) -> int:
+        return self.config.n_factors - 2
+
+    @property
+    def parts(self) -> dict:
+        return generator_parts(self.d)
+
+    @property
+    def t(self) -> Mapping:
+        return _Family(self.ops, "t", self.d - 1)
 
     @property
     def x(self) -> Mapping:
@@ -280,18 +310,9 @@ class GeneratorImages:
     def z0(self) -> LinearOp:
         return self.ops["z0"]
 
-    def names(self) -> list:
-        """The generator names in report order: z0, the t's, x's, y's, z's."""
-        indices = range(1, self.d + 1)
-        return ["z0", *(f"t{i}" for i in sorted(self.t)), *(f"{f}{i}" for f in "xyz" for i in indices)]
-
-    def op(self, name: str) -> LinearOp:
-        """The image named ``name``, as :meth:`names` names it."""
-        return self.t[int(name[1:])] if name[0] == "t" else self.ops[name]
-
     def named_ops(self) -> list:
         """``(name, image)`` for every generator, each image built."""
-        return [(name, self.op(name)) for name in self.names()]
+        return [(name, self.ops[name]) for name in generator_names(self.d)]
 
 
 def rho_images(config: TensorConfig) -> GeneratorImages:
@@ -300,29 +321,27 @@ def rho_images(config: TensorConfig) -> GeneratorImages:
 
 
 def rho_prime_images(config: TensorConfig, corrupt_gamma: Optional[str] = None) -> GeneratorImages:
-    """The shifted action, under which boundary eigenvalues are contents:
-    the swaps, and a :class:`SummedImages` that sums each polynomial
-    generator from its split Casimirs (module docstring) when it is first
-    read; :func:`unshifted` adds the constants back.
+    """The shifted action, under which boundary eigenvalues are contents: a
+    :class:`SummedImages` that builds each swap and each polynomial
+    generator from its definition (module docstring) when it is first read;
+    :func:`unshifted` adds the constants back.
 
     With ``corrupt_gamma`` ('parity' or 'koszul') every split Casimir is
     built with a wrong sign, which serves as a negative control for the
     relation suite.
     """
-    d = config.n_factors - 2
-    if d < 0:
+    if config.n_factors < 2:
         raise ValueError("config must contain the two boundary factors")
-    ops = SummedImages(config, d, corrupt_gamma)
-    t = {i: config.signed_swap(v_position(i)) for i in range(1, d)}
-    return GeneratorImages(config, d, t, ops, True, dict(ops.parts))
+    return GeneratorImages(config, SummedImages(config, corrupt_gamma), True)
 
 
 def unshifted(images: GeneratorImages) -> GeneratorImages:
     """The plain images from the shifted ones: x_i and y_i up by kappa_V / 2,
-    z_i by kappa_V; t and z_0 are shared.  Each image is built."""
+    z_i by kappa_V; the swaps and z_0 are shared.  Each image is built."""
     kv = natural_casimir_scalar(images.config.hp)
     shift = {"x": Fraction(kv, 2), "y": Fraction(kv, 2), "z": kv}
-    ops = {name: op if name == "z0" else op.plus_scalar(shift[name[0]]) for name, op in images.ops.items()}
+    ops = {name: op.plus_scalar(shift[name[0]]) if name in images.parts and name != "z0" else op
+           for name, op in images.ops.items()}
     return replace(images, ops=ops, shifted=False)
 
 
@@ -332,73 +351,51 @@ def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
     Dropping the sign of every +-1 entry of a signed swap leaves the plain
     transposition of the two factors.
     """
-    t = {
-        i: LinearOp.from_entries(op.space, ((r, c, abs(v)) for r, c, v in op.entries()))
+    swaps = {
+        f"t{i}": LinearOp.from_entries(op.space, ((r, c, abs(v)) for r, c, v in op.entries()))
         for i, op in images.t.items()
     }
-    return replace(images, t=t)
+    return replace(images, ops={**images.ops, **swaps})
 
 
-def transposition_op(images: GeneratorImages, i: int, j: int) -> LinearOp:
-    """Signed permutation interchanging natural-module copies i and j: the
-    palindromic word t_i .. t_{j-2} t_{j-1} t_{j-2} .. t_i, built as
-    t_{j-1} conjugated by t_{j-2}, then by t_{j-3}, .. and last by t_i."""
-    if i == j:
-        return LinearOp.identity(images.config.space)
-    if i > j:
-        i, j = j, i
-    op = images.t[j - 1]
-    for k in range(j - 2, i - 1, -1):
-        op = images.t[k] @ op @ images.t[k]
-    return op
-
-
-def m_ops(images: GeneratorImages) -> dict:
-    """The recursively defined elements m_{i,j} as operators.
-
-    m_{i,i+1} = x_{i+1} - t_i x_i t_i; for j > i + 1 conjugate m_{j-1,j}
-    by the transposition (i, j-1).
-    """
-    d = images.d
+def m_pairs(step: dict, conj) -> dict:
+    """``{(i, j): m_{i,j}}`` for 1 <= i < j from ``step = {i: m_{i,i+1}}``:
+    ``m_{i,j}`` is ``m_{j-1,j}`` conjugated by ``t_i``, .., ``t_{j-2}``, ..,
+    ``t_i`` in turn, with ``conj(X, k)`` the conjugate ``t_k X t_k``, so by
+    the palindromic word ``t_i .. t_{j-2} .. t_i``, the transposition of the
+    copies i and j - 1.  Operators and parts forms alike."""
     out = {}
-    for i in range(1, d):
-        out[(i, i + 1)] = images.x[i + 1] - images.t[i] @ images.x[i] @ images.t[i]
-    for j in range(2, d + 1):
-        for i in range(j - 2, 0, -1):
-            word = transposition_op(images, i, j - 1)
-            out[(i, j)] = word @ out[(j - 1, j)] @ word
-    return out
-
-
-def m_sums(pair: dict) -> dict:
-    """m_j = sum of m_{i,j} over i < j from the :func:`m_ops` dict; j >= 2 only."""
-    out: dict = {}
-    for (_, j), op in sorted(pair.items()):
-        out[j] = out[j] + op if j in out else op
+    for j in range(2, len(step) + 2):
+        for i in range(j - 1, 0, -1):
+            f = step[j - 1]
+            for k in (*range(i, j - 1), *range(j - 3, i - 1, -1)):
+                f = conj(f, k)
+            out[(i, j)] = f
     return out
 
 
 def summed_from_parts(images: GeneratorImages) -> dict:
-    """``{name: c}`` for the images that equal the exact sum of
-    ``config.split_casimir_op(p, q)`` over their recorded ``parts`` plus
-    ``c`` times the identity.
+    """``{name: c}`` for the generators whose image is its definition plus
+    ``c`` times the identity: ``t_i`` is ``config.signed_swap(v_i)``, with
+    ``c = 0``, and any other image the sum of ``config.split_casimir_op(p,
+    q)`` over its ``parts``.
 
-    An image of a :class:`SummedImages` built with no ``corrupt`` mode, on
-    ``images.config`` itself, with the same pairs as ``images.parts`` is that
-    sum by construction, with ``c = 0``, and is neither built nor read.
-    Every other image is compared with the sum, built for it alone."""
-    config = images.config
-    ops = images.ops
-    out = {}
+    Every image of a :class:`SummedImages` built with no ``corrupt`` mode on
+    ``images.config`` itself is its definition by construction, with
+    ``c = 0``, and is neither built nor read.  Every other image is compared
+    with its definition, built for it alone."""
+    config, ops, names = images.config, images.ops, generator_names(images.d)
     if isinstance(ops, SummedImages) and ops.corrupt is None and ops.config is config:
-        out = {name: 0 for name, pairs in images.parts.items() if ops.parts.get(name) == pairs}
-    for name, pairs in images.parts.items():
-        if name in out:
-            continue
-        cols = op_sum([config.split_casimir_op(*pair) for pair in pairs]).cols
+        return dict.fromkeys(names, 0)
+    out = {}
+    for name in names:
         op = ops[name]
-        # the scalar op - sum would be, read off entry (0, 0)
-        shift = op.cols.get(0, {}).get(0, 0) - cols.get(0, {}).get(0, 0)
+        if name in images.parts:
+            cols = op_sum([config.split_casimir_op(*pair) for pair in images.parts[name]]).cols
+            # the scalar op - sum would be, read off entry (0, 0)
+            shift = op.cols.get(0, {}).get(0, 0) - cols.get(0, {}).get(0, 0)
+        else:
+            cols, shift = config.signed_swap(v_position(int(name[1:]))).cols, 0
         if cols == (op.plus_scalar(-shift) if shift else op).cols:
             out[name] = shift
     return out
@@ -569,11 +566,11 @@ class LocalProofs:
 
 class _Lines:
     """A relation report, built one line at a time, and the premises its
-    certificates rest on, each checked once.
+    certificates rest on, each checked once (:func:`summed_from_parts`; by
+    construction for a :class:`SummedImages`).
 
-    ``form`` maps each image that is the exact sum of its ``parts`` plus a
-    scalar (:func:`summed_from_parts`; by construction for a
-    :class:`SummedImages`) to its parts form, the multiset of those factor
+    ``form`` maps each polynomial image that is the exact sum of its
+    ``parts`` plus a scalar to its parts form, the multiset of those factor
     pairs and the scalar (:func:`_combine`).  ``swaps`` holds each ``i``
     whose ``t_i`` is ``signed_swap`` on its factors.  A line that no
     certificate proves is its residual (:meth:`line`), so it carries the
@@ -585,8 +582,9 @@ class _Lines:
         self.rep = Report(title)
         self.local = LocalProofs(config)
         summed = summed_from_parts(images)
-        self.form = {name: _combine((1, Counter(images.parts[name])), (c, {(): 1})) for name, c in summed.items()}
-        self.swaps = {i for i, op in images.t.items() if op.cols == config.signed_swap(v_position(i)).cols}
+        parts = images.parts
+        self.form = {n: _combine((1, Counter(parts[n])), (c, {(): 1})) for n, c in summed.items() if n in parts}
+        self.swaps = {i for i in range(1, images.d) if f"t{i}" in summed}
 
     def line(self, check_id: str, proved: bool, residual) -> None:
         """Add the line: passed when ``proved``, else the check that the
@@ -628,9 +626,9 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
       relabelled ``Gamma`` for each of them, decided on the local config of
       their legs (:meth:`LocalProofs.conjugates`).  R1 and R3 pass when the
       form is fixed by the relabelling, as ``[X, t] = (X - t X t) t``.  The
-      ``m_{i,j}`` are forms too, built as :func:`m_ops` builds the
-      operators, and an R4, R5, R6 or ``m(i,j)`` line passes when the form
-      of its residual is zero.
+      ``m_{i,j}`` are forms too, built by :func:`m_pairs` as the fallback
+      operators are, and an R4, R5, R6 or ``m(i,j)`` line passes when the
+      form of its residual is zero.
     - The ``sym`` lines are words in the swaps that are ``signed_swap``,
       decided on the local config of their legs
       (:meth:`LocalProofs.swap_words_agree`).
@@ -640,9 +638,8 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
       Otherwise the line is the commutator with the prefix sum.
 
     An image is read only inside a residual.  So a passing report on the
-    images of :func:`rho_prime_images` takes no product, builds no
-    ``m_ops``, builds no image and builds no split Casimir on the whole
-    space.
+    images of :func:`rho_prime_images` takes no product and builds no swap,
+    image or split Casimir on the whole space.
     """
     lines = _Lines(images, "braid relations" + (" (shifted)" if images.shifted else ""))
     line, conj, fixed, form, swaps, local = lines.line, lines.conj, lines.fixed, lines.form, lines.swaps, lines.local
@@ -692,26 +689,18 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             line(f"R3:[t{i},{name}{i}+{name}{i + 1}]", fixed(f, i), lambda: t[i].commutator(fam[i] + fam[i + 1]))
 
     # the parts forms of x_{i+1} - t_i x_i t_i and its y counterpart, and of
-    # m_{i,j} by the word of m_ops: m_{j-1,j} conjugated by t_i .. t_{j-2} .. t_i
+    # the m_{i,j} from the first
     mf = {name: {i: lines.step(name, i) for i in range(1, d)} for name in ("x", "y")}
-    pair = {(i, i + 1): mf["x"][i] for i in range(1, d)}
-    for j in range(2, d + 1):
-        for i in range(j - 2, 0, -1):
-            f = pair[(j - 1, j)]
-            for k in (*range(i, j - 1), *range(j - 3, i - 1, -1)):
-                f = conj(f, k)
-            pair[(i, j)] = f
+    pair = m_pairs(mf["x"], conj)
 
     @functools.cache
     def whole() -> dict:
         # the operators of those forms, built when a line falls back
-        ops = m_ops(images)
-        return {
-            "pair": ops,
-            "x": {i: ops[(i, i + 1)] for i in range(1, d)},
-            "y": {i: y[i + 1] - t[i] @ y[i] @ t[i] for i in range(1, d)},
-            "sum": m_sums(ops),
-        }
+        def conj_op(op: LinearOp, k: int) -> LinearOp:
+            return t[k] @ op @ t[k]
+
+        ops = {name: {i: fam[i + 1] - conj_op(fam[i], i) for i in range(1, d)} for name, fam in (("x", x), ("y", y))}
+        return {**ops, "pair": m_pairs(ops["x"], conj_op)}
 
     for name in ("x", "y"):
         for i in range(1, d - 1):
@@ -733,11 +722,12 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
             (-1, form.get(f"y{j}")),
             *((1, pair[(i, j)]) for i in range(1, j)),
         )
-        line(
-            f"R6:z{j}=x{j}+y{j}-m{j}",
-            f == {},
-            lambda: z[j] - (x[j] + y[j] - whole()["sum"].get(j, LinearOp(config.space))),
-        )
+
+        def r6() -> LinearOp:
+            m_j = op_sum([LinearOp(config.space), *(whole()["pair"][(i, j)] for i in range(1, j))])
+            return z[j] - (x[j] + y[j] - m_j)
+
+        line(f"R6:z{j}=x{j}+y{j}-m{j}", f == {}, r6)
 
     for (i, j), f in sorted(pair.items()):
         gamma = (v_position(i), v_position(j))
@@ -777,7 +767,7 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
     if images.d < 1:
         return Report(title)
     lines = _Lines(images, title)
-    config, ops, form, local = images.config, images.ops, lines.form, lines.local
+    config, ops, t, form, local = images.config, images.ops, images.t, lines.form, lines.local
     for name, c1, c2 in (("x", a, p), ("y", b, q)):
         gen = f"{name}1"
         proved = gen in form and len(images.parts[gen]) == 1
@@ -791,14 +781,13 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
 
         lines.line(f"hecke:({gen}-{c1})({gen}+{c2})=0", proved, quadratic)
     for i in range(1, images.d):
-        t = images.t[i]
         gamma = (v_position(i), v_position(i + 1))
         is_gamma = i in lines.swaps and local.swap_is_gamma(gamma[0])
         for name in ("x", "y"):
             proved = is_gamma and lines.step(name, i) == {gamma: 1}
             line_id = f"hecke:{name}{i + 1}=t{i}{name}{i}t{i}+t{i}"
-            lines.line(line_id, proved, lambda: ops[f"{name}{i + 1}"] - (t @ ops[f"{name}{i}"] @ t + t))
-        lines.line(f"hecke:t{i}=split-casimir({i},{i + 1})", is_gamma, lambda: t - config.split_casimir_op(*gamma))
+            lines.line(line_id, proved, lambda: ops[f"{name}{i + 1}"] - (t[i] @ ops[f"{name}{i}"] @ t[i] + t[i]))
+        lines.line(f"hecke:t{i}=split-casimir({i},{i + 1})", is_gamma, lambda: t[i] - config.split_casimir_op(*gamma))
     return lines.rep
 
 
@@ -831,16 +820,15 @@ def verify_centralizer(images: GeneratorImages) -> Report:
 
     Any other line is the direct residual ``X.commutator(E)``, so every
     failing line carries the witness the full ``r^2`` check would give.
-    An image is read only for such a residual, or a swap to compare it with
-    ``signed_swap``.  So a passing report on the images of
+    The premises are those of :class:`_Lines`, and an image is read only
+    for such a residual.  So a passing report on the images of
     :func:`rho_prime_images` takes no commutator on the whole space and
-    builds no whole-space unit, image or split Casimir.  Only each line's
-    :class:`Check` is kept, never its residual.
+    builds no whole-space unit, swap, image or split Casimir.  Only each
+    line's :class:`Check` is kept, never its residual.
     """
-    rep = Report("centralizer")
-    config = images.config
+    lines = _Lines(images, "centralizer")
+    config, local = images.config, lines.local
     r = config.hp.rank
-    local = LocalProofs(config)
     units = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
     bracket = {}
     for a, c in units:
@@ -848,27 +836,25 @@ def verify_centralizer(images: GeneratorImages) -> Report:
             b = c - 1 if a < c else c + 1
             if all(f.units[(a, c)].cols == f.units[(a, b)].commutator(f.units[(b, c)]).cols for f in local.modules):
                 bracket[(a, c)] = b
-    summed = summed_from_parts(images)
-    swaps = {f"t{i}": v_position(i) for i in images.t}
 
     order = sorted(units, key=lambda u: abs(u[0] - u[1]))
-    for name in images.names():
+    for name in generator_names(images.d):
         proved = set()
-        if name in summed:
+        if name in lines.form:
             proved = set(local.units)
             for pair in images.parts[name]:
                 proved &= local.units_commuting(pair)
-        elif name in swaps and images.op(name).cols == config.signed_swap(swaps[name]).cols:
-            pos = swaps[name]
+        elif name[0] == "t" and int(name[1:]) in lines.swaps:
+            pos = v_position(int(name[1:]))
             proved = local.units_commuting((pos, pos + 1), swap=True)
-        lines = {}
+        checks = {}
         for i, j in order:
             check_id = f"[{name},E({i},{j})]"
             b = bracket.get((i, j))
-            if (i, j) in proved or (b is not None and lines[(i, b)].ok and lines[(b, j)].ok):
-                lines[(i, j)] = Check(check_id, True)
+            if (i, j) in proved or (b is not None and checks[(i, b)].ok and checks[(b, j)].ok):
+                checks[(i, j)] = Check(check_id, True)
             else:
-                lines[(i, j)] = zero_check(check_id, images.op(name).commutator(config.act_unit(i, j)), config)
+                checks[(i, j)] = zero_check(check_id, images.ops[name].commutator(config.act_unit(i, j)), config)
         for key in units:
-            rep.add(lines[key])
-    return rep
+            lines.rep.add(checks[key])
+    return lines.rep

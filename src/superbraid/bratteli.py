@@ -268,10 +268,10 @@ def predicted_tuples(g: BratteliGraph, lam: Partition) -> dict:
     return out
 
 
-def _joint_eigenspaces(g: BratteliGraph, config, images, lam: Partition, joint: dict) -> tuple:
+def _joint_eigenspaces(g: BratteliGraph, images, lam: Partition, joint: dict) -> tuple:
     """``(tuples, mult, spaces, notes)`` for the top vertex ``lam``, counted
     on the first call and kept in ``joint``, which maps each top vertex of
-    ``g`` on ``config`` and ``images`` to its entry.
+    ``g`` on ``images`` to its entry.
 
     ``tuples`` are the predicted ``(z_0, z_1..z_d)`` tuples in path order,
     ``mult`` the space of highest weight vectors, and ``spaces`` the joint
@@ -285,7 +285,7 @@ def _joint_eigenspaces(g: BratteliGraph, config, images, lam: Partition, joint: 
     if lam in joint:
         return joint[lam]
     tuples = list(predicted_tuples(g, lam).values())
-    mult = highest_weight_vectors(config, hook_to_weight(lam, g.hp))
+    mult = highest_weight_vectors(images.config, hook_to_weight(lam, g.hp))
     notes = []
     spaces = None
     if len(set(tuples)) != len(tuples):
@@ -305,7 +305,7 @@ def _joint_eigenspaces(g: BratteliGraph, config, images, lam: Partition, joint: 
     return joint[lam]
 
 
-def spectral_match(g: BratteliGraph, config, images, joint: Optional[dict] = None) -> list:
+def spectral_match(g: BratteliGraph, images, joint: Optional[dict] = None) -> list:
     """Joint spectrum of (z_0, z_1..z_d) on every multiplicity space.
 
     For each top-level vertex the predicted tuples must be distinct, the
@@ -317,13 +317,13 @@ def spectral_match(g: BratteliGraph, config, images, joint: Optional[dict] = Non
     commute, and have exactly the predicted joint spectrum.
 
     ``joint`` keeps each vertex's eigenspaces for later calls on the same
-    graph, config and images, such as :func:`irreducibility_check`; the
+    graph and images, such as :func:`irreducibility_check`; the
     CLI passes its run workspace's (``cli.Workspace``).
     """
     joint = {} if joint is None else joint
     records = []
     for lam in g.level(g.d):
-        tuples, mult, spaces, notes = _joint_eigenspaces(g, config, images, lam, joint)
+        tuples, mult, spaces, notes = _joint_eigenspaces(g, images, lam, joint)
         record = {
             "partition": list(lam),
             "paths": len(tuples),
@@ -337,9 +337,7 @@ def spectral_match(g: BratteliGraph, config, images, joint: Optional[dict] = Non
     return records
 
 
-def irreducibility_check(
-    g: BratteliGraph, config, images, lam: Partition, joint: Optional[dict] = None
-) -> dict:
+def irreducibility_check(g: BratteliGraph, images, lam: Partition, joint: Optional[dict] = None) -> dict:
     """Commutant dimension of the quotient-algebra generators on one space,
     counted as components in the joint ``z``-eigenbasis.
 
@@ -360,7 +358,7 @@ def irreducibility_check(
     why; there is no other route to a verdict.  ``joint`` is as in
     :func:`spectral_match`.
     """
-    _, mult, spaces, notes = _joint_eigenspaces(g, config, images, lam, {} if joint is None else joint)
+    _, mult, spaces, notes = _joint_eigenspaces(g, images, lam, {} if joint is None else joint)
     dim = None
     if not notes:
         eigenbasis = Subspace(GradedSpace((0,) * mult.dim), [space.vectors[0] for space in spaces])

@@ -53,7 +53,6 @@ from .superalgebra import (
     casimir_pairing,
     pairing_eps,
     psi_pairing_report,
-    TensorConfig,
     two_rho,
 )
 
@@ -95,12 +94,12 @@ def _graph(args, d: int) -> bratteli.BratteliGraph:
 
 
 class Workspace(NamedTuple):
-    """What the suites of one run share at one parameter set: the config,
-    its images, and for each top vertex the joint ``z``-eigenspaces that
-    :func:`bratteli.spectral_match` and :func:`bratteli.irreducibility_check`
-    read (``joint``, filled by whichever suite counts them first)."""
+    """What the suites of one run share at one parameter set: the images,
+    on their config, and for each top vertex the joint ``z``-eigenspaces
+    that :func:`bratteli.spectral_match` and
+    :func:`bratteli.irreducibility_check` read (``joint``, filled by
+    whichever suite counts them first)."""
 
-    config: TensorConfig
     images: GeneratorImages
     joint: dict
 
@@ -123,7 +122,7 @@ def _workspace(args, cap: int, alpha=(1,), beta=(1,)) -> Workspace:
     if ws is None:
         _WORKSPACE.clear()
         config = module_tensor_config(alpha, beta, args.d, HookProfile(args.n, args.m), cap)
-        ws = _WORKSPACE[key] = Workspace(config, rho_prime_images(config), {})
+        ws = _WORKSPACE[key] = Workspace(rho_prime_images(config), {})
     return ws
 
 
@@ -269,7 +268,7 @@ def _verify_spectra(args, cap: int) -> Report:
     ws = _rectangles(args, cap)
     g = _graph(args, args.d)
     rep = Report(f"spectra a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
-    for rec in bratteli.spectral_match(g, ws.config, ws.images, ws.joint):
+    for rec in bratteli.spectral_match(g, ws.images, ws.joint):
         rep.add(_check(f"spectrum:{rec['partition']}", rec["ok"], rec))
     return rep
 
@@ -279,7 +278,7 @@ def _verify_irreducible(args, cap: int) -> Report:
     g = _graph(args, args.d)
     rep = Report(f"irreducible a={args.a} p={args.p} b={args.b} q={args.q} d={args.d}")
     for lam in g.level(g.d):
-        rec = bratteli.irreducibility_check(g, ws.config, ws.images, lam, ws.joint)
+        rec = bratteli.irreducibility_check(g, ws.images, lam, ws.joint)
         rep.add(_check(f"commutant:{rec['partition']}", rec["ok"], rec))
     return rep
 

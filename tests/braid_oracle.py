@@ -11,9 +11,10 @@ Casimirs each image is summed from, on local configs; :func:`whole_space_braid`
 takes every line as its residual on the whole space, each conjugation
 ``t X t`` as two products, and :func:`whole_space_r2` does so for the R2
 lines alone.  :func:`whole_space_hecke` does so for the Hecke lines, which
-``verify_hecke_relations`` proves on local configs too.  ``rho_prime_images`` builds an image from its split Casimirs
+``verify_hecke_relations`` proves on local configs too.
+``rho_prime_images`` builds each image, swaps included, from its definition
 on first read; :func:`eager_images` builds every image at once, as a plain
-dict, so its images take the suites' direct sum-and-compare premise.
+dict, so each takes the suites' direct compare-with-definition premise.
 """
 
 from dataclasses import replace
@@ -33,28 +34,25 @@ from superbraid.linalg import LinearOp, op_sum
 
 
 def eager_images(config, corrupt_gamma=None):
-    """The shifted images with every image summed from its split Casimirs
-    up front, each built with ``corrupt=corrupt_gamma``."""
+    """The shifted images with every image built up front, in report order:
+    each swap as ``signed_swap``, and each other image summed from its
+    split Casimirs, each built with ``corrupt=corrupt_gamma``."""
     d = config.n_factors - 2
 
     def gamma(p1, p2):
         return config.split_casimir_op(p1, p2, corrupt=corrupt_gamma)
 
-    ops = {"z0": gamma(POS_M, POS_N)}
-    parts = {"z0": ((POS_M, POS_N),)}
+    ops = {"z0": gamma(POS_M, POS_N), **{f"t{i}": config.signed_swap(v_position(i)) for i in range(1, d)}}
+    fams = {"x": {}, "y": {}, "z": {}}
     for i in range(1, d + 1):
         pos = v_position(i)
         cross = [gamma(v_position(k), pos) for k in range(1, i)]
         gm, gn = gamma(POS_M, pos), gamma(POS_N, pos)
-        ops[f"x{i}"] = op_sum([gm, *cross])
-        ops[f"y{i}"] = op_sum([gn, *cross])
-        ops[f"z{i}"] = op_sum([ops[f"x{i}"], gn])
-        pairs = tuple((v_position(k), pos) for k in range(1, i))
-        parts[f"x{i}"] = ((POS_M, pos), *pairs)
-        parts[f"y{i}"] = ((POS_N, pos), *pairs)
-        parts[f"z{i}"] = ((POS_M, pos), (POS_N, pos), *pairs)
-    t = {i: config.signed_swap(v_position(i)) for i in range(1, d)}
-    return GeneratorImages(config, d, t, ops, True, parts)
+        fams["x"][i] = op_sum([gm, *cross])
+        fams["y"][i] = op_sum([gn, *cross])
+        fams["z"][i] = op_sum([fams["x"][i], gn])
+    ops.update((f"{f}{i}", op) for f, fam in fams.items() for i, op in fam.items())
+    return GeneratorImages(config, ops, True)
 
 
 def two_pass_braid(images):

@@ -230,15 +230,14 @@ def _spectral_setup(d):
     hp = HookProfile(2, 1)
     g = build_graph(1, 1, 1, 1, hp, d)
     config = module_tensor_config((1,), (1,), d, hp)
-    images = rho_prime_images(config)
-    return hp, g, config, images
+    return g, rho_prime_images(config)
 
 
 def test_criterion_10_spectral_theorems():
     t0 = time.perf_counter()
     for d in (1, 2):
-        _, g, config, images = _spectral_setup(d)
-        records = spectral_match(g, config, images)
+        g, images = _spectral_setup(d)
+        records = spectral_match(g, images)
         assert records
         for rec in records:
             assert rec["ok"], rec
@@ -249,9 +248,9 @@ def test_criterion_10_spectral_theorems():
 def test_criterion_11_irreducibility():
     t0 = time.perf_counter()
     for d in (1, 2):
-        _, g, config, images = _spectral_setup(d)
+        g, images = _spectral_setup(d)
         for lam in g.level(d):
-            rec = irreducibility_check(g, config, images, lam)
+            rec = irreducibility_check(g, images, lam)
             assert rec["ok"], rec
     report(11, "commutant dimension 1 on every multiplicity space", t0)
 
@@ -312,12 +311,12 @@ def test_criterion_13_paper_example_operators():
             assert rep.checks and rep.ok, [c.id for c in rep.checks if not c.ok]
         rep = verify_centralizer(images)
         assert len(rep.checks) == 16 * (1 + 3 * d + (d - 1)) and rep.ok, [c.id for c in rep.checks if not c.ok]
-        records = spectral_match(g, config, images)
+        records = spectral_match(g, images)
         assert [rec["partition"] for rec in records] == [list(lam) for lam in g.level(d)]
         for rec in records:
             assert rec["ok"], rec
             assert rec["multiplicity_dim"] == rec["paths"]
         for lam in g.level(d):
-            rec = irreducibility_check(g, config, images, lam)
+            rec = irreducibility_check(g, images, lam)
             assert rec["ok"], rec
     report(13, "paper example at d <= 2: defining and quotient relations, centralizer, spectra, irreducibility", t0, budget=60.0)

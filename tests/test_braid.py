@@ -10,11 +10,9 @@ from superbraid.braid import (
     POS_M,
     POS_N,
     LocalProofs,
-    m_ops,
-    m_sums,
+    m_pairs,
     rho_images,
     rho_prime_images,
-    transposition_op,
     unshifted,
     v_position,
     verify_braid_relations,
@@ -182,28 +180,39 @@ def test_braid_relations_all_pass(cfg11_d3, cfg21_d2):
 
 
 def test_m_ops_definitions(cfg11_d3):
+    # m_pairs on operators, from m_{i,i+1} = x_{i+1} - t_i x_i t_i
     imgs = rho_prime_images(cfg11_d3)
-    pair = m_ops(imgs)
+    t, x = imgs.t, imgs.x
+
+    def conj(op, k):
+        return t[k] @ op @ t[k]
+
+    pair = m_pairs({i: x[i + 1] - conj(x[i], i) for i in (1, 2)}, conj)
+    assert sorted(pair) == [(1, 2), (1, 3), (2, 3)]
     m12 = imgs.x[2] - imgs.t[1] @ imgs.x[1] @ imgs.t[1]
     assert (pair[(1, 2)] - m12).max_entry_witness() is None
     # m_{1,3} equals the split Casimir on copies 1 and 3
     gamma13 = cfg11_d3.split_casimir_op(v_position(1), v_position(3))
     assert (pair[(1, 3)] - gamma13).max_entry_witness() is None
-    # m_j sums the pairs ending at j; m_1 is the empty sum and absent
-    msum = m_sums(pair)
-    assert sorted(msum) == [2, 3]
-    assert (msum[2] - pair[(1, 2)]).max_entry_witness() is None
-    assert (msum[3] - pair[(1, 3)] - pair[(2, 3)]).max_entry_witness() is None
 
 
 def test_transposition_word(cfg11_d3):
+    # m_pairs conjugates m_{j-1,j} by the palindromic word t_i .. t_{j-2} ..
+    # t_i, read off a conj that records it, and m_{j-1,j} by no word; on
+    # operators the word t_1 t_2 t_1 of copies 1 and 3 is an involution
+    words = m_pairs({i: ("m",) for i in range(1, 5)}, lambda w, k: (k, *w, k))
+    assert sorted(words) == [(i, j) for i in range(1, 5) for j in range(i + 1, 6)]
+    for (i, j), w in words.items():
+        word = (*range(i, j - 1), *range(j - 3, i - 1, -1))
+        assert word == word[::-1] and w == (*word, "m", *word)
     imgs = rho_prime_images(cfg11_d3)
     ident = LinearOp.identity(cfg11_d3.space)
-    t13 = transposition_op(imgs, 1, 3)
+    pair = m_pairs({1: ident, 2: imgs.t[2]}, lambda op, k: imgs.t[k] @ op @ imgs.t[k])
+    t13 = pair[(1, 3)]
     assert (t13 @ t13 - ident).max_entry_witness() is None
     expected = imgs.t[1] @ imgs.t[2] @ imgs.t[1]
     assert (t13 - expected).max_entry_witness() is None
-    assert (transposition_op(imgs, 2, 2) - ident).max_entry_witness() is None
+    assert (pair[(1, 2)] - ident).max_entry_witness() is None
 
 
 def test_centralizer(cfg11_d3, cfg21_d2):
@@ -543,11 +552,11 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
 def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     # every centralizer, braid and Hecke line of fresh clean images is
-    # proved locally: no suite builds or reads an image, builds a unit or a
-    # split Casimir, or takes a commutator or a product on the whole space,
-    # and the braid suite builds no m_ops.  The unshifted images are plain
-    # dicts, so their premise is the exact sum, which builds whole split
-    # Casimirs and nothing else on the whole space
+    # proved locally: no suite builds or reads an image, builds a swap, a
+    # unit or a split Casimir, or takes a commutator or a product on the
+    # whole space.  The unshifted images are a plain dict, so their premise
+    # compares each image with its definition, which builds whole split
+    # Casimirs and swaps and nothing else on the whole space
     alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
     images = rho_prime_images(module_tensor_config(alpha, beta, d, hp))
     whole = images.config
@@ -571,31 +580,35 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     monkeypatch.setattr(TensorConfig, "split_casimir_op", split)
     matmul = counted("@", LinearOp.__matmul__, lambda a, b: a.space)
     monkeypatch.setattr(LinearOp, "__matmul__", matmul)
-    monkeypatch.setattr(braid, "m_ops", counted("m_ops", braid.m_ops))
+    swap = counted("signed_swap", TensorConfig.signed_swap, lambda cfg, *_: cfg)
+    monkeypatch.setattr(TensorConfig, "signed_swap", swap)
+    swaps = ["signed_swap", "@"] * (images.d > 1)
     assert verify_centralizer(images).ok and verify_braid_relations(images).ok
     assert calls and not on_whole_space(calls, whole)
     # the counters are live: local units and split Casimirs, and local
-    # products where there are swaps
-    assert {what for what, _ in built} == {"act_unit", "split_casimir_op", *["@"] * (images.d > 1)}
+    # swaps and products where there are swaps
+    assert {what for what, _ in built} == {"act_unit", "split_casimir_op", *swaps}
     assert not on_whole(built)
     built.clear()
     calls.clear()
     # hecke decides its quadratics and swaps on local configs alone
     assert verify_hecke_relations(images, *hecke_params(name)[0]).ok
-    assert {what for what, _ in built} == {"split_casimir_op", "@"}
+    assert {what for what, _ in built} == {"split_casimir_op", "@", *swaps}
     assert not on_whole(built) and not on_whole_space(calls, whole)
     built.clear()
     plain = unshifted(images)
-    # the image counter is live: one read of each image
-    assert [what for what, _ in built if what == "image"] == ["image"] * (3 * images.d + 1)
+    # the image counter is live: one read of each image and each swap, and
+    # each swap a whole signed_swap
+    assert [what for what, _ in built if what == "image"] == ["image"] * (4 * images.d)
+    assert on_whole(built) == {"image", "split_casimir_op", *swaps[:1]}
     built.clear()
     calls.clear()
     half = Fraction(natural_casimir_scalar(hp), 2)
     shifts = {"z0": 0, **{f"{f}{i}": c for f, c in (("x", half), ("y", half), ("z", 2 * half)) for i in plain.x}}
-    assert braid.summed_from_parts(plain) == shifts
+    assert braid.summed_from_parts(plain) == {**shifts, **{f"t{i}": 0 for i in plain.t}}
     assert verify_braid_relations(plain).ok
     assert not on_whole_space(calls, whole)
-    assert on_whole(built) == {"split_casimir_op"}
+    assert on_whole(built) == {"split_casimir_op", *swaps[:1]}
 
 
 @pytest.mark.parametrize("control", ["clean", "parity", "koszul"])
@@ -607,36 +620,47 @@ def test_images_match_eager_oracle(name, control):
     cfg = module_tensor_config(alpha, beta, d, hp)
     corrupt = None if control == "clean" else control
     images, oracle = rho_prime_images(cfg, corrupt), eager_images(cfg, corrupt)
-    assert images.parts == oracle.parts and images.names() == oracle.names()
+    assert list(images.ops) == list(oracle.ops)
     for name, op in reversed(oracle.named_ops()):
-        assert images.op(name).cols == op.cols
+        assert images.ops[name].cols == op.cols
     for name, op in unshifted(oracle).named_ops():
-        assert unshifted(images).op(name).cols == op.cols
+        assert unshifted(images).ops[name].cols == op.cols
 
 
 def moved_images(case):
     """Images of gl(2|1), d = 2, whose container is not what
-    ``summed_from_parts`` may take as summed by construction: built with a
-    corrupt mode, on another config than the images', or with other pairs
-    than the images' ``parts``.  The other config has one more entry in the
-    left boundary's E(1,3), so its Gammas on M differ; the other pairs
-    record x_2 as y_2's."""
+    ``summed_from_parts`` may take as their definitions by construction:
+    built with a corrupt mode, on another config than the images', or a
+    plain dict, with the plain swap as ``t1``.  The other config has one
+    more entry in the left boundary's E(1,3), so its Gammas on M differ."""
     if case in ("parity", "koszul"):
         return rho_prime_images(module_tensor_config((1,), (1,), 2, HP21), corrupt_gamma=case)
     images = rho_prime_images(module_tensor_config((1,), (1,), 2, HP21))
     if case == "config":
         return replace(images, config=off_bracket_config((1, 2, 1)))
-    return replace(images, parts={**images.parts, "x2": images.parts["y2"]})
+    return with_unsigned_swaps(images)
 
 
-@pytest.mark.parametrize("case", ["parity", "koszul", "config", "parts"])
-def test_premise_by_construction_needs_each_binding(case):
-    # the images such a container holds are compared with their sums, as
-    # those of a plain dict are, and the reports are the oracles'
+@pytest.mark.parametrize("case", ["parity", "koszul", "config", "t1"])
+def test_premise_by_construction_needs_each_binding(case, monkeypatch):
+    # the images such a container holds, the swap included, are compared
+    # with their definitions, as those of a plain dict are, and the reports
+    # are the oracles'
     images = moved_images(case)
+    images.named_ops()  # every image built first, so only comparisons count
+    swaps = []
+    signed_swap = TensorConfig.signed_swap
+
+    def counted(config, pos):
+        swaps.append((config is images.config, pos))
+        return signed_swap(config, pos)
+
+    monkeypatch.setattr(TensorConfig, "signed_swap", counted)
     summed = braid.summed_from_parts(images)
+    assert swaps == [(True, v_position(1))]
     assert summed == braid.summed_from_parts(replace(images, ops=dict(images.ops)))
-    assert summed.keys() < images.parts.keys()
+    assert summed.keys() < set(braid.generator_names(images.d))
+    assert ("t1" in summed) == (case != "t1")
     assert verify_braid_relations(images).to_json() == whole_space_braid(images).to_json()
     assert verify_centralizer(images).to_json() == full_centralizer(images).to_json()
 
@@ -727,7 +751,7 @@ def entry_two_swap_images():
     images = rho_prime_images(module_tensor_config((1,), (1,), 4, HP11))
     t1 = images.t[1]
     i, j, v = next(t1.entries())
-    return replace(images, t={**images.t, 1: t1 + LinearOp.from_entries(t1.space, [(i, j, v)])})
+    return replace(images, ops={**images.ops, "t1": t1 + LinearOp.from_entries(t1.space, [(i, j, v)])})
 
 
 def test_swap_with_an_entry_two_falls_back(monkeypatch):

@@ -205,7 +205,7 @@ def test_spectral_match(hp, d):
     g = build_graph(1, 1, 1, 1, hp, d)
     config = module_tensor_config((1,), (1,), d, hp)
     images = rho_prime_images(config)
-    records = spectral_match(g, config, images)
+    records = spectral_match(g, images)
     assert records and all(r["ok"] for r in records), records
 
 
@@ -214,7 +214,7 @@ def test_spectral_match_control_unshifted_images():
     # no predicted tuple has a joint eigenvector and every vertex must fail
     g = build_graph(1, 1, 1, 1, HP21, 2)
     config = module_tensor_config((1,), (1,), 2, HP21)
-    records = spectral_match(g, config, rho_images(config))
+    records = spectral_match(g, rho_images(config))
     assert records and not any(r["ok"] for r in records), records
     assert all(set(r["eigenspace_dims"]) == {0} for r in records), records
 
@@ -225,7 +225,7 @@ def test_irreducibility(hp, d):
     config = module_tensor_config((1,), (1,), d, hp)
     images = rho_prime_images(config)
     for lam in g.level(d):
-        rec = irreducibility_check(g, config, images, lam)
+        rec = irreducibility_check(g, images, lam)
         assert rec["ok"], rec
 
 
@@ -279,7 +279,7 @@ def test_component_count_matches_commutant_oracle(desk):
     g, config, images, _ = desk
     gens = [images.z0, *images.z.values(), images.x[1], *images.t.values()]
     for lam in g.level(g.d):
-        rec = irreducibility_check(g, config, images, lam)
+        rec = irreducibility_check(g, images, lam)
         mult = highest_weight_vectors(config, hook_to_weight(lam, g.hp))
         assert rec["commutant_dim"] == commutant_dimension(gens, mult) == 1, rec
         assert rec["ok"] and rec["notes"] == [], rec
@@ -316,7 +316,7 @@ def test_irreducibility_control_unshifted_images(hp, d):
     g = build_graph(1, 1, 1, 1, hp, d)
     config = module_tensor_config((1,), (1,), d, hp)
     images = rho_images(config)
-    records = [irreducibility_check(g, config, images, lam) for lam in g.level(d)]
+    records = [irreducibility_check(g, images, lam) for lam in g.level(d)]
     assert any(rec["multiplicity_dim"] > 1 for rec in records)
     for rec in records:
         assert not rec["ok"] and rec["commutant_dim"] is None, rec

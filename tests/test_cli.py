@@ -193,10 +193,11 @@ MULTIPLICITY_ARGS = ["--a", "2", "--p", "2", "--b", "2", "--q", "1", "--n", "2",
 def test_image_suites_build_no_more_split_casimirs(capsys, monkeypatch, kind, built):
     # on the multiplicity benchmark workload each suite builds the images it
     # reads, each from its own whole-space split Casimirs: one for z_0, then
-    # 2 + 3 + 4 for z_i at i = 1, 2, 3, and irreducible's x_1 one more.
-    # Hecke proves every line on local configs and reads no image.  Counted
-    # from an empty workspace
-    read = {"hecke": [], "spectra": ["z0", "z1", "z2", "z3"], "irreducible": ["z0", "z1", "z2", "z3", "x1"]}[kind]
+    # 2 + 3 + 4 for z_i at i = 1, 2, 3, and irreducible's x_1 one more; its
+    # swaps t_1 and t_2 take none.  Hecke proves every line on local configs
+    # and reads no image.  Counted from an empty workspace
+    z = ["z0", "z1", "z2", "z3"]
+    read = {"hecke": [], "spectra": z, "irreducible": [*z, "x1", "t1", "t2"]}[kind]
     calls, names = [], []
     split = TensorConfig.split_casimir_op
     getitem = braid.SummedImages.__getitem__
@@ -215,7 +216,7 @@ def test_image_suites_build_no_more_split_casimirs(capsys, monkeypatch, kind, bu
     code, _, _ = run(capsys, "verify", kind, *MULTIPLICITY_ARGS)
     (ws,) = cli._WORKSPACE.values()
     assert code == EXIT_OK
-    assert sum(c is ws.config for c in calls) == built
+    assert sum(c is ws.images.config for c in calls) == built
     assert list(dict.fromkeys(names)) == read
 
 
@@ -265,7 +266,7 @@ def test_image_suites_share_one_workspace(monkeypatch, order, fmt):
     assert [outcome(*argv[kind]) for kind in order] == expected
     assert [code for code, _, _ in expected] == [EXIT_OK] * 3
     (ws,) = cli._WORKSPACE.values()
-    assert sum(c is ws.config for c in casimirs) == 11
+    assert sum(c is ws.images.config for c in casimirs) == 11
     assert len(hwvs) == 11 == len(ws.joint)
 
 
@@ -333,7 +334,7 @@ def test_new_parameters_replace_the_workspace(flag, value):
     expected = fresh("verify", "spectra", *changed)
     cli._WORKSPACE.clear()
     assert outcome("verify", "spectra", *MULTIPLICITY_ARGS)[0] == EXIT_OK
-    old = weakref.ref(next(iter(cli._WORKSPACE.values())).config)
+    old = weakref.ref(next(iter(cli._WORKSPACE.values())).images.config)
     assert outcome("verify", "spectra", *changed) == expected
     gc.collect()
     assert old() is None and len(cli._WORKSPACE) == 1
@@ -345,7 +346,7 @@ def test_verify_braid_refuses_swaps_that_are_not_involutions(capsys, monkeypatch
     # lines that pass through t_1^2 are no longer the shifted ones
     def tangled(config):
         images = rho_prime_images(config)
-        return replace(images, t={**images.t, 1: images.t[1] @ images.t[2]})
+        return replace(images, ops={**images.ops, "t1": images.t[1] @ images.t[2]})
 
     broken = tangled(module_tensor_config((1,), (1,), 3, HookProfile(2, 1)))
     shifted = verify_braid_relations(broken).checks
