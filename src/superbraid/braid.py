@@ -23,16 +23,16 @@ are the dominant failure mode and a witness localizes them.
 Each report line is proved by the cheapest exact argument whose premise
 is checked first, falling back to the direct residual, so a report is the
 same line for line, witnesses included, as if every line were a residual.
-The centralizer and relation lines rest on each image being its
-definition: a swap t_i is ``signed_swap``, and any other image is the sum of
-the split Casimirs on its factor pairs (``GeneratorImages.parts``) plus a
-scalar.  Each identity of Gammas, swaps and units they need is decided on a
-local config whose size does not grow with d.  The images of
-:func:`rho_prime_images`, swaps included, are held by name and built only
-when something reads them (:class:`SummedImages`), so the premise holds for
-them by construction; any other image is first compared with its definition
-(:func:`summed_from_parts`).  So a passing braid, centralizer or Hecke
-report on them builds no swap, image or split Casimir on the whole space.
+Every certificate rests on one premise (:func:`by_construction`): the
+images are a :class:`SummedImages` with no corrupt mode on their own config,
+which builds each image from its definition when something reads it, a
+swap t_i as ``signed_swap`` and any other image as the sum of the split
+Casimirs on its factor pairs (:func:`generator_parts`).  Under it, each
+identity of Gammas, swaps and units a line needs is decided on a local
+config whose size does not grow with d, so a passing braid, centralizer or
+Hecke report builds no swap, image or split Casimir on the whole space.
+On any other images (the unshifted action, a negative control) every line
+is its residual.
 
 Transport lemma.  ``act_unit(i, j)`` sums E_ij on each factor t with the
 Koszul sign (-1)^(|E_ij| * parity of the factors left of t), and
@@ -60,15 +60,13 @@ Swaps likewise.  Hence [Gamma, act_unit(E)] is the relabelled local
 commutator, whose carrier parts are zero, times the sign (-1)^(|E| *
 parity of the factors left of the legs); split Casimirs on disjoint pairs
 commute, in every interleaving, as one is a sum of products of unit
-actions off the other's legs; and E(a,c) = [E(a,b), E(b,c)] on each
-factor's unit matrices carries to ``act_unit`` when one of the two is
-even.  ``tests/transport_oracle.py`` relabels local operators for the
-desk-scale tests of these statements.  The suites use the lemma so:
+actions off the other's legs.  ``tests/transport_oracle.py`` relabels
+local operators for the desk-scale tests of these statements.  The suites
+use the lemma so:
 
-- Centralizer: each Gamma of an image, and each swap that is
-  ``signed_swap``, is decided against the Cartan and the simple units on
-  the local config of its two legs, once per module pair and gap
-  (:func:`verify_centralizer`).
+- Centralizer: each Gamma of an image, and each swap, is decided against
+  each of the r^2 units on the local config of its two legs, once per
+  module pair and gap (:func:`verify_centralizer`).
 - R2: [z_0+..+z_i, x_j] expands into commutators of the Gammas on the
   pairs of the prefix M, N, v_1 .. v_i with those of x_j.  Disjoint pairs
   commute, a pair commutes with itself, and the rest group exactly, on the
@@ -76,21 +74,20 @@ desk-scale tests of these statements.  The suites use the lemma so:
   Gamma(c,e) + Gamma(j,e)] = 0 (Kohno 1987; Drinfeld 1990), one for each
   part (c, j) of x_j and other factor e of the prefix, each decided on its
   three legs (:meth:`LocalProofs.bracket_vanishes`).
-- Braid lines: an image summed from its parts is its parts form, the
-  multiset of its pairs with its scalar.  The swap t_i has t_i^2 = 1 and
-  t_i Gamma(p,q) t_i = Gamma on the pair {s(p), s(q)}, with s
-  interchanging the legs v_i and v_{i+1}, each decided on the legs of both
-  (:meth:`LocalProofs.conjugates`), so conjugating by t_i relabels a parts
-  form.  R1 and R3 pass when the form is fixed by it.  The m_{i,j} are
-  forms too, and R4, R5, R6 and m(i,j) pass when the form of their
-  residual is zero.  The sym lines are words in the swaps, decided on their
-  legs (:meth:`LocalProofs.swap_words_agree`; :func:`verify_braid_relations`).
-- Hecke lines: x_1 is Gamma(M, v_1) plus a scalar s, so (x_1 - a)(x_1 + p)
-  = 0 is (Gamma + s - a)(Gamma + s + p) = 0, decided on M (x) C (x) V, and
-  likewise for y_1 on N (x) V.  t_i = Gamma(v_i, v_{i+1}) is signed_swap =
-  Gamma on V (x) V, and x_{i+1} = t_i x_i t_i + t_i passes when the parts
-  form of x_{i+1}, less the relabelled one of x_i, is that Gamma alone
-  (:func:`verify_hecke_relations`).
+- Braid lines: an image is its parts form, the multiset of its pairs.
+  The swap t_i has t_i^2 = 1 and t_i Gamma(p,q) t_i = Gamma on the pair
+  {s(p), s(q)}, with s interchanging the legs v_i and v_{i+1}, each
+  decided on the legs of both (:meth:`LocalProofs.conjugates`), so
+  conjugating by t_i relabels a parts form.  R1 and R3 pass when the form
+  is fixed by it.  The m_{i,j} are forms too, and R4, R5, R6 and m(i,j)
+  pass when the form of their residual is zero.  The sym lines are words
+  in the swaps, decided on their legs (:meth:`LocalProofs.swap_words_agree`;
+  :func:`verify_braid_relations`).
+- Hecke lines: x_1 is Gamma(M, v_1), so (x_1 - a)(x_1 + p) = 0 is decided
+  for Gamma on M (x) C (x) V, and likewise for y_1 on N (x) V.  t_i =
+  Gamma(v_i, v_{i+1}) is signed_swap = Gamma on V (x) V, and x_{i+1} = t_i
+  x_i t_i + t_i passes when the parts form of x_{i+1}, less the relabelled
+  one of x_i, is that Gamma alone (:func:`verify_hecke_relations`).
 
 The plain images differ from the shifted ones only by scalars, and those
 cancel in every defining relation once each t_i^2 = 1: in commutators, in
@@ -273,9 +270,9 @@ class GeneratorImages:
     whether the polynomial generators carry the constant shift (x, y by half
     the natural Casimir scalar, z by the full one) under which the boundary
     eigenvalues become box contents.  ``d`` and ``parts``
-    (:func:`generator_parts`) follow from ``config``: the suites rely on an
-    image being its definition only where :func:`summed_from_parts`
-    confirms it.
+    (:func:`generator_parts`) follow from ``config``.  The suites rely on
+    the images being their definitions only under :func:`by_construction`;
+    on any other images every line is its residual.
     """
 
     config: TensorConfig
@@ -374,39 +371,22 @@ def m_pairs(step: dict, conj) -> dict:
     return out
 
 
-def summed_from_parts(images: GeneratorImages) -> dict:
-    """``{name: c}`` for the generators whose image is its definition plus
-    ``c`` times the identity: ``t_i`` is ``config.signed_swap(v_i)``, with
-    ``c = 0``, and any other image the sum of ``config.split_casimir_op(p,
-    q)`` over its ``parts``.
-
-    Every image of a :class:`SummedImages` built with no ``corrupt`` mode on
-    ``images.config`` itself is its definition by construction, with
-    ``c = 0``, and is neither built nor read.  Every other image is compared
-    with its definition, built for it alone."""
-    config, ops, names = images.config, images.ops, generator_names(images.d)
-    if isinstance(ops, SummedImages) and ops.corrupt is None and ops.config is config:
-        return dict.fromkeys(names, 0)
-    out = {}
-    for name in names:
-        op = ops[name]
-        if name in images.parts:
-            cols = op_sum([config.split_casimir_op(*pair) for pair in images.parts[name]]).cols
-            # the scalar op - sum would be, read off entry (0, 0)
-            shift = op.cols.get(0, {}).get(0, 0) - cols.get(0, {}).get(0, 0)
-        else:
-            cols, shift = config.signed_swap(v_position(int(name[1:]))).cols, 0
-        if cols == (op.plus_scalar(-shift) if shift else op).cols:
-            out[name] = shift
-    return out
+def by_construction(images: GeneratorImages) -> bool:
+    """Whether every image is its definition by construction: ``images.ops``
+    is a :class:`SummedImages` built with no ``corrupt`` mode on
+    ``images.config`` itself, so a swap ``t_i`` is ``signed_swap(v_i)`` and
+    any other image the sum of ``split_casimir_op(p, q)`` over its
+    ``parts``.  The one premise of every certificate; nothing is built."""
+    ops = images.ops
+    return isinstance(ops, SummedImages) and ops.corrupt is None and ops.config is images.config
 
 
 def _combine(*terms) -> Optional[dict]:
     """The parts form of the sum of ``c * X`` over the ``(c, f)`` terms, for
     ``X`` of parts form ``f``, or None when a term's form is None (not
     known).  A parts form maps each factor pair ``(p, q)`` to the
-    coefficient of its split Casimir, and ``()`` to that of the identity;
-    no coefficient is zero, so ``{}`` is the zero operator."""
+    coefficient of its split Casimir; no coefficient is zero, so ``{}`` is
+    the zero operator."""
     out: dict = {}
     for c, f in terms:
         if f is None:
@@ -436,11 +416,11 @@ class LocalProofs:
     def __init__(self, config: TensorConfig):
         self.config = config
         r = config.hp.rank
-        # the units decided locally: the Cartan E(i,i) and the simple E(i,i±1)
-        self.units = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1) if abs(i - j) <= 1]
-        self.modules = list({id(f): f for f in config.factors}.values())
-        # the lemma's premise: it trades signs by the parity each unit moves
-        self.graded = all(f.units_graded() for f in self.modules)
+        # every unit E(i,j), in the order the centralizer reports them
+        self.units = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
+        # the lemma's premise, read once per module object: it trades signs
+        # by the parity each unit moves
+        self.graded = all(f.units_graded() for f in {id(f): f for f in config.factors}.values())
         self._memo: dict = {}
 
     def units_commuting(self, pair: tuple, swap: bool = False) -> set:
@@ -482,12 +462,9 @@ class LocalProofs:
         a factor pair ``legs``, ``t Gamma(legs) t = Gamma(legs')``, with
         ``legs'`` the pair with ``pos`` and ``pos + 1`` interchanged; decided
         on the local config of the legs of both (the transport lemma's
-        relabelling), and no when a factor is not graded.  For ``legs = ()``
-        it is ``t t = 1`` alone, which conjugates the identity to itself."""
+        relabelling), and no when a factor is not graded."""
         if not self.swap_words_agree((pos, pos), ()):
             return False
-        if not legs:
-            return True
         key, local, where = self.config.local(sorted({pos, pos + 1, *legs}))
         a, pair = where[pos], tuple(where[p] for p in legs)
         memo_key = ("conjugates", key, a, pair)
@@ -565,26 +542,22 @@ class LocalProofs:
 
 
 class _Lines:
-    """A relation report, built one line at a time, and the premises its
-    certificates rest on, each checked once (:func:`summed_from_parts`; by
-    construction for a :class:`SummedImages`).
+    """A relation report, built one line at a time, and the one premise its
+    certificates rest on (:func:`by_construction`), checked once.
 
-    ``form`` maps each polynomial image that is the exact sum of its
-    ``parts`` plus a scalar to its parts form, the multiset of those factor
-    pairs and the scalar (:func:`_combine`).  ``swaps`` holds each ``i``
-    whose ``t_i`` is ``signed_swap`` on its factors.  A line that no
-    certificate proves is its residual (:meth:`line`), so it carries the
-    residual's witness.
+    ``premise`` is that check.  Under it each swap ``t_i`` is
+    ``signed_swap`` on its factors, and ``form`` maps each polynomial image
+    to its parts form, the multiset of its factor pairs (:func:`_combine`);
+    without it ``form`` is empty.  A line that no certificate proves is its
+    residual (:meth:`line`), so it carries the residual's witness.
     """
 
     def __init__(self, images: GeneratorImages, title: str):
-        self.config = config = images.config
+        self.config = images.config
         self.rep = Report(title)
-        self.local = LocalProofs(config)
-        summed = summed_from_parts(images)
-        parts = images.parts
-        self.form = {n: _combine((1, Counter(parts[n])), (c, {(): 1})) for n, c in summed.items() if n in parts}
-        self.swaps = {i for i in range(1, images.d) if f"t{i}" in summed}
+        self.local = LocalProofs(images.config)
+        self.premise = by_construction(images)
+        self.form = {n: dict.fromkeys(pairs, 1) for n, pairs in images.parts.items()} if self.premise else {}
 
     def line(self, check_id: str, proved: bool, residual) -> None:
         """Add the line: passed when ``proved``, else the check that the
@@ -593,11 +566,12 @@ class _Lines:
 
     def conj(self, f: Optional[dict], i: int) -> Optional[dict]:
         """The parts form of ``t_i X t_i``, for ``X`` of form ``f``: its pairs
-        relabelled, ``v_i`` and ``v_{i+1}`` interchanged, once ``t_i`` is a
-        swap of :attr:`swaps` and conjugates each of them
-        (:meth:`LocalProofs.conjugates`); None when not known."""
+        relabelled, ``v_i`` and ``v_{i+1}`` interchanged, once ``t_i``
+        conjugates each of them (:meth:`LocalProofs.conjugates`); None when
+        not known.  A form is known only under :attr:`premise`, so ``t_i``
+        is then ``signed_swap``."""
         pos = v_position(i)
-        if f is None or i not in self.swaps or not all(self.local.conjugates(pos, key) for key in f):
+        if f is None or not all(self.local.conjugates(pos, key) for key in f):
             return None
         return {_swapped(key, pos): v for key, v in f.items()}
 
@@ -615,12 +589,13 @@ class _Lines:
 def verify_braid_relations(images: GeneratorImages) -> Report:
     """Exhaustive exact check of the defining relations on the given space.
 
-    Each line passes by a certificate whose premises are checked first, or
+    Each line passes by a certificate whose premise is checked first, or
     is its residual, taken on the images as built in the one exact form of
     :mod:`superbraid.linalg`, so a failing line carries the residual's
-    witness.  The premises are those of :class:`_Lines`.
+    witness.  The premise is :func:`by_construction`, checked once by
+    :class:`_Lines`; without it every line is its residual.
 
-    - Parts forms.  A swap ``t_i`` that is ``signed_swap`` conjugates a
+    - Parts forms.  The swap ``t_i``, ``signed_swap``, conjugates a
       parts form by relabelling its pairs, with ``v_i`` and ``v_{i+1}``
       interchanged, once ``t_i^2 = 1`` and ``t_i Gamma(p,q) t_i`` is the
       relabelled ``Gamma`` for each of them, decided on the local config of
@@ -629,9 +604,8 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
       ``m_{i,j}`` are forms too, built by :func:`m_pairs` as the fallback
       operators are, and an R4, R5, R6 or ``m(i,j)`` line passes when the
       form of its residual is zero.
-    - The ``sym`` lines are words in the swaps that are ``signed_swap``,
-      decided on the local config of their legs
-      (:meth:`LocalProofs.swap_words_agree`).
+    - The ``sym`` lines are words in the swaps, decided on the local config
+      of their legs (:meth:`LocalProofs.swap_words_agree`).
     - An ``R2`` line ``[z_0+..+z_i, x_j]`` (or ``y_j``) passes when every
       image in it has a parts form and the commutator of those sums
       vanishes by local 4T relators (:meth:`LocalProofs.bracket_vanishes`).
@@ -642,23 +616,24 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     image or split Casimir on the whole space.
     """
     lines = _Lines(images, "braid relations" + (" (shifted)" if images.shifted else ""))
-    line, conj, fixed, form, swaps, local = lines.line, lines.conj, lines.fixed, lines.form, lines.swaps, lines.local
+    line, conj, fixed, form, local = lines.line, lines.conj, lines.fixed, lines.form, lines.local
+    premise = lines.premise
     config = images.config
     d = images.d
     t, x, y, z = images.t, images.x, images.y, images.z
 
     for i in range(1, d):
         pos = v_position(i)
-        proved = i in swaps and local.swap_words_agree((pos, pos), ())
+        proved = premise and local.swap_words_agree((pos, pos), ())
         line(f"sym:t{i}^2=1", proved, lambda: t[i] @ t[i] - LinearOp.identity(config.space))
     for i in range(1, d - 1):
         pos = v_position(i)
-        proved = {i, i + 1} <= swaps and local.swap_words_agree((pos, pos + 1, pos), (pos + 1, pos, pos + 1))
+        proved = premise and local.swap_words_agree((pos, pos + 1, pos), (pos + 1, pos, pos + 1))
         line(f"sym:braid(t{i},t{i + 1})", proved, lambda: t[i] @ t[i + 1] @ t[i] - t[i + 1] @ t[i] @ t[i + 1])
     for i in range(1, d):
         for j in range(i + 2, d):
             p, q = v_position(i), v_position(j)
-            proved = {i, j} <= swaps and local.swap_words_agree((p, q), (q, p))
+            proved = premise and local.swap_words_agree((p, q), (q, p))
             line(f"sym:[t{i},t{j}]", proved, lambda: t[i].commutator(t[j]))
 
     for family in "xyz":
@@ -744,18 +719,16 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
 
     Meaningful for the shifted images; the quadratic relations encode that
     the boundary eigenvalues are the two possible added-box contents.  Each
-    line passes by a certificate on the premises of :class:`_Lines`, or is
-    its residual, as in :func:`verify_braid_relations`:
+    line passes by a certificate under the premise of :class:`_Lines`, or
+    is its residual, as in :func:`verify_braid_relations`:
 
-    - ``(x1-a)(x1+p)=0`` passes when ``x_1`` has as its parts form one
-      split Casimir ``Gamma`` and a scalar ``s``, and ``(Gamma + s - a)
-      (Gamma + s + p) = 0`` on the local config of its legs, ``M (x) V``
-      with a parity carrier between them
+    - ``(x1-a)(x1+p)=0`` passes when ``(Gamma - a)(Gamma + p) = 0`` for the
+      one split Casimir ``Gamma`` of ``x_1`` on the local config of its
+      legs, ``M (x) V`` with a parity carrier between them
       (:meth:`LocalProofs.quadratic_vanishes`); the ``y_1`` line likewise,
       on ``N (x) V``.
-    - ``t{i}=split-casimir(i,i+1)`` passes when ``t_i`` is ``signed_swap``
-      and ``signed_swap`` is that split Casimir on ``V (x) V``
-      (:meth:`LocalProofs.swap_is_gamma`).
+    - ``t{i}=split-casimir(i,i+1)`` passes when ``signed_swap`` is that
+      split Casimir on ``V (x) V`` (:meth:`LocalProofs.swap_is_gamma`).
     - ``x{i+1}=t{i}x{i}t{i}+t{i}`` passes when, moreover, the form of
       ``x_{i+1} - t_i x_i t_i`` (:meth:`_Lines.step`) is that split Casimir
       alone; the ``y`` line likewise.
@@ -767,13 +740,11 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
     if images.d < 1:
         return Report(title)
     lines = _Lines(images, title)
-    config, ops, t, form, local = images.config, images.ops, images.t, lines.form, lines.local
+    config, ops, t, local = images.config, images.ops, images.t, lines.local
     for name, c1, c2 in (("x", a, p), ("y", b, q)):
         gen = f"{name}1"
-        proved = gen in form and len(images.parts[gen]) == 1
-        if proved:
-            s = form[gen].get((), 0)
-            proved = local.quadratic_vanishes(images.parts[gen][0], s - c1, s + c2)
+        (pair,) = images.parts[gen]
+        proved = gen in lines.form and local.quadratic_vanishes(pair, -c1, c2)
 
         def quadratic() -> LinearOp:
             op = ops[gen]
@@ -782,7 +753,7 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
         lines.line(f"hecke:({gen}-{c1})({gen}+{c2})=0", proved, quadratic)
     for i in range(1, images.d):
         gamma = (v_position(i), v_position(i + 1))
-        is_gamma = i in lines.swaps and local.swap_is_gamma(gamma[0])
+        is_gamma = lines.premise and local.swap_is_gamma(gamma[0])
         for name in ("x", "y"):
             proved = is_gamma and lines.step(name, i) == {gamma: 1}
             line_id = f"hecke:{name}{i + 1}=t{i}{name}{i}t{i}+t{i}"
@@ -794,67 +765,35 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
 def verify_centralizer(images: GeneratorImages) -> Report:
     """Every generator image commutes exactly with the full diagonal action:
     one line ``[X,E(i,j)]`` per image ``X`` and each of the ``r^2`` units,
-    in ``(i, j)`` order, each proved by the cheapest exact argument whose
-    premise holds.
+    in ``(i, j)`` order.
 
-    - Cartan units ``E(i,i)`` and simple units ``E(i,i±1)``, by linearity:
-      ``[X, E]`` is the sum of ``[Gamma, E]`` over the split Casimirs
-      ``Gamma`` that ``X`` is summed from (``images.parts``), so the line
-      passes when (a) ``X`` is their exact sum, up to a scalar
-      (:func:`summed_from_parts`; by construction for a
-      :class:`SummedImages`), and (b) each of them commutes with ``E``,
-      decided on the local config of its two legs
-      (:meth:`LocalProofs.units_commuting`) once per module pair and gap:
-      ``M (x) N``, ``M (x) V``, ``N (x) V`` and ``V (x) V``, with a parity
-      carrier between legs that are not adjacent (the module docstring's
-      transport lemma, which holds for any unit; ``E(i,i)`` is even).  A
-      swap ``t_i`` that equals ``signed_swap`` on its factors is decided on
-      ``V (x) V`` the same way.
-    - Other units ``E(a,c)``, in order of ``|a-c|``: when every factor's
-      unit matrices satisfy ``E(a,c) = [E(a,b), E(b,c)]`` for the
-      neighbour ``b = c ∓ 1`` of ``c`` towards ``a`` (checked once per
-      call, on the factors' own bases), the line passes when the lines for
-      ``E(a,b)`` and ``E(b,c)`` passed, since ``[X,AB-BA] = [X,A]B +
-      A[X,B] - [X,B]A - B[X,A]``; the identity carries over to
-      ``act_unit`` by the transport lemma.
+    Under the premise of :class:`_Lines` a line passes by linearity:
+    ``[X, E]`` is the sum of ``[Gamma, E]`` over the split Casimirs
+    ``Gamma`` of ``X``'s parts form, so the line passes when each of them
+    commutes with ``E``, decided on the local config of its two legs
+    (:meth:`LocalProofs.units_commuting`) once per module pair and gap:
+    ``M (x) N``, ``M (x) V``, ``N (x) V`` and ``V (x) V``, with a parity
+    carrier between legs that are not adjacent (the module docstring's
+    transport lemma, which holds for any unit).  A swap ``t_i``, which is
+    ``signed_swap``, is decided on ``V (x) V`` the same way.
 
     Any other line is the direct residual ``X.commutator(E)``, so every
-    failing line carries the witness the full ``r^2`` check would give.
-    The premises are those of :class:`_Lines`, and an image is read only
-    for such a residual.  So a passing report on the images of
-    :func:`rho_prime_images` takes no commutator on the whole space and
-    builds no whole-space unit, swap, image or split Casimir.  Only each
-    line's :class:`Check` is kept, never its residual.
+    failing line carries the witness the full ``r^2`` check would give, and
+    an image is read only for such a residual.  So a passing report on the
+    images of :func:`rho_prime_images` takes no commutator on the whole
+    space and builds no whole-space unit, swap, image or split Casimir.
+    Only each line's :class:`Check` is kept, never its residual.
     """
     lines = _Lines(images, "centralizer")
     config, local = images.config, lines.local
-    r = config.hp.rank
-    units = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
-    bracket = {}
-    for a, c in units:
-        if local.graded and abs(a - c) > 1:
-            b = c - 1 if a < c else c + 1
-            if all(f.units[(a, c)].cols == f.units[(a, b)].commutator(f.units[(b, c)]).cols for f in local.modules):
-                bracket[(a, c)] = b
-
-    order = sorted(units, key=lambda u: abs(u[0] - u[1]))
     for name in generator_names(images.d):
         proved = set()
         if name in lines.form:
-            proved = set(local.units)
-            for pair in images.parts[name]:
-                proved &= local.units_commuting(pair)
-        elif name[0] == "t" and int(name[1:]) in lines.swaps:
+            proved = set.intersection(*(local.units_commuting(pair) for pair in lines.form[name]))
+        elif lines.premise:
             pos = v_position(int(name[1:]))
             proved = local.units_commuting((pos, pos + 1), swap=True)
-        checks = {}
-        for i, j in order:
+        for i, j in local.units:
             check_id = f"[{name},E({i},{j})]"
-            b = bracket.get((i, j))
-            if (i, j) in proved or (b is not None and checks[(i, b)].ok and checks[(b, j)].ok):
-                checks[(i, j)] = Check(check_id, True)
-            else:
-                checks[(i, j)] = zero_check(check_id, images.ops[name].commutator(config.act_unit(i, j)), config)
-        for key in units:
-            lines.rep.add(checks[key])
+            lines.line(check_id, (i, j) in proved, lambda: images.ops[name].commutator(config.act_unit(i, j)))
     return lines.rep

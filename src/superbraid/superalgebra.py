@@ -9,7 +9,7 @@ sign conventions locally testable instead of hiding them in Hopf-algebra
 plumbing.  A split Casimir first sums its unit pairs into a local matrix on
 its two factors, so that loop only copies that matrix's columns with their
 Koszul signs.  Weight spaces are read off a weight index that each product
-builds once, factor by factor, from its factors' weights.
+builds on first use, factor by factor, from its factors' weights.
 
 Every factor is a :class:`RealizedModule`, a module given by its unit
 matrices and basis weights on its own basis.  The natural module V is the
@@ -22,6 +22,7 @@ per factor (:meth:`TensorConfig.decode`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import add
 from typing import Optional, Sequence
@@ -199,27 +200,7 @@ class TensorConfig:
         for t in range(len(dims) - 2, -1, -1):
             strides[t] = strides[t + 1] * dims[t + 1]
         self.strides = strides
-        # first factor slowest, as in the mixed-radix index
-        self._decoded = list(product(*(range(d) for d in dims)))
         self.space = GradedSpace(tuple(self._span_parities(range(len(dims)))))
-        # The weight index (weight -> basis indices carrying it) grows one
-        # factor at a time: index i of the product so far and component c of
-        # the next factor make index i * dim + c.
-        index = {(0,) * hp.rank: [0]}
-        for f in self.factors:
-            comps_of: dict = {}
-            for c, w in enumerate(f.weights):
-                comps_of.setdefault(w, []).append(c)
-            grown: dict = {}
-            for total, indices in index.items():
-                for w, comps in comps_of.items():
-                    grown.setdefault(tuple(map(add, total, w)), []).extend(
-                        [i * f.dim + c for i in indices for c in comps]
-                    )
-            index = grown
-        for indices in index.values():
-            indices.sort()
-        self._weight_index = index
         self._unit_cache: dict = {}
         # position -> the first position holding the same module object
         first: dict = {}
@@ -231,7 +212,14 @@ class TensorConfig:
         return len(self.factors)
 
     def decode(self, idx: int) -> tuple:
-        return self._decoded[idx]
+        """The basis index of each factor in the product basis index idx."""
+        return tuple(idx // s % f.dim for s, f in zip(self.strides, self.factors))
+
+    def _basis(self):
+        """``(idx, components)`` for every basis index in order, the
+        components generated on the fly, first factor slowest as in the
+        mixed-radix index."""
+        return enumerate(product(*(range(f.dim) for f in self.factors)))
 
     def _span_parities(self, span: range) -> list:
         """Per basis index, the parity of its components at the positions in
@@ -275,8 +263,7 @@ class TensorConfig:
             return cached
         pu = unit_parity(i, j, self.hp)
         out = LinearOp(self.space)
-        for idx in range(self.dim):
-            comps = self._decoded[idx]
+        for idx, comps in self._basis():
             left = 0
             for t, fac in enumerate(self.factors):
                 col = fac.units[(i, j)].cols.get(comps[t])
@@ -347,7 +334,7 @@ class TensorConfig:
                                 acc[key] = acc.get(key, 0) + sign * v1 * v2
         across = self._span_parities(range(pos1) if corrupt == "koszul" else range(pos1, pos2))
         out = LinearOp(self.space)
-        for idx, comps in enumerate(self._decoded):
+        for idx, comps in self._basis():
             acc = local.get((comps[pos1], comps[pos2]))
             if not acc:
                 continue
@@ -363,17 +350,37 @@ class TensorConfig:
             raise ValueError("signed swap needs identical adjacent factors")
         out = LinearOp(self.space)
         s1, s2 = self.strides[pos], self.strides[pos + 1]
-        for idx in range(self.dim):
-            comps = self._decoded[idx]
+        for idx, comps in self._basis():
             a, b = comps[pos], comps[pos + 1]
             sign = -1 if (f1.space.parities[a] and f2.space.parities[b]) else 1
             new_idx = idx + (b - a) * s1 + (a - b) * s2
             out.add_entry(new_idx, idx, sign)
         return out
 
+    @cached_property
+    def _weight_index(self) -> dict:
+        """weight -> the basis indices carrying it, grown one factor at a
+        time: index i of the product so far and component c of the next
+        factor make index i * dim + c."""
+        index = {(0,) * self.hp.rank: [0]}
+        for f in self.factors:
+            comps_of: dict = {}
+            for c, w in enumerate(f.weights):
+                comps_of.setdefault(w, []).append(c)
+            grown: dict = {}
+            for total, indices in index.items():
+                for w, comps in comps_of.items():
+                    grown.setdefault(tuple(map(add, total, w)), []).extend(
+                        [i * f.dim + c for i in indices for c in comps]
+                    )
+            index = grown
+        for indices in index.values():
+            indices.sort()
+        return index
+
     def weight_indices(self, w: Sequence) -> list:
         """The basis indices of weight w in increasing order, read off the
-        weight index built with the config; empty for a weight that does
+        weight index built on the first call; empty for a weight that does
         not occur."""
         return self._weight_index.get(tuple(w), [])
 

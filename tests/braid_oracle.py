@@ -14,7 +14,7 @@ lines alone.  :func:`whole_space_hecke` does so for the Hecke lines, which
 ``verify_hecke_relations`` proves on local configs too.
 ``rho_prime_images`` builds each image, swaps included, from its definition
 on first read; :func:`eager_images` builds every image at once, as a plain
-dict, so each takes the suites' direct compare-with-definition premise.
+dict, which fails the suites' by-construction premise.
 """
 
 from dataclasses import replace

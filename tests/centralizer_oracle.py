@@ -1,10 +1,10 @@
 """The centralizer check with every one of the ``r^2`` units, kept as a
 test oracle.
 
-``braid.verify_centralizer`` takes a whole commutator only for the simple
-units and proves the other lines from them; here every line is the residual
-``[X, E(i,j)]`` of the image and the unit, so both must give the same report,
-witnesses included.
+``braid.verify_centralizer`` decides each line on local configs where its
+premise holds and takes the residual only where it fails; here every line
+is the residual ``[X, E(i,j)]`` of the image and the unit, so both must give
+the same report, witnesses included.
 """
 
 from superbraid.braid import Report, zero_check

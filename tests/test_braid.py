@@ -414,11 +414,10 @@ def one_sided_swap(self, pos):
     "case", ["x2-clean", "x2-koszul", "x1-clean", "x1-koszul", "entry-two-swap", "scalar", "one-sided-swap"]
 )
 def test_changed_images_match_whole_space_oracle(case, monkeypatch):
-    # premises that fail one image or swap at a time: images off their
-    # parts, a swap that is no signed permutation, an image whose scalar is
-    # off by 1 (its parts form differs from the others' in the scalar
-    # alone), and swaps that are signed_swap but no involution, on the
-    # local configs too
+    # one image or swap changed at a time, in a plain dict, so every line is
+    # its residual: images off their parts, a swap that is no signed
+    # permutation, an image whose scalar is off by 1; and, in the container,
+    # swaps that are signed_swap but no involution, on the local configs too
     if case == "entry-two-swap":
         cases = [entry_two_swap_images()]
     elif case == "scalar":
@@ -452,11 +451,11 @@ def test_r2_lines_match_whole_space_oracle(name, control):
 
 
 def test_conjugation_certificate_needs_an_involution(monkeypatch):
-    # conjugates(pos, ()) is t t = 1, which is what conjugates the scalar of
-    # a parts form to itself; a swap with a one-sided sign fails it, and so
-    # every conjugation by it is unproved
+    # conjugates(pos, pair) needs t t = 1 besides t Gamma t = Gamma'; a swap
+    # with a one-sided sign fails it, and so every conjugation by it is
+    # unproved, on pairs it fixes and on pairs it moves alike
     pos = v_position(1)
-    pairs = [(), (POS_M, POS_N), (POS_M, pos), (pos, pos + 1), (pos + 1, pos + 2)]
+    pairs = [(POS_M, POS_N), (POS_M, pos), (pos, pos + 1), (pos + 1, pos + 2)]
     local = LocalProofs(module_tensor_config((1,), (1,), 3, HP11))
     assert all(local.conjugates(pos, pair) for pair in pairs)
     monkeypatch.setattr(TensorConfig, "signed_swap", one_sided_swap)
@@ -510,31 +509,36 @@ def on_whole_space(calls, config):
 @pytest.mark.parametrize("hp", [HP21, HookProfile(3, 1)])
 def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
     # on passing reports no commutator is taken on the whole space.  The
-    # centralizer takes 2(r-1) + r per local key, one for each simple and
-    # each Cartan unit: M (x) N, M (x) gap (x) V, N (x) V, V (x) V and
-    # V (x) gap (x) V for the split Casimirs, and V (x) V for the swaps,
-    # where M and N are one module object here; and (r-1)(r-2) per module,
-    # M = N and V, for the bracket identities.  R2 takes one local
-    # commutator per 4T relator key
+    # centralizer takes r^2 per local key, one for each unit: M (x) N,
+    # M (x) gap (x) V, N (x) V, V (x) V and V (x) gap (x) V for the split
+    # Casimirs, and V (x) V for the swaps, where M and N are one module
+    # object here; and none on a factor's own unit matrices.  R2 takes one
+    # local commutator per 4T relator key
     cfg = module_tensor_config((1,), (1,), 3, hp)
     images = rho_prime_images(cfg)
     r = hp.rank
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
     assert not on_whole_space(calls, cfg)
-    assert len(calls) == 6 * (2 * (r - 1) + r) + 2 * (r - 1) * (r - 2)
+    modules = {id(f.space) for f in cfg.factors}
+    assert not [c for c in calls if id(c[0].space) in modules]
+    assert len(calls) == 6 * r * r
     calls.clear()
-    assert verify_braid_relations(images).ok and verify_braid_relations(unshifted(images)).ok
+    assert verify_braid_relations(images).ok
     assert calls and not on_whole_space(calls, cfg)
+    # the unshifted images are a plain dict, so every line is its residual
+    calls.clear()
+    assert verify_braid_relations(unshifted(images)).ok
+    assert calls and len(on_whole_space(calls, cfg)) == len(calls)
 
 
 @pytest.mark.parametrize("name", ["gl22_boundaries_d1", "gl22_boundaries_d2", "paper_d1"])
 def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
     # Gamma(M,N), Gamma(M,v_i) and Gamma(N,v_i) are no signed permutations:
-    # each local config takes its 2(r-1) + r commutators with the simple and
-    # the Cartan units, once, on M (x) N, M (x) gap (x) V and N (x) V, and at
-    # d = 2 also on N (x) gap (x) V and V (x) V (for Gamma(v_1, v_2) and the
-    # swap); none is on the whole space
+    # each local config takes its r^2 commutators with the units, once, on
+    # M (x) N, M (x) gap (x) V and N (x) V, and at d = 2 also on
+    # N (x) gap (x) V and V (x) V (for Gamma(v_1, v_2) and the swap); none
+    # is on the whole space or on a factor's own unit matrices
     images = shortcut_images(name, "clean")
     cfg = images.config
     r = cfg.hp.rank
@@ -545,8 +549,8 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
     dims = [m * n, m * 2 * v, n * v] + ([n * 2 * v, v * v, v * v] if images.d == 2 else [])
     modules = {id(f.space) for f in cfg.factors}
     local = [c[0].space.dim for c in calls if id(c[0].space) not in modules]
-    assert sorted(local) == sorted(dim for dim in dims for _ in range(2 * (r - 1) + r))
-    assert len(calls) == len(local) + 3 * (r - 1) * (r - 2)
+    assert sorted(local) == sorted(dim for dim in dims for _ in range(r * r))
+    assert len(calls) == len(local)
 
 
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
@@ -554,9 +558,9 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     # every centralizer, braid and Hecke line of fresh clean images is
     # proved locally: no suite builds or reads an image, builds a swap, a
     # unit or a split Casimir, or takes a commutator or a product on the
-    # whole space.  The unshifted images are a plain dict, so their premise
-    # compares each image with its definition, which builds whole split
-    # Casimirs and swaps and nothing else on the whole space
+    # whole space.  The unshifted images are a plain dict, so they fail the
+    # premise and every braid line on them is its residual: each commutator,
+    # product and split Casimir is then on the whole space
     alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
     images = rho_prime_images(module_tensor_config(alpha, beta, d, hp))
     whole = images.config
@@ -603,12 +607,10 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     assert on_whole(built) == {"image", "split_casimir_op", *swaps[:1]}
     built.clear()
     calls.clear()
-    half = Fraction(natural_casimir_scalar(hp), 2)
-    shifts = {"z0": 0, **{f"{f}{i}": c for f, c in (("x", half), ("y", half), ("z", 2 * half)) for i in plain.x}}
-    assert braid.summed_from_parts(plain) == {**shifts, **{f"t{i}": 0 for i in plain.t}}
+    assert braid.by_construction(images) and not braid.by_construction(plain)
     assert verify_braid_relations(plain).ok
-    assert not on_whole_space(calls, whole)
-    assert on_whole(built) == {"split_casimir_op", *swaps[:1]}
+    assert calls and len(on_whole_space(calls, whole)) == len(calls)
+    assert all(on is whole or on is whole.space for _, on in built)
 
 
 @pytest.mark.parametrize("control", ["clean", "parity", "koszul"])
@@ -628,11 +630,11 @@ def test_images_match_eager_oracle(name, control):
 
 
 def moved_images(case):
-    """Images of gl(2|1), d = 2, whose container is not what
-    ``summed_from_parts`` may take as their definitions by construction:
-    built with a corrupt mode, on another config than the images', or a
-    plain dict, with the plain swap as ``t1``.  The other config has one
-    more entry in the left boundary's E(1,3), so its Gammas on M differ."""
+    """Images of gl(2|1), d = 2, whose container breaks one binding of
+    ``by_construction``: built with a corrupt mode, on another config than
+    the images', or a plain dict, with the plain swap as ``t1``.  The other
+    config has one more entry in the left boundary's E(1,3), so its Gammas
+    on M differ."""
     if case in ("parity", "koszul"):
         return rho_prime_images(module_tensor_config((1,), (1,), 2, HP21), corrupt_gamma=case)
     images = rho_prime_images(module_tensor_config((1,), (1,), 2, HP21))
@@ -643,26 +645,32 @@ def moved_images(case):
 
 @pytest.mark.parametrize("case", ["parity", "koszul", "config", "t1"])
 def test_premise_by_construction_needs_each_binding(case, monkeypatch):
-    # the images such a container holds, the swap included, are compared
-    # with their definitions, as those of a plain dict are, and the reports
-    # are the oracles'
+    # breaking any one binding fails the premise, which sends every line to
+    # its residual: no local config is built, every centralizer line takes
+    # its whole commutator, and the braid, centralizer and Hecke reports are
+    # the oracles'
     images = moved_images(case)
-    images.named_ops()  # every image built first, so only comparisons count
-    swaps = []
-    signed_swap = TensorConfig.signed_swap
+    assert braid.by_construction(rho_prime_images(images.config))
+    assert not braid.by_construction(images)
+    legs = []
+    local = TensorConfig.local
 
-    def counted(config, pos):
-        swaps.append((config is images.config, pos))
-        return signed_swap(config, pos)
+    def counted(config, positions):
+        legs.append(positions)
+        return local(config, positions)
 
-    monkeypatch.setattr(TensorConfig, "signed_swap", counted)
-    summed = braid.summed_from_parts(images)
-    assert swaps == [(True, v_position(1))]
-    assert summed == braid.summed_from_parts(replace(images, ops=dict(images.ops)))
-    assert summed.keys() < set(braid.generator_names(images.d))
-    assert ("t1" in summed) == (case != "t1")
+    monkeypatch.setattr(TensorConfig, "local", counted)
+    calls = count_commutators(monkeypatch)
+    rep = verify_centralizer(images)
+    r = images.config.hp.rank
+    assert len(calls) == len(braid.generator_names(images.d)) * r * r
+    assert rep.to_json() == full_centralizer(images).to_json()
     assert verify_braid_relations(images).to_json() == whole_space_braid(images).to_json()
-    assert verify_centralizer(images).to_json() == full_centralizer(images).to_json()
+    for params in ((1, 1, 1, 1), (2, 1, 1, 1)):
+        assert verify_hecke_relations(images, *params).to_json() == whole_space_hecke(images, *params).to_json()
+    assert not legs
+    verify_centralizer(rho_prime_images(images.config))
+    assert legs  # the counter is live
 
 
 def off_bracket_config(entry):
@@ -674,17 +682,21 @@ def off_bracket_config(entry):
 
 
 def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
-    # the left boundary's E(1,3) is off its bracket [E(1,2), E(2,3)]: the
-    # bracket identities are checked on each factor's own unit matrices, so
-    # every image's E(1,3) line is the direct residual, and the report is
-    # the oracle's
+    # the left boundary's E(1,3) is off its bracket [E(1,2), E(2,3)], yet
+    # every factor is graded: each unit is decided on the local config of
+    # each Gamma's legs, where E(1,3) fails for the Gammas on M alone, so
+    # each image with a Gamma on M takes its E(1,3) line as the direct
+    # residual, every other image none, and the report is the oracle's
     cfg = off_bracket_config((1, 2, 1))
     assert LocalProofs(cfg).graded
     images = rho_prime_images(cfg)
     calls = count_commutators(monkeypatch)
     rep = verify_centralizer(images)
     e13 = cfg.act_unit(1, 3)
-    assert sum(other is e13 for _, other in on_whole_space(calls, cfg)) == len(images.named_ops())
+    on_m = [name for name, pairs in images.parts.items() if any(POS_M in pair for pair in pairs)]
+    taken = [op for op, other in on_whole_space(calls, cfg) if other is e13]
+    assert len(taken) == len(on_m) == 1 + 2 * images.d
+    assert {id(op) for op in taken} == {id(images.ops[name]) for name in on_m}
     assert "[x1,E(1,3)]" in {c.id for c in rep.checks if not c.ok}
     assert rep.to_json() == full_centralizer(images).to_json()
 
@@ -721,7 +733,8 @@ def off_parts_images(name, control, change):
 @pytest.mark.parametrize("control", ["clean", "koszul"])
 def test_image_off_its_parts_is_computed_directly(control, monkeypatch):
     # the changed image keeps its recorded parts, which pass, but it is not
-    # their sum, so its simple and Cartan lines are the direct residuals
+    # their sum; it sits in a plain dict, so the premise fails and each of
+    # its lines, with every unit, is the direct residual
     calls = count_commutators(monkeypatch)
     for name, change in (("gl21_d2", "x2"), ("gl21_d2", "x1"), ("paper_d1", "x1")):
         images = off_parts_images(name, control, change)
@@ -732,8 +745,8 @@ def test_image_off_its_parts_is_computed_directly(control, monkeypatch):
         calls.clear()
         rep = verify_centralizer(images)
         taken = [other for op, other in calls if op is images.x[i]]
-        local = [cfg.act_unit(a, b) for a in range(1, r + 1) for b in range(1, r + 1) if abs(a - b) <= 1]
-        assert all(any(e is unit for unit in taken) for e in local)
+        units = [cfg.act_unit(a, b) for a in range(1, r + 1) for b in range(1, r + 1)]
+        assert all(any(e is unit for unit in taken) for e in units)
         assert rep.to_json() == full_centralizer(images).to_json()
         failed = {c.id for c in rep.checks if not c.ok}
         assert all(f.startswith(f"[{change},") for f in failed)
@@ -755,13 +768,15 @@ def entry_two_swap_images():
 
 
 def test_swap_with_an_entry_two_falls_back(monkeypatch):
-    # t_1 with one entry doubled is not signed_swap: every R1, R3 and sym
-    # line on it is the commutator, and no line on the other swaps is
+    # t_1 with one entry doubled sits in a plain dict, so the premise fails
+    # and every line is its residual: each R1, R3 and sym commutator on a
+    # swap takes its whole commutator with that swap, t_1 and the others
+    # alike, and the report is the oracle's
     images = entry_two_swap_images()
-    bad = images.t[1]
     calls = count_commutators(monkeypatch)
     rep = verify_braid_relations(images)
-    lines = [c.id for c in rep.checks if c.id.endswith(",t1]") or c.id.startswith(("R3:[t1,", "sym:[t1,"))]
-    assert len([c for c in calls if bad in c]) == len(lines) == 10
-    swaps = [images.t[2], images.t[3]]
-    assert not [c for c in calls if bad not in c and any(x is t for x in c for t in swaps)]
+    for i in (1, 2, 3):
+        lines = [c.id for c in rep.checks if c.id.endswith(f",t{i}]") or c.id.startswith((f"R3:[t{i},", f"sym:[t{i},"))]
+        assert len([c for c in calls if c[0] is images.t[i] or c[1] is images.t[i]]) == len(lines)
+    assert len([c for c in calls if c[0] is images.t[1] or c[1] is images.t[1]]) == 10
+    assert rep.to_json() == whole_space_braid(images).to_json()
