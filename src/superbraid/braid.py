@@ -349,7 +349,7 @@ def with_unsigned_swaps(images: GeneratorImages) -> GeneratorImages:
     transposition of the two factors.
     """
     swaps = {
-        f"t{i}": LinearOp.from_entries(op.space, ((r, c, abs(v)) for r, c, v in op.entries()))
+        f"t{i}": LinearOp.from_entries(op.dim, ((r, c, abs(v)) for r, c, v in op.entries()))
         for i, op in images.t.items()
     }
     return replace(images, ops={**images.ops, **swaps})
@@ -450,7 +450,7 @@ class LocalProofs:
         if memo_key not in self._memo:
             products = []
             for word in words:
-                op = LinearOp.identity(local.space)
+                op = LinearOp.identity(local.dim)
                 for a in word:
                     op = op @ local.signed_swap(a)
                 products.append(op.cols)
@@ -625,7 +625,7 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
     for i in range(1, d):
         pos = v_position(i)
         proved = premise and local.swap_words_agree((pos, pos), ())
-        line(f"sym:t{i}^2=1", proved, lambda: t[i] @ t[i] - LinearOp.identity(config.space))
+        line(f"sym:t{i}^2=1", proved, lambda: t[i] @ t[i] - LinearOp.identity(config.dim))
     for i in range(1, d - 1):
         pos = v_position(i)
         proved = premise and local.swap_words_agree((pos, pos + 1, pos), (pos + 1, pos, pos + 1))
@@ -699,7 +699,7 @@ def verify_braid_relations(images: GeneratorImages) -> Report:
         )
 
         def r6() -> LinearOp:
-            m_j = op_sum([LinearOp(config.space), *(whole()["pair"][(i, j)] for i in range(1, j))])
+            m_j = op_sum([LinearOp(config.dim), *(whole()["pair"][(i, j)] for i in range(1, j))])
             return z[j] - (x[j] + y[j] - m_j)
 
         line(f"R6:z{j}=x{j}+y{j}-m{j}", f == {}, r6)

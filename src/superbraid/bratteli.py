@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .linalg import (
-    GradedSpace,
     NotInvariantError,
     Subspace,
     commutant_components,
@@ -361,7 +360,7 @@ def irreducibility_check(g: BratteliGraph, images, lam: Partition, joint: Option
     _, mult, spaces, notes = _joint_eigenspaces(g, images, lam, {} if joint is None else joint)
     dim = None
     if not notes:
-        eigenbasis = Subspace(GradedSpace((0,) * mult.dim), [space.vectors[0] for space in spaces])
+        eigenbasis = Subspace(mult.dim, [space.vectors[0] for space in spaces])
         gens = [images.x[1], *images.t.values()] if images.d else []
         dim = commutant_components([restrict_op(op, mult) for op in gens], eigenbasis)
     return {

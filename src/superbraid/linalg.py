@@ -1,4 +1,4 @@
-"""Exact rational sparse linear algebra on parity-graded spaces.
+"""Exact rational sparse linear algebra on spaces given by their dimension.
 
 Everything here is over the rationals, in one canonical exact form: an
 integral value is a plain ``int`` and any other value a
@@ -38,7 +38,6 @@ the oracle for that count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Optional, Sequence
@@ -52,17 +51,6 @@ class LinalgError(ValueError):
 
 class NotInvariantError(LinalgError):
     """An operator does not preserve the given subspace."""
-
-
-@dataclass(frozen=True)
-class GradedSpace:
-    """Ordered basis with a Z2 parity per basis vector."""
-
-    parities: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.parities)
 
 
 def _canonical(v: Rational) -> Rational:
@@ -83,24 +71,24 @@ def _add_scaled(out: Vector, vec: Vector, coeff: Rational) -> None:
 
 
 class LinearOp:
-    """Sparse exact operator on a graded space (endomorphism)."""
+    """Sparse exact endomorphism of the ``dim``-dimensional space."""
 
-    __slots__ = ("space", "cols")
+    __slots__ = ("dim", "cols")
 
-    def __init__(self, space: GradedSpace, cols: Optional[dict] = None):
-        self.space = space
+    def __init__(self, dim: int, cols: Optional[dict] = None):
+        self.dim = dim
         self.cols = cols if cols is not None else {}
 
     @classmethod
-    def identity(cls, space: GradedSpace, scale: Rational = 1) -> "LinearOp":
+    def identity(cls, dim: int, scale: Rational = 1) -> "LinearOp":
         if not scale:
-            return cls(space)
+            return cls(dim)
         scale = _canonical(scale)
-        return cls(space, {j: {j: scale} for j in range(space.dim)})
+        return cls(dim, {j: {j: scale} for j in range(dim)})
 
     @classmethod
-    def from_entries(cls, space: GradedSpace, entries: Iterable) -> "LinearOp":
-        op = cls(space)
+    def from_entries(cls, dim: int, entries: Iterable) -> "LinearOp":
+        op = cls(dim)
         for i, j, v in entries:
             op.add_entry(i, j, v)
         return op
@@ -132,7 +120,7 @@ class LinearOp:
             _add_scaled(acc, col, c)
             if not acc:
                 del cols[j]
-        return LinearOp(self.space, cols)
+        return LinearOp(self.dim, cols)
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
         return self._plus_scaled(other, 1)
@@ -142,11 +130,11 @@ class LinearOp:
 
     def plus_scalar(self, c: Rational) -> "LinearOp":
         """self + c * identity."""
-        return self + LinearOp.identity(self.space, c)
+        return self + LinearOp.identity(self.dim, c)
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
         """Column j of self @ other is self applied to column j of other."""
-        out = LinearOp(self.space)
+        out = LinearOp(self.dim)
         for j, bcol in other.cols.items():
             col = self.apply(bcol)
             if col:
@@ -166,7 +154,7 @@ class LinearOp:
                     _add_scaled(acc, col, -v)
             if acc:
                 cols[j] = acc
-        return LinearOp(self.space, cols)
+        return LinearOp(self.dim, cols)
 
     def apply(self, vec: Vector) -> Vector:
         out: dict = {}
@@ -187,9 +175,9 @@ class LinearOp:
 
 
 def add_into(cols: dict, op: LinearOp) -> None:
-    """``cols += op`` in place, for ``cols`` the columns of an operator on
-    ``op``'s space: each column of ``op`` is added into its accumulator, and
-    a column that cancels is dropped."""
+    """``cols += op`` in place, for ``cols`` the columns of an operator of
+    ``op``'s dimension: each column of ``op`` is added into its
+    accumulator, and a column that cancels is dropped."""
     for j, col in op.cols.items():
         acc = cols.get(j)
         if acc is None:
@@ -201,19 +189,20 @@ def add_into(cols: dict, op: LinearOp) -> None:
 
 
 def op_sum(ops: Sequence) -> LinearOp:
-    """The sum of nonempty ``ops``, all on one space, with one accumulator
-    per column (:func:`add_into`), so no partial sum is ever copied."""
+    """The sum of nonempty ``ops``, all of one dimension, with one
+    accumulator per column (:func:`add_into`), so no partial sum is ever
+    copied."""
     cols: dict = {}
     for op in ops:
         add_into(cols, op)
-    return LinearOp(ops[0].space, cols)
+    return LinearOp(ops[0].dim, cols)
 
 
-def product_sum(space: GradedSpace, terms: Iterable) -> LinearOp:
+def product_sum(dim: int, terms: Iterable) -> LinearOp:
     """The sum of ``c * A @ B`` over the triples ``(c, A, B)`` of
-    ``terms``, all on ``space``, with one accumulator per column: column
-    ``j`` of each product is added into it entry by entry of ``B``'s column
-    ``j``, so no product and no partial sum is built."""
+    ``terms``, all of dimension ``dim``, with one accumulator per column:
+    column ``j`` of each product is added into it entry by entry of ``B``'s
+    column ``j``, so no product and no partial sum is built."""
     cols: dict = {}
     for c, a, b in terms:
         for j, bcol in b.cols.items():
@@ -222,7 +211,7 @@ def product_sum(space: GradedSpace, terms: Iterable) -> LinearOp:
                 acol = a.cols.get(k)
                 if acol:
                     _add_scaled(acc, acol, c * v)
-    return LinearOp(space, {j: col for j, col in cols.items() if col})
+    return LinearOp(dim, {j: col for j, col in cols.items() if col})
 
 
 class RowReducer:
@@ -297,10 +286,11 @@ class RowReducer:
 
 
 class Subspace:
-    """Subspace of a graded space, spanned by explicit exact vectors."""
+    """Subspace of the ``ambient``-dimensional space, spanned by explicit
+    exact vectors."""
 
-    def __init__(self, space: GradedSpace, vectors: Sequence):
-        self.space = space
+    def __init__(self, ambient: int, vectors: Sequence):
+        self.ambient = ambient
         self.vectors: list = []
         self._solver = RowReducer()
         for v in vectors:
@@ -326,8 +316,8 @@ class Subspace:
         return coords
 
     @classmethod
-    def full(cls, space: GradedSpace) -> "Subspace":
-        return cls(space, [{i: 1} for i in range(space.dim)])
+    def full(cls, dim: int) -> "Subspace":
+        return cls(dim, [{i: 1} for i in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -362,16 +352,16 @@ def kernel_intersection(ops: Iterable, within: Subspace) -> Subspace:
                     _add_scaled(combo, basis[i], c)
                 kernel.append(combo)
         basis = kernel
-    return Subspace(within.space, basis)
+    return Subspace(within.ambient, basis)
 
 
 def restrict_op(op: LinearOp, sub: Subspace) -> LinearOp:
-    """Matrix of op on the subspace basis, on the ungraded coordinate space.
+    """Matrix of op on the subspace basis, on the coordinate space.
 
     Column j holds the coordinates of ``op`` applied to ``sub.vectors[j]``.
     Raises :class:`NotInvariantError` when the image leaves the subspace.
     """
-    out = LinearOp(GradedSpace((0,) * sub.dim))
+    out = LinearOp(sub.dim)
     for j, v in enumerate(sub.vectors):
         coords = sub.coordinates(op.apply(v))
         if coords is None:
@@ -384,12 +374,12 @@ def restrict_op(op: LinearOp, sub: Subspace) -> LinearOp:
 def _ad(mat: LinearOp) -> LinearOp:
     """X -> XA - AX on k x k matrices, X = E_ab being unknown a * k + b:
     E_ab A = sum_c A[b][c] E_ac and A E_ab = sum_r A[r][a] E_rb."""
-    k = mat.space.dim
+    k = mat.dim
     rows: dict = {}
     for c, col in mat.cols.items():
         for b, v in col.items():
             rows.setdefault(b, {})[c] = v
-    out = LinearOp(GradedSpace((0,) * (k * k)))
+    out = LinearOp(k * k)
     for a in range(k):
         for b in range(k):
             for c, v in rows.get(b, {}).items():
@@ -413,7 +403,7 @@ def commutant_dimension(ops: Sequence, within: Subspace) -> int:
     """
     k = within.dim
     ads = (_ad(restrict_op(op, within)) for op in ops)
-    return kernel_intersection(ads, Subspace.full(GradedSpace((0,) * (k * k)))).dim
+    return kernel_intersection(ads, Subspace.full(k * k)).dim
 
 
 def commutant_components(ops: Sequence, basis: Subspace) -> int:
@@ -473,7 +463,7 @@ def simultaneous_eigenspaces(ops: Sequence, within: Subspace, tuples: Sequence) 
     if any(len(t) != len(ops) for t in tuples):
         raise LinalgError("need one eigenvalue per operator in every tuple")
     mats = [restrict_op(op, within) for op in ops]
-    coords = Subspace.full(GradedSpace((0,) * within.dim))
+    coords = Subspace.full(within.dim)
     shifted: dict = {}  # (i, c) -> mats[i] - c, built once per call
     out = []
     for t in tuples:

@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import (
-    GradedSpace,
     LinearOp,
     NotInvariantError,
     Subspace,
@@ -168,7 +167,7 @@ def lowering_closure(p: Partition, ambient: TensorConfig, start: dict) -> Realiz
     w = tuple(hook_to_weight(p, hp))
     if not set(start) <= set(ambient.weight_indices(w)):
         raise ConstructionError(f"start vector of {p} is not of weight {w}")
-    sub = Subspace(ambient.space, [start])
+    sub = Subspace(ambient.dim, [start])
     basis_weights = [w]
     lowering = [(pair, ambient.act_unit(*pair)) for pair in lowering_units(hp)]
     lowering_cols: dict = {pair: {} for pair, _ in lowering}
@@ -191,24 +190,25 @@ def lowering_closure(p: Partition, ambient: TensorConfig, start: dict) -> Realiz
                     next_frontier.append(before)
         frontier = next_frontier
 
-    own_space = GradedSpace(tuple(sum(wt[hp.n :]) % 2 for wt in basis_weights))
-    units = {pair: LinearOp(own_space, cols) for pair, cols in lowering_cols.items()}
+    parities = tuple(sum(wt[hp.n :]) % 2 for wt in basis_weights)
+    dim = len(parities)
+    units = {pair: LinearOp(dim, cols) for pair, cols in lowering_cols.items()}
     for i in range(1, r + 1):
         units[(i, i)] = LinearOp(
-            own_space, {k: {k: wt[i - 1]} for k, wt in enumerate(basis_weights) if wt[i - 1]}
+            dim, {k: {k: wt[i - 1]} for k, wt in enumerate(basis_weights) if wt[i - 1]}
         )
     for (i, j) in raising_units(hp):
         try:
             mat = restrict_op(ambient.act_unit(i, j), sub)
         except NotInvariantError as exc:
             raise ConstructionError("lowering closure is not a submodule") from exc
-        units[(i, j)] = LinearOp(own_space, mat.cols)
+        units[(i, j)] = LinearOp(dim, mat.cols)
     for gap in range(2, r):
         for a in range(1, r - gap + 1):
             c = a + gap
             units[(a, c)] = units[(a, c - 1)].commutator(units[(c - 1, c)])
     ordered = {(i, j): units[(i, j)] for i in range(1, r + 1) for j in range(1, r + 1)}
-    return RealizedModule(p, hp, w, own_space, tuple(basis_weights), ordered)
+    return RealizedModule(p, hp, w, parities, tuple(basis_weights), ordered)
 
 
 def module_tensor_config(

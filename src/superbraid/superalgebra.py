@@ -12,11 +12,12 @@ Koszul signs.  Weight spaces are read off a weight index that each product
 builds on first use, factor by factor, from its factors' weights.
 
 Every factor is a :class:`RealizedModule`, a module given by its unit
-matrices and basis weights on its own basis.  The natural module V is the
-irreducible L(1) (Berele-Regev 1987) and is written down here directly;
-every other irreducible is realized in :mod:`superbraid.modules`.  Basis
-vectors carry no names: a basis index of a product decodes to one index
-per factor (:meth:`TensorConfig.decode`).
+matrices and the parity and weight of each vector of its own basis, the
+only parities kept.  The natural module V is the irreducible L(1)
+(Berele-Regev 1987) and is written down here directly; every other
+irreducible is realized in :mod:`superbraid.modules`.  Basis vectors carry
+no names: a basis index of a product decodes to one index per factor
+(:meth:`TensorConfig.decode`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import product
 from operator import add
 from typing import Optional, Sequence
 
-from .linalg import GradedSpace, LinearOp, Subspace, product_sum
+from .linalg import LinearOp, Subspace, product_sum
 from .partitions import HookProfile, Partition
 
 
@@ -127,24 +128,25 @@ def psi_pairing_report(s: int, hp: HookProfile) -> dict:
 
 @dataclass
 class RealizedModule:
-    """The irreducible L(partition) on its own basis: its unit actions and
-    basis weights.  The one module type: boundary modules and V alike."""
+    """The irreducible L(partition) on its own basis: the parity and weight
+    of each basis vector, and its unit actions.  The one module type:
+    boundary modules and V alike."""
 
     partition: Partition
     hp: HookProfile
     highest_weight: tuple
-    space: GradedSpace
+    parities: tuple  # Z2 parity per basis vector
     weights: tuple  # weight per basis vector
-    units: dict  # (i, j) -> LinearOp on space
+    units: dict  # (i, j) -> LinearOp of dimension dim
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.parities)
 
     def units_graded(self) -> bool:
         """Whether each unit E_ij changes parity by its own parity: every
         entry joins two basis vectors whose parities differ by |E_ij|."""
-        ps = self.space.parities
+        ps = self.parities
         return all(
             ps[row] ^ ps[col] == unit_parity(i, j, self.hp)
             for (i, j), op in self.units.items()
@@ -157,15 +159,14 @@ def natural_factor(hp: HookProfile) -> RealizedModule:
     """The natural module V = L(1), highest weight eps_1, with E_ij e_j = e_i."""
     r = hp.rank
     parities = tuple(index_parity(k + 1, hp) for k in range(r))
-    space = GradedSpace(parities)
     units = {}
     for i in range(1, r + 1):
         for j in range(1, r + 1):
-            units[(i, j)] = LinearOp.from_entries(space, [(i - 1, j - 1, 1)])
+            units[(i, j)] = LinearOp.from_entries(r, [(i - 1, j - 1, 1)])
     weights = tuple(
         tuple(1 if k == t else 0 for k in range(r)) for t in range(r)
     )
-    return RealizedModule((1,), hp, weights[0], space, weights, units)
+    return RealizedModule((1,), hp, weights[0], parities, weights, units)
 
 
 def parity_carrier(hp: HookProfile) -> RealizedModule:
@@ -174,10 +175,9 @@ def parity_carrier(hp: HookProfile) -> RealizedModule:
     never a factor of the spaces the suites check.  In a local config of
     :meth:`TensorConfig.local` it stands for the factors between two legs,
     which the operators on the legs see only through their total parity."""
-    space = GradedSpace((0, 1))
     zero = (0,) * hp.rank
-    units = {(i, j): LinearOp(space) for i in range(1, hp.rank + 1) for j in range(1, hp.rank + 1)}
-    return RealizedModule((), hp, zero, space, (zero, zero), units)
+    units = {(i, j): LinearOp(2) for i in range(1, hp.rank + 1) for j in range(1, hp.rank + 1)}
+    return RealizedModule((), hp, zero, (0, 1), (zero, zero), units)
 
 
 class TensorConfig:
@@ -186,7 +186,9 @@ class TensorConfig:
     Factor positions are 0-based indices into ``factors``, each a
     :class:`RealizedModule` on the same ``hp``.  Basis indices of
     the product are mixed-radix with the first factor slowest (row-major),
-    and a product basis vector's parity is the sum of its factors' parities.
+    and a product basis vector's parity is the sum of its factors'
+    parities, which each sign reads off the factors: no table per basis
+    index is kept.
     """
 
     def __init__(self, factors: Sequence, hp: HookProfile):
@@ -200,7 +202,6 @@ class TensorConfig:
         for t in range(len(dims) - 2, -1, -1):
             strides[t] = strides[t + 1] * dims[t + 1]
         self.strides = strides
-        self.space = GradedSpace(tuple(self._span_parities(range(len(dims)))))
         self._unit_cache: dict = {}
         # position -> the first position holding the same module object
         first: dict = {}
@@ -223,10 +224,11 @@ class TensorConfig:
 
     def _span_parities(self, span: range) -> list:
         """Per basis index, the parity of its components at the positions in
-        ``span``, grown one factor at a time like the index itself."""
+        ``span``, grown one factor at a time like the index itself; the
+        Koszul table of :meth:`split_casimir_op`, built for that call."""
         out = [0]
         for t, f in enumerate(self.factors):
-            ps = f.space.parities if t in span else (0,) * f.dim
+            ps = f.parities if t in span else (0,) * f.dim
             out = [p ^ q for p in out for q in ps]
         return out
 
@@ -262,7 +264,7 @@ class TensorConfig:
         if cached is not None:
             return cached
         pu = unit_parity(i, j, self.hp)
-        out = LinearOp(self.space)
+        out = LinearOp(self.dim)
         for idx, comps in self._basis():
             left = 0
             for t, fac in enumerate(self.factors):
@@ -271,7 +273,7 @@ class TensorConfig:
                     sign = -1 if (pu and left) else 1
                     for row_c, val in col.items():
                         out.add_entry(idx + (row_c - comps[t]) * self.strides[t], idx, sign * val)
-                left ^= fac.space.parities[comps[t]]
+                left ^= fac.parities[comps[t]]
         self._unit_cache[(i, j)] = out
         return out
 
@@ -286,7 +288,7 @@ class TensorConfig:
         r = self.hp.rank
         unit = self.act_unit
         return product_sum(
-            self.space,
+            self.dim,
             (
                 (-1 if index_parity(j, self.hp) else 1, unit(i, j), unit(j, i))
                 for i in range(1, r + 1)
@@ -333,7 +335,7 @@ class TensorConfig:
                                 key = ((a2 - a) * s1 + (b2 - b) * s2, pu)
                                 acc[key] = acc.get(key, 0) + sign * v1 * v2
         across = self._span_parities(range(pos1) if corrupt == "koszul" else range(pos1, pos2))
-        out = LinearOp(self.space)
+        out = LinearOp(self.dim)
         for idx, comps in self._basis():
             acc = local.get((comps[pos1], comps[pos2]))
             if not acc:
@@ -346,13 +348,13 @@ class TensorConfig:
     def signed_swap(self, pos: int) -> LinearOp:
         """v (x) w -> (-1)^(|v| |w|) w (x) v on factors pos, pos + 1."""
         f1, f2 = self.factors[pos], self.factors[pos + 1]
-        if f1.dim != f2.dim or f1.space.parities != f2.space.parities:
+        if f1.parities != f2.parities:
             raise ValueError("signed swap needs identical adjacent factors")
-        out = LinearOp(self.space)
+        out = LinearOp(self.dim)
         s1, s2 = self.strides[pos], self.strides[pos + 1]
         for idx, comps in self._basis():
             a, b = comps[pos], comps[pos + 1]
-            sign = -1 if (f1.space.parities[a] and f2.space.parities[b]) else 1
+            sign = -1 if (f1.parities[a] and f2.parities[b]) else 1
             new_idx = idx + (b - a) * s1 + (a - b) * s2
             out.add_entry(new_idx, idx, sign)
         return out
@@ -387,7 +389,7 @@ class TensorConfig:
     def weight_subspace(self, w: Sequence) -> Subspace:
         """The weight-w space, spanned by the basis vectors of that weight in
         increasing index order; a weight that does not occur gives dimension 0."""
-        return Subspace(self.space, [{idx: 1} for idx in self.weight_indices(w)])
+        return Subspace(self.dim, [{idx: 1} for idx in self.weight_indices(w)])
 
 
 def tensor_power_config(hp: HookProfile, k: int) -> TensorConfig:

@@ -97,7 +97,7 @@ def whole_space_braid(images):
         rep.add(zero_check(check_id, residual, config))
 
     for i in range(1, d):
-        check(f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.space))
+        check(f"sym:t{i}^2=1", t[i] @ t[i] - LinearOp.identity(config.dim))
     for i in range(1, d - 1):
         check(f"sym:braid(t{i},t{i + 1})", t[i] @ t[i + 1] @ t[i] - t[i + 1] @ t[i] @ t[i + 1])
     for i in range(1, d):
@@ -125,7 +125,7 @@ def whole_space_braid(images):
             word = reduce(LinearOp.__matmul__, [t[k] for k in (*range(i, j - 1), *range(j - 3, i - 1, -1))])
             pair[(i, j)] = word @ pair[(j - 1, j)] @ word
     for j in range(1, d + 1):
-        m_j = LinearOp(config.space)
+        m_j = LinearOp(config.dim)
         for i in range(1, j):
             m_j = m_j + pair[(i, j)]
         check(f"R6:z{j}=x{j}+y{j}-m{j}", images.z[j] - (x[j] + y[j] - m_j))

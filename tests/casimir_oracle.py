@@ -5,7 +5,9 @@ are built literally as halved differences of coproduct Casimirs on growing
 factor prefixes, from single-factor embeddings alone.  Each embedding
 id (x) .. (x) E_ij (x) .. (x) id is chained one graded tensor product at a
 time by :func:`koszul_tensor_op`, so the oracle shares no sign code with
-the assembly it checks.
+the assembly it checks.  A graded operator here is a pair ``(op, parities)``,
+the operator and the parity of each basis vector it acts on; the oracle
+grows the parities of each product itself, from the factors' alone.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from functools import reduce
 from typing import Optional
 
 from superbraid.braid import POS_M, POS_N, v_position
-from superbraid.linalg import GradedSpace, LinalgError, LinearOp
+from superbraid.linalg import LinalgError, LinearOp
 from superbraid.superalgebra import index_parity, natural_casimir_scalar
 
 from op_helpers import scaled
@@ -23,14 +25,15 @@ class NotHomogeneousError(LinalgError):
     """Operator mixes parities and a homogeneous one was required."""
 
 
-def tensor_space(u: GradedSpace, w: GradedSpace) -> GradedSpace:
-    """Tensor product basis in row-major order (u index slow), parity additive."""
-    return GradedSpace(tuple((pu + pw) % 2 for pu in u.parities for pw in w.parities))
+def tensor_space(u: tuple, w: tuple) -> tuple:
+    """Parities of the tensor product basis of bases with parities ``u`` and
+    ``w``, in row-major order (u index slow): parity is additive."""
+    return tuple((pu + pw) % 2 for pu in u for pw in w)
 
 
-def parity(op: LinearOp) -> Optional[int]:
-    """Z2 parity of ``op`` when homogeneous; None for the zero operator."""
-    par = op.space.parities
+def parity(op: LinearOp, par: tuple) -> Optional[int]:
+    """Z2 parity of ``op``, on a basis with parities ``par``, when
+    homogeneous; None for the zero operator."""
     found = None
     for j, col in op.cols.items():
         for i in col:
@@ -42,28 +45,28 @@ def parity(op: LinearOp) -> Optional[int]:
     return found
 
 
-def koszul_tensor_op(a: LinearOp, b: LinearOp) -> LinearOp:
-    """Graded tensor product of homogeneous operators.
+def koszul_tensor_op(left: tuple, right: tuple) -> tuple:
+    """Graded tensor product of homogeneous graded operators ``(op,
+    parities)``, as one such pair.
 
     (a (x) b)(u (x) w) = (-1)^(|b| |u|) (a u) (x) (b w); the sign reads the
     parity of the column-side basis vector of the first factor.
     """
-    sa = a.space
-    sb = b.space
-    par_b = parity(b)
-    parity(a)  # raises if non-homogeneous
+    (a, sa), (b, sb) = left, right
+    par_b = parity(b, sb)
+    parity(a, sa)  # raises if non-homogeneous
     if par_b is None:
         par_b = 0
-    out = LinearOp(tensor_space(sa, sb))
-    dim_b = sb.dim
+    dim_b = len(sb)
+    out = LinearOp(len(sa) * dim_b)
     for ja, cola in a.cols.items():
-        sign = -1 if (par_b and sa.parities[ja] % 2) else 1
+        sign = -1 if (par_b and sa[ja] % 2) else 1
         for jb, colb in b.cols.items():
             j = ja * dim_b + jb
             for ia, va in cola.items():
                 for ib, vb in colb.items():
                     out.add_entry(ia * dim_b + ib, j, sign * va * vb)
-    return out
+    return out, tensor_space(sa, sb)
 
 
 def unit_embeddings(config):
@@ -74,16 +77,16 @@ def unit_embeddings(config):
         for i in range(1, r + 1):
             for j in range(1, r + 1):
                 legs = [
-                    f.units[(i, j)] if t == pos else LinearOp.identity(f.space)
+                    (f.units[(i, j)] if t == pos else LinearOp.identity(f.dim), f.parities)
                     for t, f in enumerate(config.factors)
                 ]
-                out[(pos, i, j)] = reduce(koszul_tensor_op, legs)
+                out[(pos, i, j)] = reduce(koszul_tensor_op, legs)[0]
     return out
 
 
 def coproduct_unit(config, embeddings, positions, i, j):
     """E_ij acting through the coproduct on the factors at ``positions``."""
-    out = LinearOp(config.space)
+    out = LinearOp(config.dim)
     for pos in positions:
         out = out + embeddings[(pos, i, j)]
     return out
@@ -92,7 +95,7 @@ def coproduct_unit(config, embeddings, positions, i, j):
 def coproduct_casimir(config, embeddings, positions):
     """sum (-1)^parity(j) D(E_ij) D(E_ji), D the coproduct action on ``positions``."""
     r = config.hp.rank
-    out = LinearOp(config.space)
+    out = LinearOp(config.dim)
     for i in range(1, r + 1):
         for j in range(1, r + 1):
             d_ij = coproduct_unit(config, embeddings, positions, i, j)

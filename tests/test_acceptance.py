@@ -280,7 +280,7 @@ def test_criterion_12_negative_controls():
     # addable boxes, whose kernels fill the space, so no quadratic kills it
     hook = module_tensor_config((2, 1), (1,), 1, HookProfile(2, 1))
     images = rho_prime_images(hook)
-    whole = Subspace.full(hook.space)
+    whole = Subspace.full(hook.dim)
     kernels = [kernel_intersection([images.x[1].plus_scalar(-c)], whole).dim for c in (2, 0, -2)]
     assert kernels == [36, 12, 24] and sum(kernels) == hook.dim == 72
     for a in range(4):

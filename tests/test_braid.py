@@ -72,7 +72,7 @@ def test_shift_amounts(cfg21_d2):
     plain = rho_images(cfg21_d2)
     shifted = rho_prime_images(cfg21_d2)
     kv = Fraction(natural_casimir_scalar(HP21))
-    half, full = (LinearOp.identity(cfg21_d2.space, c) for c in (kv / 2, kv))
+    half, full = (LinearOp.identity(cfg21_d2.dim, c) for c in (kv / 2, kv))
     for i in (1, 2):
         assert (plain.x[i] - shifted.x[i] - half).max_entry_witness() is None
         assert (plain.z[i] - shifted.z[i] - full).max_entry_witness() is None
@@ -167,7 +167,7 @@ def test_corrupt_gamma_paper_example_report_matches_golden():
 
 def test_swap_involution(cfg11_d3):
     imgs = rho_images(cfg11_d3)
-    ident = LinearOp.identity(cfg11_d3.space)
+    ident = LinearOp.identity(cfg11_d3.dim)
     for i, t in imgs.t.items():
         assert (t @ t - ident).max_entry_witness() is None
 
@@ -206,7 +206,7 @@ def test_transposition_word(cfg11_d3):
         word = (*range(i, j - 1), *range(j - 3, i - 1, -1))
         assert word == word[::-1] and w == (*word, "m", *word)
     imgs = rho_prime_images(cfg11_d3)
-    ident = LinearOp.identity(cfg11_d3.space)
+    ident = LinearOp.identity(cfg11_d3.dim)
     pair = m_pairs({1: ident, 2: imgs.t[2]}, lambda op, k: imgs.t[k] @ op @ imgs.t[k])
     t13 = pair[(1, 3)]
     assert (t13 @ t13 - ident).max_entry_witness() is None
@@ -401,12 +401,12 @@ def test_hecke_relations_match_whole_space_oracle(name, control):
 def one_sided_swap(self, pos):
     # signed_swap with the sign (-1)^|v| of the left component alone: it
     # squares to -1 on v (x) w with v odd and w even
-    out = LinearOp(self.space)
+    out = LinearOp(self.dim)
     for idx in range(self.dim):
         comps = self.decode(idx)
         a, b = comps[pos], comps[pos + 1]
         new = idx + (b - a) * (self.strides[pos] - self.strides[pos + 1])
-        out.add_entry(new, idx, -1 if self.factors[pos].space.parities[a] else 1)
+        out.add_entry(new, idx, -1 if self.factors[pos].parities[a] else 1)
     return out
 
 
@@ -502,8 +502,41 @@ def count_commutators(monkeypatch):
     return calls
 
 
+class ConfigDim(int):
+    """A config's dimension that names the config.  An operator built on the
+    config keeps this object as its ``dim``, and so does every sum, product,
+    commutator and scalar shift of one, since each hands on an operand's
+    ``dim``.  So a counter can tell which config an operator is on, where
+    two configs may have one dimension: at gl(1|1), d = 3, the 4T config
+    M (x) C (x) V (x) C (x) V has the whole space's 32."""
+
+
+def tag_configs(monkeypatch):
+    """Give every config built from now on a :class:`ConfigDim`."""
+    init = TensorConfig.__init__
+
+    def tagged(self, factors, hp):
+        init(self, factors, hp)
+        self.dim = ConfigDim(self.dim)
+        self.dim.config = self
+
+    monkeypatch.setattr(TensorConfig, "__init__", tagged)
+
+
+def config_of(op):
+    """The tagged config ``op`` is on; None for an operator no config
+    built, such as a factor's own unit matrix."""
+    return getattr(op.dim, "config", None)
+
+
 def on_whole_space(calls, config):
-    return [c for c in calls if c[0].space is config.space]
+    return [c for c in calls if config_of(c[0]) is config]
+
+
+def on_local_configs(calls, config):
+    """Whether every call is on a config other than ``config``: on no
+    whole-space operator and on no factor's own unit matrix."""
+    return all(config_of(c[0]) not in (None, config) for c in calls)
 
 
 @pytest.mark.parametrize("hp", [HP21, HookProfile(3, 1)])
@@ -514,18 +547,17 @@ def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
     # Casimirs, and V (x) V for the swaps, where M and N are one module
     # object here; and none on a factor's own unit matrices.  R2 takes one
     # local commutator per 4T relator key
+    tag_configs(monkeypatch)
     cfg = module_tensor_config((1,), (1,), 3, hp)
     images = rho_prime_images(cfg)
     r = hp.rank
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
-    assert not on_whole_space(calls, cfg)
-    modules = {id(f.space) for f in cfg.factors}
-    assert not [c for c in calls if id(c[0].space) in modules]
+    assert on_local_configs(calls, cfg)
     assert len(calls) == 6 * r * r
     calls.clear()
     assert verify_braid_relations(images).ok
-    assert calls and not on_whole_space(calls, cfg)
+    assert calls and on_local_configs(calls, cfg)
     # the unshifted images are a plain dict, so every line is its residual
     calls.clear()
     assert verify_braid_relations(unshifted(images)).ok
@@ -539,18 +571,18 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
     # M (x) N, M (x) gap (x) V and N (x) V, and at d = 2 also on
     # N (x) gap (x) V and V (x) V (for Gamma(v_1, v_2) and the swap); none
     # is on the whole space or on a factor's own unit matrices
-    images = shortcut_images(name, "clean")
+    alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
+    tag_configs(monkeypatch)
+    images = rho_prime_images(module_tensor_config(alpha, beta, d, hp))
     cfg = images.config
     r = cfg.hp.rank
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
-    assert not on_whole_space(calls, cfg)
+    assert on_local_configs(calls, cfg)
     m, n, v = (f.dim for f in cfg.factors[:3])
     dims = [m * n, m * 2 * v, n * v] + ([n * 2 * v, v * v, v * v] if images.d == 2 else [])
-    modules = {id(f.space) for f in cfg.factors}
-    local = [c[0].space.dim for c in calls if id(c[0].space) not in modules]
+    local = [config_of(c[0]).dim for c in calls]
     assert sorted(local) == sorted(dim for dim in dims for _ in range(r * r))
-    assert len(calls) == len(local)
 
 
 @pytest.mark.parametrize("name", list(SHORTCUT_CONFIGS))
@@ -562,10 +594,11 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     # premise and every braid line on them is its residual: each commutator,
     # product and split Casimir is then on the whole space
     alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
+    tag_configs(monkeypatch)
     images = rho_prime_images(module_tensor_config(alpha, beta, d, hp))
     whole = images.config
     calls = count_commutators(monkeypatch)
-    built = []  # (what, config or space) of each call counted
+    built = []  # (what, config) of each call counted
 
     def counted(what, fn, on=lambda *args: None):
         def wrapped(*args, **kwargs):
@@ -575,14 +608,14 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
         return wrapped
 
     def on_whole(entries):
-        return {what for what, on in entries if on is None or on is whole or on is whole.space}
+        return {what for what, on in entries if on is None or on is whole}
 
     read = counted("image", braid.SummedImages.__getitem__, lambda *_: whole)
     monkeypatch.setattr(braid.SummedImages, "__getitem__", read)
     monkeypatch.setattr(TensorConfig, "act_unit", counted("act_unit", TensorConfig.act_unit, lambda cfg, *_: cfg))
     split = counted("split_casimir_op", TensorConfig.split_casimir_op, lambda cfg, *_: cfg)
     monkeypatch.setattr(TensorConfig, "split_casimir_op", split)
-    matmul = counted("@", LinearOp.__matmul__, lambda a, b: a.space)
+    matmul = counted("@", LinearOp.__matmul__, lambda a, b: config_of(a))
     monkeypatch.setattr(LinearOp, "__matmul__", matmul)
     swap = counted("signed_swap", TensorConfig.signed_swap, lambda cfg, *_: cfg)
     monkeypatch.setattr(TensorConfig, "signed_swap", swap)
@@ -610,7 +643,7 @@ def test_passing_reports_take_no_whole_space_commutator(name, monkeypatch):
     assert braid.by_construction(images) and not braid.by_construction(plain)
     assert verify_braid_relations(plain).ok
     assert calls and len(on_whole_space(calls, whole)) == len(calls)
-    assert all(on is whole or on is whole.space for _, on in built)
+    assert all(on is whole for _, on in built)
 
 
 @pytest.mark.parametrize("control", ["clean", "parity", "koszul"])
@@ -677,7 +710,7 @@ def off_bracket_config(entry):
     # gl(2|1), d = 2, with one more entry in the left boundary's E(1,3)
     cfg = module_tensor_config((1,), (1,), 2, HP21)
     left = cfg.factors[0]
-    units = {**left.units, (1, 3): left.units[(1, 3)] + LinearOp.from_entries(left.space, [entry])}
+    units = {**left.units, (1, 3): left.units[(1, 3)] + LinearOp.from_entries(left.dim, [entry])}
     return TensorConfig([replace(left, units=units), *cfg.factors[1:]], HP21)
 
 
@@ -687,6 +720,7 @@ def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
     # each Gamma's legs, where E(1,3) fails for the Gammas on M alone, so
     # each image with a Gamma on M takes its E(1,3) line as the direct
     # residual, every other image none, and the report is the oracle's
+    tag_configs(monkeypatch)
     cfg = off_bracket_config((1, 2, 1))
     assert LocalProofs(cfg).graded
     images = rho_prime_images(cfg)
@@ -706,6 +740,7 @@ def test_ungraded_factor_takes_the_whole_space_lines(monkeypatch):
     # boundary is not graded and no line rests on the transport lemma: every
     # line of the centralizer and every R2 line is its whole-space residual,
     # as in the oracles
+    tag_configs(monkeypatch)
     cfg = off_bracket_config((0, 1, 1))
     assert not LocalProofs(cfg).graded
     images = rho_prime_images(cfg)
@@ -764,7 +799,7 @@ def entry_two_swap_images():
     images = rho_prime_images(module_tensor_config((1,), (1,), 4, HP11))
     t1 = images.t[1]
     i, j, v = next(t1.entries())
-    return replace(images, ops={**images.ops, "t1": t1 + LinearOp.from_entries(t1.space, [(i, j, v)])})
+    return replace(images, ops={**images.ops, "t1": t1 + LinearOp.from_entries(t1.dim, [(i, j, v)])})
 
 
 def test_swap_with_an_entry_two_falls_back(monkeypatch):

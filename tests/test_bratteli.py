@@ -23,7 +23,6 @@ from superbraid.bratteli import (
 )
 from superbraid.braid import rho_images, rho_prime_images
 from superbraid.linalg import (
-    GradedSpace,
     Subspace,
     commutant_components,
     commutant_dimension,
@@ -236,7 +235,7 @@ def joint_eigenbasis(g, images, lam):
     zs = [images.z0] + [images.z[i] for i in range(1, g.d + 1)]
     spaces = simultaneous_eigenspaces(zs, mult, list(predicted_tuples(g, lam).values()))
     assert [space.dim for space in spaces] == [1] * mult.dim, lam
-    return mult, Subspace(GradedSpace((0,) * mult.dim), [space.vectors[0] for space in spaces])
+    return mult, Subspace(mult.dim, [space.vectors[0] for space in spaces])
 
 
 def test_irreducibility_control_without_x1():

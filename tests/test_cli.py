@@ -5,6 +5,7 @@ import gc
 import io
 import itertools
 import json
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from superbraid import bratteli, braid, cli, modules
 from superbraid.braid import rho_images, rho_prime_images, unshifted, verify_braid_relations, with_unsigned_swaps
 from superbraid.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_KINDS, _hooks_up_to, main
-from superbraid.modules import ConstructionError, module_tensor_config
-from superbraid.partitions import HookProfile, is_hook
+from superbraid.modules import ConstructionError, module_tensor_config, realize_module
+from superbraid.partitions import HookProfile, is_hook, rectangle
 from superbraid.schur import MultiplicityError, partitions_of
 from superbraid.superalgebra import TensorConfig
 
@@ -568,6 +569,30 @@ def test_verify_paper_example_at_operator_level(capsys):
                          "--q", "2", "--n", "3", "--m", "1", "--d", "1")
     assert code == EXIT_OK, err
     assert out.splitlines()[-1] == "OK  verify spectra  (8 checks)"
+
+
+def test_paper_example_at_d8_builds_no_per_index_table(capsys):
+    # a config is its factors, dimension and strides: at the paper example,
+    # d = 8 (8,912,896 dims), building it once the two boundary modules are
+    # realized allocates under 1 MiB, where a table of one parity per basis
+    # index took 143 MiB; and hecke, which builds no whole-space operator,
+    # passes at that size from the CLI
+    hp = HookProfile(3, 1)
+    m, n = rectangle(4, 3), rectangle(2, 2)
+    for lam in (m, n):
+        realize_module(lam, hp)
+    tracemalloc.start()
+    try:
+        config = module_tensor_config(m, n, 8, hp, 9_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.dim == 8 * 17 * 4**8 == 8_912_896
+    assert peak < 2**20, peak
+    code, out, err = run(capsys, "verify", "hecke", "--a", "4", "--p", "3", "--b", "2", "--q", "2",
+                         "--n", "3", "--m", "1", "--d", "8", "--cap", "9000000")
+    assert code == EXIT_OK, err
+    assert out.splitlines()[-1] == "OK  verify hecke  (23 checks)"
 
 
 @pytest.mark.parametrize("error", [ConstructionError, MultiplicityError])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from superbraid.bratteli import build_graph, predicted_tuples
 from superbraid.braid import rho_prime_images
 from superbraid.linalg import (
-    GradedSpace,
     LinalgError,
     LinearOp,
     NotInvariantError,
@@ -26,11 +25,11 @@ from casimir_oracle import NotHomogeneousError, koszul_tensor_op, tensor_space
 from commutant_oracle import commutant_dimension_by_equations
 from op_helpers import scaled
 
-V11 = GradedSpace((0, 1))
+V11 = (0, 1)  # the parities of C^(1|1)
 
 
-def op(space, entries):
-    return LinearOp.from_entries(space, entries)
+def op(dim, entries):
+    return LinearOp.from_entries(dim, entries)
 
 
 def eigen_dims(ops, within, tuples):
@@ -38,42 +37,37 @@ def eigen_dims(ops, within, tuples):
 
 
 def test_tensor_space_row_major_parities():
-    u = GradedSpace((0, 1))
-    w = GradedSpace((0, 1, 1))
-    prod = tensor_space(u, w)
-    assert prod.dim == 6
-    assert prod.parities == (0, 1, 1, 1, 0, 0)
-    vv = tensor_space(V11, V11)
-    assert vv.parities == (0, 1, 1, 0)
+    prod = tensor_space((0, 1), (0, 1, 1))
+    assert prod == (0, 1, 1, 1, 0, 0)
+    assert tensor_space(V11, V11) == (0, 1, 1, 0)
 
 
 def test_koszul_sign_on_odd_block():
     # id (x) B with B odd picks up -1 on odd first factors
-    b = op(V11, [(0, 1, 1)])  # odd: e2 -> e1
-    ident = LinearOp.identity(V11)
-    t = koszul_tensor_op(ident, b)
+    b = op(2, [(0, 1, 1)])  # odd: e2 -> e1
+    ident = LinearOp.identity(2)
+    t, parities = koszul_tensor_op((ident, V11), (b, V11))
+    assert parities == (0, 1, 1, 0)
     # column e1*e2 -> +e1*e1 ; column e2*e2 -> -e2*e1
     assert t.cols[1][0] == 1
     assert t.cols[3][2] == -1
 
 
 def test_koszul_rejects_inhomogeneous():
-    mixed = op(V11, [(0, 0, 1), (0, 1, 1)])
+    mixed = op(2, [(0, 0, 1), (0, 1, 1)])
     with pytest.raises(NotHomogeneousError):
-        koszul_tensor_op(mixed, LinearOp.identity(V11))
+        koszul_tensor_op((mixed, V11), (LinearOp.identity(2), V11))
 
 
 def graded_spaces(max_dim=3):
-    return st.lists(st.integers(0, 1), min_size=1, max_size=max_dim).map(
-        lambda ps: GradedSpace(tuple(ps))
-    )
+    return st.lists(st.integers(0, 1), min_size=1, max_size=max_dim).map(tuple)
 
 
-def homogeneous_op(space, parity, rng):
-    out = LinearOp(space)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            if (space.parities[i] + space.parities[j]) % 2 == parity and rng.random() < 0.6:
+def homogeneous_op(parities, parity, rng):
+    out = LinearOp(len(parities))
+    for i, pi in enumerate(parities):
+        for j, pj in enumerate(parities):
+            if (pi + pj) % 2 == parity and rng.random() < 0.6:
                 out.add_entry(i, j, Fraction(rng.randint(-3, 3)))
     return out
 
@@ -86,44 +80,44 @@ def test_koszul_composition_rule(su, sw, pa, pb, pa2, pb2, seed):
     rng = random.Random(seed)
     a, a2 = homogeneous_op(su, pa, rng), homogeneous_op(su, pa2, rng)
     b, b2 = homogeneous_op(sw, pb, rng), homogeneous_op(sw, pb2, rng)
-    lhs = koszul_tensor_op(a, b) @ koszul_tensor_op(a2, b2)
-    rhs = scaled(koszul_tensor_op(a @ a2, b @ b2), Fraction((-1) ** (pb * pa2)))
-    assert (lhs - rhs).max_entry_witness() is None
+    (ab, _), (ab2, _) = koszul_tensor_op((a, su), (b, sw)), koszul_tensor_op((a2, su), (b2, sw))
+    rhs, _ = koszul_tensor_op((a @ a2, su), (b @ b2, sw))
+    assert (ab @ ab2 - scaled(rhs, Fraction((-1) ** (pb * pa2)))).max_entry_witness() is None
 
 
 def test_kernel_intersection_trivial():
-    full = Subspace.full(V11)
+    full = Subspace.full(2)
     assert kernel_intersection([], full).dim == 2
-    assert kernel_intersection([LinearOp.identity(V11)], full).dim == 0
+    assert kernel_intersection([LinearOp.identity(2)], full).dim == 0
 
 
 def test_kernel_intersection_raising_on_natural():
     # weight-eps1 space of V is spanned by e1 and killed by the raising op
-    raising = op(V11, [(0, 1, 1)])
-    sub = Subspace(V11, [{0: Fraction(1)}])
+    raising = op(2, [(0, 1, 1)])
+    sub = Subspace(2, [{0: Fraction(1)}])
     ker = kernel_intersection([raising], sub)
     assert ker.dim == 1 and ker.vectors[0] == {0: Fraction(1)}
 
 
 def test_kernel_of_projection():
-    proj = op(V11, [(0, 0, 1)])
-    ker = kernel_intersection([proj], Subspace.full(V11))
+    proj = op(2, [(0, 0, 1)])
+    ker = kernel_intersection([proj], Subspace.full(2))
     assert ker.dim == 1
     assert ker.vectors[0] == {1: Fraction(1)}
 
 
 def test_commutant_dimension_extremes():
-    space = GradedSpace((0, 0, 0))
+    space = 3
     full = Subspace.full(space)
     assert commutant_dimension([], full) == 9
     # full matrix algebra on dim 2
-    s2 = GradedSpace((0, 0))
+    s2 = 2
     mats = [op(s2, [(0, 1, 1)]), op(s2, [(1, 0, 1)])]
     assert commutant_dimension(mats, Subspace.full(s2)) == 1
 
 
 def test_commutant_monotone_under_more_ops():
-    s2 = GradedSpace((0, 0))
+    s2 = 2
     full = Subspace.full(s2)
     e12 = op(s2, [(0, 1, 1)])
     e21 = op(s2, [(1, 0, 1)])
@@ -137,7 +131,7 @@ def test_commutant_monotone_under_more_ops():
 
 
 def test_commutant_requires_invariance():
-    s2 = GradedSpace((0, 0))
+    s2 = 2
     sub = Subspace(s2, [{0: Fraction(1)}])
     e21 = op(s2, [(1, 0, 1)])
     with pytest.raises(NotInvariantError):
@@ -150,7 +144,7 @@ def test_commutant_matches_equation_oracle(k, n_ops, block_diagonal, seed):
     # block-diagonal sets keep every block projection in the commutant, so
     # dimensions above 1 occur; otherwise the entries are unconstrained
     rng = random.Random(seed)
-    space = GradedSpace((0,) * k)
+    space = k
     cuts = sorted(rng.sample(range(1, k), rng.randint(0, k - 1))) if block_diagonal else []
     block = [sum(1 for c in cuts if c <= i) for i in range(k)]
     ops = []
@@ -182,7 +176,7 @@ def test_commutant_matches_equation_oracle_on_desk_config():
 def test_commutant_components_reads_both_triangles():
     # one off-diagonal entry joins its two basis vectors, above or below
     # the diagonal; diagonal entries join nothing
-    s3 = GradedSpace((0, 0, 0))
+    s3 = 3
     full = Subspace.full(s3)
     assert commutant_components([], full) == 3
     assert commutant_components([op(s3, [(0, 0, 4), (2, 2, -1)])], full) == 3
@@ -193,7 +187,7 @@ def test_commutant_components_reads_both_triangles():
 
 def test_commutant_components_in_a_basis():
     # E12 in the basis e0 + e1, e1 is [[1, 0], [-1, -1]]: still one edge
-    s2 = GradedSpace((0, 0))
+    s2 = 2
     basis = Subspace(s2, [{0: 1, 1: 1}, {1: 1}])
     assert commutant_components([op(s2, [(0, 1, 1)])], basis) == 1
     assert commutant_components([op(s2, [(0, 0, 1), (1, 1, 2)])], basis) == 1
@@ -208,7 +202,7 @@ def test_commutant_components_match_commutant_oracle(k, n_ops, seed):
     # operators are conjugated by a random unitriangular change of basis,
     # and the count is taken in that basis
     rng = random.Random(seed)
-    space = GradedSpace((0,) * k)
+    space = k
     ops = [
         op(space, [(i, j, rng.randint(-2, 2)) for i in range(k) for j in range(k) if rng.random() < 0.3])
         for _ in range(n_ops)
@@ -221,14 +215,14 @@ def test_commutant_components_match_commutant_oracle(k, n_ops, seed):
 
 
 def test_simultaneous_eigenspaces_scalar():
-    space = GradedSpace((0, 0))
+    space = 2
     full = Subspace.full(space)
     c_id = LinearOp.identity(space, Fraction(7))
     assert eigen_dims([c_id], full, [(Fraction(7),), (Fraction(1),)]) == [2, 0]
 
 
 def test_simultaneous_eigenspaces_refinement():
-    space = GradedSpace((0, 0, 0))
+    space = 3
     full = Subspace.full(space)
     d1 = op(space, [(0, 0, 1), (1, 1, 1), (2, 2, 2)])
     d2 = op(space, [(0, 0, 5), (1, 1, 3), (2, 2, 3)])
@@ -238,7 +232,7 @@ def test_simultaneous_eigenspaces_refinement():
 
 def test_simultaneous_eigenspaces_incomplete_candidates():
     # a tuple list that misses part of the spectrum counts short of the dimension
-    space = GradedSpace((0, 0))
+    space = 2
     full = Subspace.full(space)
     d = op(space, [(0, 0, 1), (1, 1, 2)])
     assert eigen_dims([d], full, [(1,)]) == [1]
@@ -247,7 +241,7 @@ def test_simultaneous_eigenspaces_incomplete_candidates():
 def test_simultaneous_eigenspaces_jordan_block():
     # not diagonalizable: the eigenvalue 1 has a single eigenvector, so the
     # count for the two distinct tuples is short of the dimension
-    space = GradedSpace((0, 0))
+    space = 2
     full = Subspace.full(space)
     jordan = op(space, [(0, 0, 1), (0, 1, 1), (1, 1, 1)])
     assert eigen_dims([jordan], full, [(1,), (2,)]) == [1, 0]
@@ -255,7 +249,7 @@ def test_simultaneous_eigenspaces_jordan_block():
 
 def test_simultaneous_eigenspaces_noncommuting_rejected():
     # E12 and E21 share no eigenvector, so no tuple is counted
-    s2 = GradedSpace((0, 0))
+    s2 = 2
     full = Subspace.full(s2)
     ops = [op(s2, [(0, 1, 1)]), op(s2, [(1, 0, 1)])]
     assert eigen_dims(ops, full, [(0, 0), (1, 1)]) == [0, 0]
@@ -264,24 +258,24 @@ def test_simultaneous_eigenspaces_noncommuting_rejected():
 def test_simultaneous_eigenspaces_vectors_are_eigenvectors():
     # the kernels are in the coordinates of the subspace: on the span of
     # e0 + e1 and e2, diag(3, 3, 5) has eigenvalue 3 at coordinate 0 only
-    space = GradedSpace((0, 0, 0))
+    space = 3
     sub = Subspace(space, [{0: 1, 1: 1}, {2: 1}])
     d = op(space, [(0, 0, 3), (1, 1, 3), (2, 2, 5)])
     three, five = simultaneous_eigenspaces([d], sub, [(3,), (5,)])
-    assert three.space.dim == five.space.dim == 2
+    assert three.ambient == five.ambient == 2
     assert three.dim == five.dim == 1
     assert set(three.vectors[0]) == {0} and set(five.vectors[0]) == {1}
 
 
 def test_simultaneous_eigenspaces_tuple_length_checked():
-    space = GradedSpace((0, 0))
+    space = 2
     d = op(space, [(0, 0, 1), (1, 1, 2)])
     with pytest.raises(LinalgError):
         simultaneous_eigenspaces([d], Subspace.full(space), [(1, 2)])
 
 
 def test_subspace_coordinates_and_membership():
-    space = GradedSpace((0, 0, 0))
+    space = 3
     sub = Subspace(space, [{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(1)}])
     coords = sub.coordinates({0: Fraction(2), 1: Fraction(2), 2: Fraction(-1)})
     assert coords == {0: Fraction(2), 1: Fraction(-1)}
@@ -289,7 +283,7 @@ def test_subspace_coordinates_and_membership():
 
 
 def test_operator_arithmetic_exactness():
-    s2 = GradedSpace((0, 0))
+    s2 = 2
     a = op(s2, [(0, 0, Fraction(1, 3)), (1, 0, 1)])
     b = op(s2, [(0, 0, Fraction(2, 3))])
     c = scaled(a + b, 3)
@@ -299,7 +293,7 @@ def test_operator_arithmetic_exactness():
 
 
 def dense(mat):
-    k = mat.space.dim
+    k = mat.dim
     return [[mat.cols.get(j, {}).get(i, 0) for j in range(k)] for i in range(k)]
 
 
@@ -332,7 +326,7 @@ def test_operator_arithmetic_matches_dense_oracle(k, seed):
     # half the examples draw plain ints only, so int-only products occur;
     # the others also feed integral Fractions that inserts must turn into int
     rng = random.Random(seed)
-    space = GradedSpace((0,) * k)
+    space = k
     if rng.random() < 0.5:
         vals = [-2, -1, 1, 2]
     else:
@@ -377,7 +371,7 @@ def test_commutator_matches_product_difference(k, seed):
     # from one side only (disjoint column supports, a zero operator) and
     # where every column cancels (b = c a + c2 commutes with a)
     rng = random.Random(seed)
-    space = GradedSpace((0,) * k)
+    space = k
     vals = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]
 
     def random_op(cols):
@@ -416,7 +410,7 @@ def test_coordinates_invert_from_coefficients(rank, extra, seed):
             if rng.random() < 0.5:
                 vec[order[s]] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         vectors.append(vec)
-    space = GradedSpace((0,) * dim)
+    space = dim
     sub = Subspace(space, vectors)
     coeffs = {k: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
               for k in range(rank) if rng.random() < 0.7}
@@ -436,7 +430,7 @@ def test_row_reducer_numbers_accepted_vectors_only():
 def test_elimination_divides_exactly_on_integer_input():
     # every pivot candidate is +-2, so normalising a row divides two ints:
     # int / int would store floats 1.0 and 2.0 here instead of Fraction(1, 2)
-    sub = Subspace(GradedSpace((0, 0)), [{0: 2, 1: 4}, {1: 2}])
+    sub = Subspace(2, [{0: 2, 1: 4}, {1: 2}])
     red = sub._solver
     assert red.rows == [{0: 1, 1: 2}, {1: 1}]
     assert red.trans == [{0: Fraction(1, 2)}, {1: Fraction(1, 2)}]
@@ -448,7 +442,7 @@ def test_elimination_divides_exactly_on_integer_input():
 
 
 def test_subspace_add_grows_on_independent_vectors_only():
-    sub = Subspace(GradedSpace((0, 0, 0)), [{0: Fraction(1), 1: Fraction(1)}])
+    sub = Subspace(3, [{0: Fraction(1), 1: Fraction(1)}])
     assert not sub.add({0: Fraction(-2), 1: Fraction(-2)})
     assert not sub.add({})
     assert sub.dim == 1
@@ -459,7 +453,7 @@ def test_subspace_add_grows_on_independent_vectors_only():
 
 def test_dependent_basis_rejected():
     with pytest.raises(LinalgError):
-        Subspace(V11, [{0: Fraction(1)}, {0: Fraction(-2)}])
+        Subspace(2, [{0: Fraction(1)}, {0: Fraction(-2)}])
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superbraid import modules
-from superbraid.linalg import GradedSpace, LinearOp, NotInvariantError, Subspace, restrict_op
+from superbraid.linalg import LinearOp, NotInvariantError, Subspace, restrict_op
 from superbraid.modules import (
     CapExceededError,
     ConstructionError,
@@ -49,7 +49,7 @@ def full_restriction_closure(p, ambient, start):
     :func:`lowering_closure` reads off, derives or restricts."""
     hp = ambient.hp
     w = hook_to_weight(p, hp)
-    sub = Subspace(ambient.space, [start])
+    sub = Subspace(ambient.dim, [start])
     basis_weights = [tuple(w)]
     lowering = [(pair, ambient.act_unit(*pair)) for pair in lowering_units(hp)]
     frontier = [0]
@@ -66,7 +66,7 @@ def full_restriction_closure(p, ambient, start):
                     basis_weights.append(tuple(new_wt))
                     next_frontier.append(sub.dim - 1)
         frontier = next_frontier
-    own_space = GradedSpace(tuple(sum(wt[hp.n :]) % 2 for wt in basis_weights))
+    parities = tuple(sum(wt[hp.n :]) % 2 for wt in basis_weights)
     units = {}
     for i in range(1, hp.rank + 1):
         for j in range(1, hp.rank + 1):
@@ -74,8 +74,8 @@ def full_restriction_closure(p, ambient, start):
                 mat = restrict_op(ambient.act_unit(i, j), sub)
             except NotInvariantError as exc:
                 raise ConstructionError("lowering closure is not a submodule") from exc
-            units[(i, j)] = LinearOp(own_space, mat.cols)
-    return RealizedModule(p, hp, tuple(w), own_space, tuple(basis_weights), units)
+            units[(i, j)] = LinearOp(len(parities), mat.cols)
+    return RealizedModule(p, hp, tuple(w), parities, tuple(basis_weights), units)
 
 
 def realize_by_full_restriction(lam, hp):
@@ -123,7 +123,7 @@ def test_natural_factor_is_realized_l1(hp):
     mod = realize_module((1,), hp)
     assert v.partition == mod.partition == (1,)
     assert v.highest_weight == mod.highest_weight
-    assert v.space.parities == mod.space.parities
+    assert v.parities == mod.parities
     assert v.weights == mod.weights
     assert v.units.keys() == mod.units.keys()
     for key, op in v.units.items():
@@ -247,7 +247,7 @@ def test_units_match_full_restriction(lam, hp):
     # units are exactly the restrictions of the ambient units
     mod = realize_module(lam, hp)
     oracle = realize_by_full_restriction(lam, hp)
-    assert mod.space == oracle.space
+    assert mod.parities == oracle.parities
     assert mod.weights == oracle.weights
     assert list(mod.units) == list(oracle.units)
     for key, op in oracle.units.items():
@@ -296,7 +296,7 @@ def test_realized_units_satisfy_supercommutators(lam, hp):
         for (k, l), b in units.items():
             sign = -1 if unit_parity(i, j, hp) and unit_parity(k, l, hp) else 1
             lhs = a @ b - scaled(b @ a, Fraction(sign))
-            rhs = LinearOp(a.space)
+            rhs = LinearOp(a.dim)
             if j == k:
                 rhs = rhs + units[(i, l)]
             if l == i:

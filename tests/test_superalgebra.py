@@ -4,7 +4,7 @@ from functools import reduce
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from superbraid.linalg import GradedSpace, LinearOp
+from superbraid.linalg import LinearOp
 from superbraid.modules import module_tensor_config, realize_module
 from superbraid.partitions import HookProfile, rectangle
 from superbraid.superalgebra import (
@@ -196,7 +196,7 @@ def test_bracket_closure_on_tensor_square():
                             pb = unit_parity(k, l, hp)
                             sign = Fraction((-1) ** (pa * pb))
                             lhs = (a @ b) - scaled(b @ a, sign)
-                            rhs = LinearOp(config.space)
+                            rhs = LinearOp(config.dim)
                             if j == k:
                                 rhs = rhs + config.act_unit(i, l)
                             if l == i:
@@ -208,7 +208,7 @@ def test_casimir_scalar_on_natural_module():
     for hp in HPS[:6]:
         config = tensor_power_config(hp, 1)
         kappa = config.casimir_op()
-        expected = LinearOp.identity(config.space, Fraction(hp.n - hp.m))
+        expected = LinearOp.identity(config.dim, Fraction(hp.n - hp.m))
         assert (kappa - expected).max_entry_witness() is None
 
 
@@ -246,7 +246,7 @@ def test_split_casimir_eigenvalues_on_square():
     swap = config.signed_swap(0)
     assert (gamma - swap).max_entry_witness() is None
     sq = gamma @ gamma
-    assert (sq - LinearOp.identity(config.space)).max_entry_witness() is None
+    assert (sq - LinearOp.identity(config.dim)).max_entry_witness() is None
 
 
 def test_split_casimir_transport_by_swap():
@@ -266,7 +266,7 @@ def test_signed_swap_properties():
     # e1 (x) e2 -> e2 (x) e1 without sign; e2 (x) e2 picks up -1
     assert config_vector_to_tensors(config, swap.apply({1: Fraction(1)})) == {(2, 1): Fraction(1)}
     assert config_vector_to_tensors(config, swap.apply({3: Fraction(1)})) == {(2, 2): Fraction(-1)}
-    assert (swap @ swap - LinearOp.identity(config.space)).max_entry_witness() is None
+    assert (swap @ swap - LinearOp.identity(config.dim)).max_entry_witness() is None
     for i in range(1, 3):
         for j in range(1, 3):
             assert swap.commutator(config.act_unit(i, j)).max_entry_witness() is None
@@ -276,7 +276,7 @@ def test_unsigned_swap_breaks_centralizing():
     hp = HookProfile(1, 1)
     config = tensor_power_config(hp, 2)
     plain = LinearOp.from_entries(
-        config.space, [(i, j, abs(v)) for i, j, v in config.signed_swap(0).entries()]
+        config.dim, [(i, j, abs(v)) for i, j, v in config.signed_swap(0).entries()]
     )
     broken = [
         (i, j)
@@ -287,6 +287,20 @@ def test_unsigned_swap_breaks_centralizing():
     assert broken  # the Koszul sign is forced
 
 
+def test_signed_swap_needs_identical_parities():
+    # at gl(1|1), L(1,1) and V both have dimension 2, with the parities
+    # (1, 0) and (0, 1): equal dimensions alone do not make a swap, and
+    # unequal ones, V and L(2) at gl(2|1), make none either
+    hp, hp21 = HookProfile(1, 1), HookProfile(2, 1)
+    wedge, v = realize_module((1, 1), hp), natural_factor(hp)
+    assert wedge.dim == v.dim and wedge.parities != v.parities
+    pairs = [([wedge, v], hp), ([v, wedge], hp), ([natural_factor(hp21), realize_module((2,), hp21)], hp21)]
+    for factors, on in pairs:
+        with pytest.raises(ValueError, match="identical adjacent factors"):
+            TensorConfig(factors, on).signed_swap(0)
+    assert TensorConfig([wedge, wedge], hp).signed_swap(0).dim == 4
+
+
 @pytest.mark.parametrize("hp", [HookProfile(1, 1), HookProfile(2, 1)])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_embed_unit_matches_chained_koszul_product(hp, k):
@@ -294,14 +308,18 @@ def test_embed_unit_matches_chained_koszul_product(hp, k):
     # a time is the reference for the Koszul signs; act_unit is their sum
     config = tensor_power_config(hp, k)
     v = natural_factor(hp)
-    ident = LinearOp.identity(v.space)
+    ident = LinearOp.identity(v.dim)
     for i in range(1, hp.rank + 1):
         for j in range(1, hp.rank + 1):
-            total = LinearOp(config.space)
+            total = LinearOp(config.dim)
             for pos in range(k):
-                factors = [v.units[(i, j)] if t == pos else ident for t in range(k)]
-                chained = reduce(koszul_tensor_op, factors)
-                assert chained.space.parities == config.space.parities
+                factors = [(v.units[(i, j)] if t == pos else ident, v.parities) for t in range(k)]
+                chained, parities = reduce(koszul_tensor_op, factors)
+                # the oracle's own parities are the factors' summed at each index
+                assert parities == tuple(
+                    sum(f.parities[c] for f, c in zip(config.factors, config.decode(idx))) % 2
+                    for idx in range(config.dim)
+                )
                 total = total + chained
             assert list(total.entries()) == list(config.act_unit(i, j).entries())
 
@@ -329,15 +347,15 @@ def test_split_casimir_matches_product_definition(alpha, beta, d, hp):
     for pos1 in range(config.n_factors):
         for pos2 in range(pos1 + 1, config.n_factors):
             for corrupt in (None, "parity", "koszul"):
-                ref = LinearOp(config.space)
+                ref = LinearOp(config.dim)
                 for i in range(1, r + 1):
                     for j in range(1, r + 1):
                         second = emb[(pos2, j, i)]
                         if corrupt == "koszul":
-                            legs = [LinearOp.identity(f.space) for f in config.factors]
+                            legs = [(LinearOp.identity(f.dim), f.parities) for f in config.factors]
                             unit = config.factors[pos2].units[(j, i)]
-                            legs[pos2] = LinearOp(GradedSpace((0,) * unit.space.dim), unit.cols)
-                            second = reduce(koszul_tensor_op, legs)
+                            legs[pos2] = (unit, (0,) * unit.dim)
+                            second = reduce(koszul_tensor_op, legs)[0]
                         term = emb[(pos1, i, j)] @ second
                         if index_parity(j, hp) and corrupt != "parity":
                             ref = ref - term
@@ -427,7 +445,7 @@ def test_transport_lemma_against_relabelled_local_operators(hp_at, picks, legs, 
     lifted = lift(config, [p, q], local, commutator, left_sign=unit_parity(i, j, hp))
     if corrupt != "koszul":
         assert lifted.cols == whole.commutator(config.act_unit(i, j)).cols
-    units = LinearOp(config.space)
+    units = LinearOp(config.dim)
     for t in range(k):
         _, one, _ = config.local([t])
         units = units + lift(config, [t], one, one.act_unit(i, j), left_sign=unit_parity(i, j, hp))

@@ -34,12 +34,12 @@ def lift(config, positions, local, op, left_sign=0):
     where, gaps = local_layout(positions)
     assert local.n_factors == len(positions) + len(gaps)
     assert [local.factors[where[p]] for p in positions] == [config.factors[p] for p in positions]
-    assert all(local.factors[at].space.parities == (0, 1) for at, _, _ in gaps)
+    assert all(local.factors[at].parities == (0, 1) for at, _, _ in gaps)
 
     def parity(comps, first, last):
-        return sum(config.factors[t].space.parities[comps[t]] for t in range(first, last + 1)) % 2
+        return sum(config.factors[t].parities[comps[t]] for t in range(first, last + 1)) % 2
 
-    out = LinearOp(config.space)
+    out = LinearOp(config.dim)
     for idx in range(config.dim):
         comps = config.decode(idx)
         lcomps = [0] * local.n_factors
