@@ -42,23 +42,28 @@ factor q, the product of two such signed actions, whose signs leave
 factors p and p+1 alone.  So each moves only the components at its own
 factors and reads a factor between two of its legs only through its
 parity.  The local config of legs p_1 < .. < p_k
-(:meth:`TensorConfig.local`) holds the leg factors in order, with a
-parity carrier C^(1|1) (zero action) in each gap between legs that are not
-adjacent.  Send each whole basis vector to the local one with the same leg
-components and, in each gap, the carrier vector of the gap's parity.  Then
+(:meth:`TensorConfig.local`) holds the leg factors in order and nothing
+else.  Send each whole basis vector to the local one with the same leg
+components.  On the whole vectors whose gaps between legs are all even,
 each split Casimir and swap on the legs is the local one relabelled along
-this map, times the identity on the other factors, and so is any
-polynomial in them; the carrier has both parities, so a local identity
-holds on the whole space.  If, moreover, every factor is graded (each unit
-E_ij moves parity by |E_ij|, :meth:`RealizedModule.units_graded`, checked
-first), Gamma is even and moves both legs by one parity, so it commutes
-with the action of any unit on a factor off its legs: left of the legs
-neither sign reads what the other moves, right of them E reads the legs
-only through their total parity, and in a gap E flips Gamma's sign by the
-same (-1)^(|E| |E_ij|) by which Gamma, through its first leg, flips E's.
-Swaps likewise.  Hence [Gamma, act_unit(E)] is the relabelled local
-commutator, whose carrier parts are zero, times the sign (-1)^(|E| *
-parity of the factors left of the legs); split Casimirs on disjoint pairs
+this map, times the identity on the other factors.  Let every factor be
+graded (each unit E_ij moves parity by |E_ij|,
+:meth:`RealizedModule.units_graded`, checked first as
+:attr:`LocalProofs.graded`) and sigma_R be the parity operator on the legs
+right of a gap.  An odd gap multiplies each term of a Gamma across it by
+(-1)^|E_ij|, which is conjugation by sigma_R, as sigma_R E sigma_R =
+(-1)^|E| E; a Gamma or a swap on one side of the gap is even and commutes
+with sigma_R.  Conjugation is an algebra automorphism, so a polynomial
+identity in these operators holds on the odd block exactly when it holds
+on the even one, the local identity relabelled.  Gamma is even and moves
+both legs by one parity, so it commutes with the action of any unit on a
+factor off its legs: left of the legs neither sign reads what the other
+moves, right of them E reads the legs only through their total parity,
+and in a gap E flips Gamma's sign by the same (-1)^(|E| |E_ij|) by which
+Gamma, through its first leg, flips E's.  Swaps likewise.  On the legs E
+acts as the local E so conjugated, times (-1)^(|E| * parity of the factors
+left of the legs).  Hence [Gamma, act_unit(E)] is the relabelled local
+commutator, conjugated and signed so; split Casimirs on disjoint pairs
 commute, in every interleaving, as one is a sum of products of unit
 actions off the other's legs.  ``tests/transport_oracle.py`` relabels
 local operators for the desk-scale tests of these statements.  The suites
@@ -66,7 +71,7 @@ use the lemma so:
 
 - Centralizer: each Gamma of an image, and each swap, is decided against
   each of the r^2 units on the local config of its two legs, once per
-  module pair and gap (:func:`verify_centralizer`).
+  module pair (:func:`verify_centralizer`).
 - R2: [z_0+..+z_i, x_j] expands into commutators of the Gammas on the
   pairs of the prefix M, N, v_1 .. v_i with those of x_j.  Disjoint pairs
   commute, a pair commutes with itself, and the rest group exactly, on the
@@ -84,7 +89,7 @@ use the lemma so:
   in the swaps, decided on their legs (:meth:`LocalProofs.swap_words_agree`;
   :func:`verify_braid_relations`).
 - Hecke lines: x_1 is Gamma(M, v_1), so (x_1 - a)(x_1 + p) = 0 is decided
-  for Gamma on M (x) C (x) V, and likewise for y_1 on N (x) V.  t_i =
+  for Gamma on M (x) V, and likewise for y_1 on N (x) V.  t_i =
   Gamma(v_i, v_{i+1}) is signed_swap = Gamma on V (x) V, and x_{i+1} = t_i
   x_i t_i + t_i passes when the parts form of x_{i+1}, less the relabelled
   one of x_i, is that Gamma alone (:func:`verify_hecke_relations`).
@@ -410,8 +415,9 @@ class LocalProofs:
     """Identities of split Casimirs, swaps and units on a config, each
     decided on the local config of its legs (:meth:`TensorConfig.local`)
     and kept by that config's key, so a decision is made once per modules
-    and gaps however often, and at whatever d, it is asked for.  The module
-    docstring has the transport lemma that makes each a proof."""
+    however often, and at whatever d, it is asked for.  The module
+    docstring has the transport lemma that makes each a proof; its premise
+    is :attr:`graded`, which every method reads."""
 
     def __init__(self, config: TensorConfig):
         self.config = config
@@ -724,9 +730,8 @@ def verify_hecke_relations(images: GeneratorImages, a: int, p: int, b: int, q: i
 
     - ``(x1-a)(x1+p)=0`` passes when ``(Gamma - a)(Gamma + p) = 0`` for the
       one split Casimir ``Gamma`` of ``x_1`` on the local config of its
-      legs, ``M (x) V`` with a parity carrier between them
-      (:meth:`LocalProofs.quadratic_vanishes`); the ``y_1`` line likewise,
-      on ``N (x) V``.
+      legs, ``M (x) V`` (:meth:`LocalProofs.quadratic_vanishes`); the
+      ``y_1`` line likewise, on ``N (x) V``.
     - ``t{i}=split-casimir(i,i+1)`` passes when ``signed_swap`` is that
       split Casimir on ``V (x) V`` (:meth:`LocalProofs.swap_is_gamma`).
     - ``x{i+1}=t{i}x{i}t{i}+t{i}`` passes when, moreover, the form of
@@ -771,11 +776,11 @@ def verify_centralizer(images: GeneratorImages) -> Report:
     ``[X, E]`` is the sum of ``[Gamma, E]`` over the split Casimirs
     ``Gamma`` of ``X``'s parts form, so the line passes when each of them
     commutes with ``E``, decided on the local config of its two legs
-    (:meth:`LocalProofs.units_commuting`) once per module pair and gap:
-    ``M (x) N``, ``M (x) V``, ``N (x) V`` and ``V (x) V``, with a parity
-    carrier between legs that are not adjacent (the module docstring's
-    transport lemma, which holds for any unit).  A swap ``t_i``, which is
-    ``signed_swap``, is decided on ``V (x) V`` the same way.
+    (:meth:`LocalProofs.units_commuting`) once per module pair:
+    ``M (x) N``, ``M (x) V``, ``N (x) V`` and ``V (x) V``, whatever lies
+    between the legs (the module docstring's transport lemma, which holds
+    for any unit).  A swap ``t_i``, which is ``signed_swap``, is decided
+    on ``V (x) V`` the same way.
 
     Any other line is the direct residual ``X.commutator(E)``, so every
     failing line carries the witness the full ``r^2`` check would give, and

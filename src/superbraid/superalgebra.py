@@ -169,17 +169,6 @@ def natural_factor(hp: HookProfile) -> RealizedModule:
     return RealizedModule((1,), hp, weights[0], parities, weights, units)
 
 
-def parity_carrier(hp: HookProfile) -> RealizedModule:
-    """C^(1|1) with every unit acting as zero: one even and one odd basis
-    vector, both of weight 0.  It is a module but no irreducible, and it is
-    never a factor of the spaces the suites check.  In a local config of
-    :meth:`TensorConfig.local` it stands for the factors between two legs,
-    which the operators on the legs see only through their total parity."""
-    zero = (0,) * hp.rank
-    units = {(i, j): LinearOp(2) for i in range(1, hp.rank + 1) for j in range(1, hp.rank + 1)}
-    return RealizedModule((), hp, zero, (0, 1), (zero, zero), units)
-
-
 class TensorConfig:
     """A product of module factors carrying the diagonal gl(n|m) action.
 
@@ -234,28 +223,18 @@ class TensorConfig:
 
     def local(self, positions: Sequence) -> tuple:
         """``(key, config, where)`` for the factors at the increasing
-        ``positions``, the legs: ``config`` holds them in order, with one
-        :func:`parity_carrier` in each gap between two legs that are not
-        adjacent, and ``where`` maps each leg to its position there.
-        ``key`` names ``config`` by the identity of its modules and by its
-        gaps, so calls with equal keys get the one config, built once.  The
-        transport lemma in :mod:`superbraid.braid` says why an identity of
-        split Casimirs, swaps and units on the legs is decided on it."""
-        key: list = []
-        factors: list = []
-        where = {}
-        for k, pos in enumerate(positions):
-            if k and pos > positions[k - 1] + 1:
-                key.append(None)
-                factors.append(parity_carrier(self.hp))
-            where[pos] = len(factors)
-            key.append(self._kind[pos])
-            factors.append(self.factors[pos])
-        key = tuple(key)
+        ``positions``, the legs: ``config`` holds them in order and nothing
+        else, and ``where`` maps each leg to its rank among them.  ``key``
+        names ``config`` by the identity of its modules, so calls with
+        equal keys get the one config, built once.  The transport lemma in
+        :mod:`superbraid.braid` says why an identity of split Casimirs,
+        swaps and units on the legs is decided on it, whatever the factors
+        between them."""
+        key = tuple(self._kind[pos] for pos in positions)
         config = self._local_cache.get(key)
         if config is None:
-            config = self._local_cache[key] = TensorConfig(factors, self.hp)
-        return key, config, where
+            config = self._local_cache[key] = TensorConfig([self.factors[pos] for pos in positions], self.hp)
+        return key, config, {pos: k for k, pos in enumerate(positions)}
 
     def act_unit(self, i: int, j: int) -> LinearOp:
         """Coproduct action of E_ij on all factors: on factor t, E_ij with the

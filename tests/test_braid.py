@@ -507,8 +507,8 @@ class ConfigDim(int):
     config keeps this object as its ``dim``, and so does every sum, product,
     commutator and scalar shift of one, since each hands on an operand's
     ``dim``.  So a counter can tell which config an operator is on, where
-    two configs may have one dimension: at gl(1|1), d = 3, the 4T config
-    M (x) C (x) V (x) C (x) V has the whole space's 32."""
+    two configs may have one dimension: at d = 1 the 4T config on the legs
+    M, N and v_1 is a second config on every factor of the whole space."""
 
 
 def tag_configs(monkeypatch):
@@ -543,10 +543,10 @@ def on_local_configs(calls, config):
 def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
     # on passing reports no commutator is taken on the whole space.  The
     # centralizer takes r^2 per local key, one for each unit: M (x) N,
-    # M (x) gap (x) V, N (x) V, V (x) V and V (x) gap (x) V for the split
-    # Casimirs, and V (x) V for the swaps, where M and N are one module
-    # object here; and none on a factor's own unit matrices.  R2 takes one
-    # local commutator per 4T relator key
+    # M (x) V (which N (x) V shares, as M and N are one module object here)
+    # and V (x) V for the split Casimirs, and V (x) V for the swaps; and
+    # none on a factor's own unit matrices.  R2 takes one local commutator
+    # per 4T relator key
     tag_configs(monkeypatch)
     cfg = module_tensor_config((1,), (1,), 3, hp)
     images = rho_prime_images(cfg)
@@ -554,7 +554,7 @@ def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
     calls = count_commutators(monkeypatch)
     assert verify_centralizer(images).ok
     assert on_local_configs(calls, cfg)
-    assert len(calls) == 6 * r * r
+    assert len(calls) == 4 * r * r
     calls.clear()
     assert verify_braid_relations(images).ok
     assert calls and on_local_configs(calls, cfg)
@@ -568,9 +568,9 @@ def test_shortcuts_take_the_stated_number_of_commutators(hp, monkeypatch):
 def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
     # Gamma(M,N), Gamma(M,v_i) and Gamma(N,v_i) are no signed permutations:
     # each local config takes its r^2 commutators with the units, once, on
-    # M (x) N, M (x) gap (x) V and N (x) V, and at d = 2 also on
-    # N (x) gap (x) V and V (x) V (for Gamma(v_1, v_2) and the swap); none
-    # is on the whole space or on a factor's own unit matrices
+    # M (x) N, M (x) V and N (x) V, and at d = 2 also on V (x) V twice (for
+    # Gamma(v_1, v_2) and the swap); none is on the whole space or on a
+    # factor's own unit matrices
     alpha, beta, d, hp = SHORTCUT_CONFIGS[name]
     tag_configs(monkeypatch)
     images = rho_prime_images(module_tensor_config(alpha, beta, d, hp))
@@ -580,7 +580,7 @@ def test_boundary_split_casimirs_take_the_commutator_path(name, monkeypatch):
     assert verify_centralizer(images).ok
     assert on_local_configs(calls, cfg)
     m, n, v = (f.dim for f in cfg.factors[:3])
-    dims = [m * n, m * 2 * v, n * v] + ([n * 2 * v, v * v, v * v] if images.d == 2 else [])
+    dims = [m * n, m * v, n * v] + ([v * v, v * v] if images.d == 2 else [])
     local = [config_of(c[0]).dim for c in calls]
     assert sorted(local) == sorted(dim for dim in dims for _ in range(r * r))
 
@@ -737,9 +737,11 @@ def test_wrong_bracket_unit_is_computed_directly(monkeypatch):
 
 def test_ungraded_factor_takes_the_whole_space_lines(monkeypatch):
     # the entry (0, 1) joins two even vectors in the odd E(1,3), so the left
-    # boundary is not graded and no line rests on the transport lemma: every
-    # line of the centralizer and every R2 line is its whole-space residual,
-    # as in the oracles
+    # boundary is not graded and no line rests on the transport lemma, whose
+    # premise every local proof reads: every line of the centralizer, braid
+    # and Hecke reports is its whole-space residual, as in the oracles.  The
+    # one exception is R6 at j = 1, z_1 = x_1 + y_1, which the parts forms
+    # give with no local identity
     tag_configs(monkeypatch)
     cfg = off_bracket_config((0, 1, 1))
     assert not LocalProofs(cfg).graded
@@ -749,8 +751,21 @@ def test_ungraded_factor_takes_the_whole_space_lines(monkeypatch):
     r = cfg.hp.rank
     assert len(on_whole_space(calls, cfg)) == len(images.named_ops()) * r * r
     assert rep.to_json() == full_centralizer(images).to_json()
-    lines = [c.as_dict() for c in verify_braid_relations(images).checks if c.id.startswith("R2:")]
-    assert lines == whole_space_r2(images).as_dict()["checks"]
+    residuals = []
+    zero_check = braid.zero_check
+
+    def counted(check_id, residual, config):
+        residuals.append((check_id, config_of(residual)))
+        return zero_check(check_id, residual, config)
+
+    monkeypatch.setattr(braid, "zero_check", counted)
+    reports = [(verify_braid_relations(images), whole_space_braid(images))]
+    for params in ((1, 1, 1, 1), (2, 1, 1, 1)):
+        reports.append((verify_hecke_relations(images, *params), whole_space_hecke(images, *params)))
+    for rep, oracle in reports:
+        assert rep.to_json() == oracle.to_json()
+    by_forms = "R6:z1=x1+y1-m1"
+    assert residuals == [(c.id, cfg) for rep, _ in reports for c in rep.checks if c.id != by_forms]
 
 
 def off_parts_images(name, control, change):

@@ -425,9 +425,11 @@ def test_transport_lemma_against_relabelled_local_operators(hp_at, picks, legs, 
     # the whole-space split Casimir, its commutator with a unit and each unit
     # action are the local operators of TensorConfig.local relabelled, with
     # factors between the legs seen only through their parity.  'koszul'
-    # reads the factors left of the first leg, so its split Casimir is local
-    # only at p = 0, and a unit on a factor between the legs no longer
-    # commutes with it
+    # reads the factors left of the first leg in place of those from it, so
+    # its split Casimir is local only where the legs are the first two
+    # factors: with factors left of them it reads their parity, and with a
+    # gap it skips the gap's sign.  A unit on a factor between the legs no
+    # longer commutes with it
     hp = TRANSPORT_HPS[hp_at]
     pool = transport_pool(hp)
     config = TensorConfig([pool[k] for k in picks], hp)
@@ -439,7 +441,7 @@ def test_transport_lemma_against_relabelled_local_operators(hp_at, picks, legs, 
     _, local, where = config.local([p, q])
     whole = config.split_casimir_op(p, q, corrupt)
     gamma = local.split_casimir_op(where[p], where[q], corrupt)
-    local_like = corrupt != "koszul" or p == 0
+    local_like = corrupt != "koszul" or (p, q) == (0, 1)
     assert (lift(config, [p, q], local, gamma).cols == whole.cols) == local_like
     commutator = gamma.commutator(local.act_unit(i, j))
     lifted = lift(config, [p, q], local, commutator, left_sign=unit_parity(i, j, hp))
@@ -457,13 +459,15 @@ def test_transport_lemma_against_relabelled_local_operators(hp_at, picks, legs, 
 
 
 def test_local_config_layout():
-    # legs in order, one carrier per gap, and one config per key
+    # the legs in order and nothing else, keyed by their modules, and one
+    # config per key
     hp = HookProfile(2, 1)
     config = module_tensor_config((2,), (1,), 4, hp)
     key, local, where = config.local([0, 2, 4])
-    assert where == {0: 0, 2: 2, 4: 4} and local.n_factors == 5
-    assert [f.dim for f in local.factors] == [config.factors[0].dim, 2, 3, 2, 3]
-    assert key == (0, None, 2, None, 2)
-    assert config.local([0, 3, 4])[1] is not local
-    assert config.local([0, 3, 5]) == (key, local, {0: 0, 3: 2, 5: 4})
-    assert config.local([2, 3])[0] == config.local([3, 4])[0] == (2, 2)
+    assert where == {0: 0, 2: 1, 4: 2} and local.n_factors == 3
+    assert local.factors == [config.factors[0], config.factors[2], config.factors[4]]
+    assert key == (0, 2, 2)
+    assert config.local([0, 3, 4]) == (key, local, {0: 0, 3: 1, 4: 2})
+    assert config.local([0, 3, 5]) == (key, local, {0: 0, 3: 1, 5: 2})
+    assert config.local([1, 3, 5])[1] is not local
+    assert config.local([2, 3])[0] == config.local([3, 5])[0] == (2, 2)
